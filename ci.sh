@@ -110,12 +110,20 @@ echo "$SERVE_OUT" | grep -q '^qos violations  0$' || { echo "ci.sh: serve report
 echo "$SERVE_OUT" | grep -q '^consistent      true$' || { echo "ci.sh: serve recovery inconsistent" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -Eq '^stores drained  [1-9]' || { echo "ci.sh: serve drained zero stores" >&2; exit 1; }
 
-echo "==> checkpoint restore+replay byte-identity gate (tests/checkpoint_replay.rs)"
-# Restoring a checkpoint at epoch N and replaying N..M must be
-# byte-identical to the uninterrupted run for every scheme, metadata
-# mode, and tree organisation — the contract shard crash-recovery and
-# the soak's restart storms build on.
+echo "==> checkpoint restore/rewind+replay byte-identity gate (tests/checkpoint_replay.rs)"
+# Restoring a checkpoint at epoch N, or rewinding to an in-memory
+# snapshot taken there, and replaying N..M must be byte-identical to the
+# uninterrupted run for every scheme, metadata mode, and tree
+# organisation — the contract shard crash-recovery and the soak's
+# restart storms build on.
 cargo test --release -q --test checkpoint_replay
+
+echo "==> host-time benchmark tests (hostbench/, every workload at a tiny budget)"
+# hostbench is a standalone package that drives the simulator through
+# its public API; its tests run every workload traced and untraced and
+# require zero failed operations, so a library change that breaks the
+# benchmark's calls or its output checks fails here.
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
 
 echo "==> scheme byte-identity + persistence-policy gate (tests/scheme_equivalence.rs)"
 # Pins the refactor's byte-identity contract: the 8 named schemes are

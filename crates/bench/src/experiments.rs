@@ -241,7 +241,7 @@ impl GridCell {
                 let rec = sys.recover();
                 RecoveryCheck {
                     blocks_checked: rec.blocks_checked,
-                    recovery_cycles: sys.estimated_recovery_cycles(),
+                    recovery_cycles: sys.recovery_cost().cycles,
                     failure: if rec.is_consistent() {
                         None
                     } else {

@@ -43,15 +43,18 @@
 //! # Fault tolerance
 //!
 //! The serve plane survives its own workers dying mid-epoch.  Every
-//! shard checkpoints its full system state
-//! ([`PersistSystem::checkpoint`]) every [`ServeConfig::checkpoint_every`]
-//! epochs and journals the batches processed since.  A worker panic —
-//! injected by a [`ServeFaultPlan`] crash trigger or otherwise — is
-//! caught by the pool while the shard claim is still held: the shard
-//! restores its last checkpoint, the journal replays in order ahead of
-//! all queued work, and because restore-then-replay is byte-identical to
+//! shard with tenants snapshots its full system state into an in-memory
+//! rewind point ([`PersistSystem::snapshot_into`]) every
+//! [`ServeConfig::checkpoint_every`] epochs and journals the batches
+//! processed since.  A worker panic — injected by a [`ServeFaultPlan`]
+//! crash trigger or otherwise — is caught by the pool while the shard
+//! claim is still held: the shard rewinds to its last snapshot
+//! ([`PersistSystem::rewind`]), the journal replays in order ahead of
+//! all queued work, and because rewind-then-replay is byte-identical to
 //! the uninterrupted run (the [`checkpoint`] module's contract), the
-//! recovered shard digests exactly like one that never crashed.
+//! recovered shard digests exactly like one that never crashed.  The
+//! rewind point never leaves the process, so the shard copies its state
+//! instead of encoding SPBC bytes.
 //! Brown-out epochs degrade gracefully instead: parts whose QoS class
 //! the energy budget cannot fund are *deferred* to a later epoch —
 //! bronze first, gold never, nothing ever dropped.  Ingress backpressure
@@ -64,6 +67,7 @@
 use std::collections::VecDeque;
 use std::sync::mpsc;
 
+use secpb_core::checkpoint::Snapshot;
 use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::facade::PersistSystem;
 use secpb_core::metrics::{counters, histograms};
@@ -431,9 +435,10 @@ pub struct ServeConfig {
     /// Crash (power loss, full drain) and verify recovery of every
     /// shard after the last epoch.
     pub crash_check: bool,
-    /// Epochs between shard checkpoints ([`PersistSystem::checkpoint`]);
-    /// crash recovery restores the latest one and replays the journal.
-    /// `0` disables checkpointing — and with it, crash recovery.
+    /// Epochs between shard checkpoints (in-memory rewind points, see
+    /// [`PersistSystem::snapshot_into`]); crash recovery rewinds to the
+    /// latest one and replays the journal.  `0` disables checkpointing —
+    /// and with it, crash recovery and the journal.
     pub checkpoint_every: u64,
     /// Producer-side bound (milliseconds) on waiting for a full shard
     /// ingress queue before failing with [`ServeError::ShardWedged`];
@@ -772,12 +777,15 @@ fn shed_rank_floor(plan: &ServeFaultPlan, scheme: Scheme, secpb_entries: usize) 
 }
 
 /// Everything needed to rewind a shard to an epoch boundary: the
-/// system's versioned checkpoint bytes plus the shard-level accounting
-/// the determinism contract covers.  Telemetry state (monitor, ring
-/// reader, emitted snapshots) is deliberately absent — it observes,
-/// never steers, so replayed epochs simply re-emit events.
+/// system's in-memory rewind point plus the shard-level accounting the
+/// determinism contract covers.  Refreshed in place at every checkpoint
+/// so the system twin's allocations are reused.  Telemetry state
+/// (monitor, ring reader, emitted snapshots) is deliberately absent — it
+/// observes, never steers, so replayed epochs simply re-emit events.
+#[derive(Default)]
 struct ShardCheckpoint {
-    sys: Vec<u8>,
+    /// `None` until the first checkpoint.
+    sys: Option<Snapshot>,
     epochs: u64,
     items: u64,
     stores: u64,
@@ -816,8 +824,9 @@ struct ShardState {
     fault_clock: Option<FaultClock>,
     /// Checkpoint cadence in epochs (`0` = off).
     checkpoint_every: u64,
-    checkpoint: Option<ShardCheckpoint>,
-    /// Batches processed since the last checkpoint — the replay log.
+    checkpoint: ShardCheckpoint,
+    /// Batches processed since the last checkpoint — the replay log
+    /// (always empty with checkpointing off).
     journal: Vec<EpochBatch>,
     /// Batches still being replayed after a restore; while non-zero the
     /// crash trigger is disarmed so recovery always makes progress.
@@ -838,8 +847,11 @@ impl ShardState {
         }
         // The journal must always hold exactly the batches processed
         // since the last checkpoint — replayed batches included, so a
-        // second crash during a replay still has a complete log.
-        self.journal.push(batch.clone());
+        // second crash during a replay still has a complete log.  With
+        // checkpointing off nothing would ever truncate it.
+        if self.checkpoint_every > 0 {
+            self.journal.push(batch.clone());
+        }
 
         // Brown-out degradation: during an affected epoch, parts whose
         // class the budget cannot fund are deferred — bronze first,
@@ -929,45 +941,46 @@ impl ShardState {
 
     /// Captures the shard at the current epoch boundary and truncates
     /// the journal: recovery rewinds here and replays forward.  Fronts
-    /// without checkpoint support keep the previous capture.
+    /// without rewind-point support keep the previous capture.
     fn take_checkpoint(&mut self) {
-        let Ok(sys) = self.sys.checkpoint() else {
+        let cp = &mut self.checkpoint;
+        if self.sys.snapshot_into(&mut cp.sys).is_err() {
             return;
-        };
-        self.checkpoint = Some(ShardCheckpoint {
-            sys,
-            epochs: self.epochs,
-            items: self.items,
-            stores: self.stores,
-            sync_hashes: self.sync_hashes,
-            qos_violations: self.qos_violations,
-            qos_events: self.qos_events.clone(),
-            deferred: self.deferred.clone(),
-            shed: self.shed,
-        });
+        }
+        cp.epochs = self.epochs;
+        cp.items = self.items;
+        cp.stores = self.stores;
+        cp.sync_hashes = self.sync_hashes;
+        cp.qos_violations = self.qos_violations;
+        cp.qos_events.clone_from(&self.qos_events);
+        cp.deferred.clone_from(&self.deferred);
+        cp.shed = self.shed;
         self.journal.clear();
     }
 
     /// Crash recovery, run by the pool while the shard claim is still
     /// held: rewind to the last checkpoint and hand back the journaled
     /// batches for in-order replay ahead of all queued work.  Panics
-    /// (fatally, by design) if the checkpoint bytes fail to restore — a
-    /// shard that cannot rewind has no consistent state to serve from.
+    /// (fatally, by design) if the rewind fails — a shard that cannot
+    /// rewind has no consistent state to serve from.  The rewind point
+    /// stays intact, so a second crash before the next checkpoint
+    /// rewinds to it again.
     fn recover(&mut self) -> Vec<EpochBatch> {
-        let cp = self
-            .checkpoint
+        let cp = &self.checkpoint;
+        let snapshot = cp
+            .sys
             .as_ref()
-            .expect("serve checkpoints every shard at startup");
+            .expect("serve checkpoints every populated shard at startup");
         self.sys
-            .restore(&cp.sys)
-            .expect("a shard's own checkpoint bytes restore");
+            .rewind(snapshot)
+            .expect("a shard rewinds to its own snapshot");
         self.epochs = cp.epochs;
         self.items = cp.items;
         self.stores = cp.stores;
         self.sync_hashes = cp.sync_hashes;
         self.qos_violations = cp.qos_violations;
-        self.qos_events = cp.qos_events.clone();
-        self.deferred = cp.deferred.clone();
+        self.qos_events.clone_from(&cp.qos_events);
+        self.deferred.clone_from(&cp.deferred);
         self.shed = cp.shed;
         let replay = std::mem::take(&mut self.journal);
         self.replay_pending = replay.len();
@@ -1016,7 +1029,7 @@ impl ShardState {
                 energy_scheme(self.sys.scheme()),
                 occupancy as usize,
             ),
-            recovery_cycles: self.sys.estimated_recovery_cycles(),
+            recovery_cycles: self.sys.recovery_cost().cycles,
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
@@ -1284,7 +1297,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                 .crashes()
                 .then(|| FaultClock::new(cfg.faults.trigger)),
             checkpoint_every: cfg.checkpoint_every,
-            checkpoint: None,
+            checkpoint: ShardCheckpoint::default(),
             journal: Vec::new(),
             replay_pending: 0,
             replayed: 0,
@@ -1292,9 +1305,10 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
         });
     }
     // Epoch-zero checkpoints: recovery always has a rewind point, even
-    // for a crash in the very first epoch.
+    // for a crash in the very first epoch.  A shard with no tenants is
+    // never handed a batch, so it never crashes and needs none.
     if cfg.checkpoint_every > 0 {
-        for state in &mut states {
+        for state in states.iter_mut().filter(|s| !s.tenants.is_empty()) {
             state.take_checkpoint();
         }
     }
@@ -1349,9 +1363,9 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
             ready: VecDeque::new(),
         };
         if cfg.checkpoint_every > 0 {
-            // Recoverable mode: a panicking shard worker restores the
-            // shard's last checkpoint and replays its journal in-order
-            // ahead of all queued work.
+            // Recoverable mode: a panicking shard worker rewinds the
+            // shard to its last checkpoint and replays its journal
+            // in-order ahead of all queued work.
             pool::run_sharded_recoverable(
                 states,
                 assembler,
@@ -1563,11 +1577,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn qos_violations_name_tenant_class_and_epoch() {
-        // Hand-feed a shard an oversized part to exercise the data-plane
-        // re-check (the ingest layer never produces one).
-        let mut state = ShardState {
+    /// A one-tenant shard (`bob`, bronze, quota 2) built by hand, with
+    /// no telemetry, faults, or brown-outs.
+    fn bare_shard(checkpoint_every: u64) -> ShardState {
+        ShardState {
             sys: Box::new(SecureSystem::with_tree(
                 SystemConfig::default(),
                 Scheme::Cobcm,
@@ -1596,20 +1609,32 @@ mod tests {
             deferred: Vec::new(),
             shed: 0,
             fault_clock: None,
-            checkpoint_every: 0,
-            checkpoint: None,
+            checkpoint_every,
+            checkpoint: ShardCheckpoint::default(),
             journal: Vec::new(),
             replay_pending: 0,
             replayed: 0,
             restored: 0,
-        };
+        }
+    }
+
+    fn gamess_items(n: usize) -> Vec<TraceItem> {
         let items: Vec<TraceItem> =
             TraceGenerator::new(WorkloadProfile::named("gamess").unwrap(), 7)
                 .generate(200)
                 .into_iter()
-                .take(3)
+                .take(n)
                 .collect();
-        assert_eq!(items.len(), 3);
+        assert_eq!(items.len(), n);
+        items
+    }
+
+    #[test]
+    fn qos_violations_name_tenant_class_and_epoch() {
+        // Hand-feed a shard an oversized part to exercise the data-plane
+        // re-check (the ingest layer never produces one).
+        let mut state = bare_shard(0);
+        let items = gamess_items(3);
         state.process(EpochBatch {
             epoch: 5,
             parts: vec![(1, items)],
@@ -1629,39 +1654,83 @@ mod tests {
     }
 
     #[test]
+    fn journal_stays_empty_with_checkpointing_off() {
+        // Nothing truncates the journal without checkpoints, so a shard
+        // that journaled anyway would hold its whole trace to teardown.
+        let mut off = bare_shard(0);
+        let mut on = bare_shard(4);
+        on.take_checkpoint();
+        for epoch in 0..3 {
+            let batch = EpochBatch {
+                epoch,
+                parts: vec![(1, gamess_items(2))],
+            };
+            off.process(batch.clone());
+            on.process(batch);
+        }
+        assert_eq!(off.epochs, 3);
+        assert!(off.journal.is_empty(), "checkpointing off, yet journaled");
+        assert!(off.checkpoint.sys.is_none());
+        assert_eq!(on.journal.len(), 3, "checkpointing on journals every batch");
+    }
+
+    #[test]
     fn injected_crashes_recover_to_the_crash_free_digests() {
         quiet_injected_faults();
-        let mut cfg = two_tenant_cfg(2);
-        cfg.checkpoint_every = 2;
-        cfg.faults = ServeFaultPlan::storm(7, 40, 0, f64::INFINITY);
-        let faulted = run_serve(&cfg).unwrap();
-        assert!(
-            faulted.pool.crash_recoveries > 0,
-            "storm fired no crashes: {:?}",
-            faulted.pool
-        );
-        assert!(faulted.total_restored() > 0);
-        assert!(faulted.total_replayed() > 0);
-        assert!(faulted.consistent());
-        assert_eq!(faulted.total_anomalies(), 0);
-        assert_eq!(faulted.total_qos_violations(), 0);
+        // (checkpoint every k epochs, crash every n stores): frequent
+        // checkpoints, then checkpoints rare enough that several crashes
+        // rewind to the same snapshot.
+        for (every, crash_stores) in [(2, 40), (16, 40)] {
+            let mut cfg = two_tenant_cfg(2);
+            cfg.checkpoint_every = every;
+            cfg.faults = ServeFaultPlan::storm(7, crash_stores, 0, f64::INFINITY);
+            let faulted = run_serve(&cfg).unwrap();
+            assert!(
+                faulted.pool.crash_recoveries > 0,
+                "storm fired no crashes: {:?}",
+                faulted.pool
+            );
+            assert!(faulted.total_restored() > 0);
+            assert!(faulted.total_replayed() > 0);
+            assert!(faulted.consistent());
+            assert_eq!(faulted.total_anomalies(), 0);
+            assert_eq!(faulted.total_qos_violations(), 0);
+            if every == 16 {
+                // Every boundary checkpoint is taken exactly once (a
+                // rewind never goes behind the latest one), plus the
+                // epoch-zero one: more restores than checkpoints means
+                // some snapshot served at least two crashes.
+                let checkpoints: u64 = faulted
+                    .shards
+                    .iter()
+                    .filter(|s| !s.tenants.is_empty())
+                    .map(|s| 1 + s.epochs / every)
+                    .sum();
+                assert!(
+                    faulted.total_restored() > checkpoints,
+                    "{} restores over {checkpoints} checkpoints",
+                    faulted.total_restored()
+                );
+            }
 
-        let mut reference = cfg.clone();
-        reference.faults = cfg.faults.crash_free();
-        let reference = run_serve(&reference).unwrap();
-        assert_eq!(reference.pool.crash_recoveries, 0);
-        let digests = |o: &ServeOutcome| {
-            o.shards
-                .iter()
-                .filter(|s| !s.tenants.is_empty())
-                .map(|s| (s.tenants.clone(), s.digest()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digests(&faulted),
-            digests(&reference),
-            "restored shards diverged from the uninterrupted reference"
-        );
+            let mut reference = cfg.clone();
+            reference.faults = cfg.faults.crash_free();
+            let reference = run_serve(&reference).unwrap();
+            assert_eq!(reference.pool.crash_recoveries, 0);
+            let digests = |o: &ServeOutcome| {
+                o.shards
+                    .iter()
+                    .filter(|s| !s.tenants.is_empty())
+                    .map(|s| (s.tenants.clone(), s.digest()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                digests(&faulted),
+                digests(&reference),
+                "checkpoint every {every}: restored shards diverged from the \
+                 uninterrupted reference"
+            );
+        }
     }
 
     #[test]

@@ -224,7 +224,7 @@ fn emit_snapshot<W: Write, T: Write>(
         anomalies: sys.anomalies(),
         nwpe: sys.stats().ratio(counters::PERSISTS, counters::ALLOCATIONS),
         battery_joules: secpb_drain_energy(energy_scheme(sys.scheme()), occupancy as usize),
-        recovery_cycles: sys.estimated_recovery_cycles(),
+        recovery_cycles: sys.recovery_cost().cycles,
         memo_hits: memo.hits,
         memo_misses: memo.misses,
         memo_evictions: memo.evictions,
@@ -318,7 +318,7 @@ mod tests {
         assert_eq!(watched.cycles, bare.finish_time().raw());
         let last = watched.snapshots.last().unwrap();
         assert_eq!(last.occupancy, bare.occupancy());
-        assert_eq!(last.recovery_cycles, bare.estimated_recovery_cycles());
+        assert_eq!(last.recovery_cycles, bare.recovery_cost().cycles);
     }
 
     #[test]

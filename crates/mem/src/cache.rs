@@ -33,7 +33,7 @@ impl LineState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
     state: LineState,
@@ -90,7 +90,7 @@ impl CacheStats {
 /// let hit = c.access(BlockAddr(1), LineState::Clean);
 /// assert!(hit.hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     /// Flat set-major line storage: `lines[set * ways + way]`.  One
@@ -106,6 +106,32 @@ pub struct Cache {
     set_shift: u32,
     use_clock: u64,
     stats: CacheStats,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Cache {
+            config: self.config,
+            lines: self.lines.clone(),
+            sets: self.sets,
+            ways: self.ways,
+            set_shift: self.set_shift,
+            use_clock: self.use_clock,
+            stats: self.stats,
+        }
+    }
+
+    /// Refreshes this cache in place: the way array is reused, and since
+    /// lines are `Copy` an equal-geometry refresh is one `memcpy`.
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+        self.lines.clone_from(&source.lines);
+        self.sets = source.sets;
+        self.ways = source.ways;
+        self.set_shift = source.set_shift;
+        self.use_clock = source.use_clock;
+        self.stats = source.stats;
+    }
 }
 
 impl Cache {

@@ -85,12 +85,31 @@ impl HierarchyStats {
 /// assert_eq!(warm.latency, 2);
 /// assert_eq!(h.stats().l1_hits, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,
     l3: Cache,
     stats: HierarchyStats,
+}
+
+impl Clone for Hierarchy {
+    fn clone(&self) -> Self {
+        Hierarchy {
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            l3: self.l3.clone(),
+            stats: self.stats,
+        }
+    }
+
+    /// Refreshes every level in place, reusing its way array.
+    fn clone_from(&mut self, source: &Self) {
+        self.l1.clone_from(&source.l1);
+        self.l2.clone_from(&source.l2);
+        self.l3.clone_from(&source.l3);
+        self.stats = source.stats;
+    }
 }
 
 impl Hierarchy {

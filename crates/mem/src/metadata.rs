@@ -67,11 +67,28 @@ pub struct MetadataAccess {
 /// let again = md.access(MetadataKind::Counter, 7, true, first.done, &mut nvm);
 /// assert!(again.hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MetadataCaches {
     counter: Cache,
     mac: Cache,
     bmt: Cache,
+}
+
+impl Clone for MetadataCaches {
+    fn clone(&self) -> Self {
+        MetadataCaches {
+            counter: self.counter.clone(),
+            mac: self.mac.clone(),
+            bmt: self.bmt.clone(),
+        }
+    }
+
+    /// Refreshes every species' cache in place, reusing its way array.
+    fn clone_from(&mut self, source: &Self) {
+        self.counter.clone_from(&source.counter);
+        self.mac.clone_from(&source.mac);
+        self.bmt.clone_from(&source.bmt);
+    }
 }
 
 impl MetadataCaches {

@@ -34,12 +34,33 @@ pub const BLOCKS_PER_PAGE: u64 = secpb_crypto::counter::BLOCKS_PER_PAGE as u64;
 /// assert_eq!(nvm.read_data(BlockAddr(4))[0], 0xAB);
 /// assert_eq!(nvm.read_data(BlockAddr(5)), [0; 64]); // untouched: zeros
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct NvmStore {
     data: FxHashMap<BlockAddr, [u8; 64]>,
     counters: FxHashMap<u64, CounterBlock>,
     macs: FxHashMap<BlockAddr, u64>,
     bmt_root: Option<Digest>,
+}
+
+impl Clone for NvmStore {
+    fn clone(&self) -> Self {
+        NvmStore {
+            data: self.data.clone(),
+            counters: self.counters.clone(),
+            macs: self.macs.clone(),
+            bmt_root: self.bmt_root,
+        }
+    }
+
+    /// Refreshes the image in place: each map keeps its table when the
+    /// source's has the same bucket count, as between an image and its
+    /// in-memory rewind point.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.counters.clone_from(&source.counters);
+        self.macs.clone_from(&source.macs);
+        self.bmt_root = source.bmt_root;
+    }
 }
 
 impl NvmStore {

@@ -38,6 +38,18 @@
 //! `tests/checkpoint_replay.rs` pins this for every scheme × metadata
 //! mode.
 //!
+//! ## In-memory rewind points
+//!
+//! A process that only ever rewinds itself does not need portable bytes.
+//! [`Snapshot`] is a twin of the system holding the same state a
+//! checkpoint captures, refreshed in place by
+//! [`SecureSystem::snapshot_into`] and applied by
+//! [`SecureSystem::rewind`]: the refresh copies hash tables and cache way
+//! arrays into the twin's existing allocations instead of sorting and
+//! encoding them.  Rewinding has the post-conditions of
+//! [`SecureSystem::restore_bytes`] and leaves the snapshot intact, so one
+//! rewind point serves any number of crashes.
+//!
 //! [`ShardOutcome`]: https://docs.rs/secpb-bench
 
 use secpb_crypto::sha512::{Digest, Sha512};
@@ -334,6 +346,93 @@ impl SecureSystem {
             ));
         }
         Ok(())
+    }
+}
+
+/// An in-memory rewind point of a [`SecureSystem`] (see the
+/// [module docs](self#in-memory-rewind-points)).
+///
+/// Not portable: it lives only as long as the process and rewinds only
+/// systems built from the same configuration, scheme, tree kind, and key
+/// seed.  SPBC bytes remain the format for anything that must outlive
+/// the system or leave the process.
+#[derive(Debug)]
+pub struct Snapshot {
+    twin: SecureSystem,
+    fingerprint: u64,
+}
+
+impl SecureSystem {
+    /// Refreshes `slot` into a rewind point of the current state.
+    ///
+    /// An empty slot, or one holding a snapshot of a differently built
+    /// system, gets a new twin; otherwise the twin is overwritten in
+    /// place, reusing its hash tables and cache way arrays.  The memo
+    /// caches, the tracer, and the telemetry sink are not copied.
+    pub fn snapshot_into(&self, slot: &mut Option<Snapshot>) {
+        let fingerprint = self.fingerprint();
+        match slot {
+            Some(snap) if snap.fingerprint == fingerprint => snap.twin.refresh_from(self),
+            _ => {
+                let mut twin = SecureSystem::build(
+                    self.cfg.clone(),
+                    self.scheme,
+                    self.domain.tree_kind,
+                    self.domain.seed,
+                )
+                .expect("a built system's parameters build again");
+                twin.refresh_from(self);
+                *slot = Some(Snapshot { twin, fingerprint });
+            }
+        }
+    }
+
+    /// Rewinds this system to `to`, leaving the snapshot intact.
+    ///
+    /// The post-conditions are those of
+    /// [`restore_bytes`](Self::restore_bytes): the attached telemetry
+    /// sink survives, the tracer's span aggregates and the memo caches
+    /// are reset.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::ConfigMismatch`] if the snapshot was taken on a
+    /// system with a different configuration, scheme, tree kind, or key
+    /// seed; this system is then left untouched.
+    pub fn rewind(&mut self, to: &Snapshot) -> Result<(), CheckpointError> {
+        if to.fingerprint != self.fingerprint() {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        let sink = self.stats.sink().cloned();
+        self.refresh_from(&to.twin);
+        self.stats.set_sink(sink);
+        self.tracer.reset();
+        self.domain.clear_memos();
+        Ok(())
+    }
+
+    /// Overwrites every field a checkpoint captures with `src`'s, by
+    /// `clone_from` so this system's allocations are reused.  Both
+    /// systems must be built from the same parameters; the tracer, the
+    /// crypto engines and their memo caches are left alone, and the
+    /// statistics come without a telemetry sink.
+    fn refresh_from(&mut self, src: &SecureSystem) {
+        self.now = src.now;
+        self.measure_from = src.measure_from;
+        self.frac = src.frac;
+        self.pb_busy_until = src.pb_busy_until;
+        self.bmt_busy_until = src.bmt_busy_until;
+        self.store_buffer.clone_from(&src.store_buffer);
+        self.hierarchy.clone_from(&src.hierarchy);
+        self.metadata.clone_from(&src.metadata);
+        self.wpq.clone_from(&src.wpq);
+        self.nvm_timing.clone_from(&src.nvm_timing);
+        self.drain_engine.clone_from(&src.drain_engine);
+        self.pb.clone_from(&src.pb);
+        self.domain.refresh_from(&src.domain);
+        self.stats.clone_from(&src.stats);
+        self.h = src.h;
+        self.breakdown = src.breakdown;
     }
 }
 

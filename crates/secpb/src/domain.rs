@@ -509,11 +509,30 @@ impl PersistDomain {
         self.golden = golden;
         self.counters = counters;
         self.nvm = nvm;
+        self.clear_memos();
+        Ok(())
+    }
+
+    /// Overwrites this domain's dynamic state — exactly what
+    /// [`encode_into`](Self::encode_into) captures, plus the policy
+    /// state — with `src`'s, reusing this domain's hash tables.  Both
+    /// domains must be built from the same scalars; the crypto engines
+    /// and memo caches are left alone.
+    pub(crate) fn refresh_from(&mut self, src: &PersistDomain) {
+        self.golden.clone_from(&src.golden);
+        self.counters.clone_from(&src.counters);
+        self.nvm.clone_from(&src.nvm);
+        self.tree.clone_from(&src.tree);
+        self.policy_state.clone_from(&src.policy_state);
+    }
+
+    /// Empties the memo caches (after a restore or rewind their keys
+    /// may name a state the system no longer holds).
+    pub(crate) fn clear_memos(&self) {
         self.ctr_digests.clear();
         if let Some(pads) = self.otp_engine.pad_cache() {
             pads.clear();
         }
-        Ok(())
     }
 
     /// A fresh integrity tree keyed like this domain's, for the recovery

@@ -39,7 +39,7 @@ use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use secpb_sim::trace::TraceItem;
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::crash::{CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport};
 use crate::eadr::EadrSystem;
 use crate::metrics::{counters, RunResult};
@@ -131,6 +131,32 @@ pub trait PersistSystem {
         Err(CheckpointError::Unsupported)
     }
 
+    /// Refreshes `slot` into an in-memory rewind point of the current
+    /// state (see [`Snapshot`]).  Cheaper than
+    /// [`checkpoint`](Self::checkpoint) because nothing is encoded, but
+    /// the snapshot never leaves the process.  Only the single-core
+    /// front implements this; the others return
+    /// [`CheckpointError::Unsupported`] and leave `slot` untouched.
+    fn snapshot_into(&self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
+        let _ = slot;
+        Err(CheckpointError::Unsupported)
+    }
+
+    /// Rewinds to a snapshot taken by
+    /// [`snapshot_into`](Self::snapshot_into), with the post-conditions
+    /// of [`restore`](Self::restore).  The snapshot stays intact for
+    /// further rewinds.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unsupported front, or with
+    /// [`CheckpointError::ConfigMismatch`] for a snapshot of a
+    /// differently built system.
+    fn rewind(&mut self, to: &Snapshot) -> Result<(), CheckpointError> {
+        let _ = to;
+        Err(CheckpointError::Unsupported)
+    }
+
     /// Executes a single trace item.
     fn step(&mut self, item: TraceItem);
 
@@ -215,12 +241,6 @@ pub trait PersistSystem {
         )
     }
 
-    /// Estimated post-crash recovery latency in cycles — the `cycles`
-    /// field of [`recovery_cost`](Self::recovery_cost).
-    fn estimated_recovery_cycles(&self) -> u64 {
-        self.recovery_cost().cycles
-    }
-
     /// The architecturally expected plaintext of a block.
     fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64];
 
@@ -266,6 +286,15 @@ impl PersistSystem for SecureSystem {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         self.restore_bytes(bytes)
+    }
+
+    fn snapshot_into(&self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
+        SecureSystem::snapshot_into(self, slot);
+        Ok(())
+    }
+
+    fn rewind(&mut self, to: &Snapshot) -> Result<(), CheckpointError> {
+        SecureSystem::rewind(self, to)
     }
 
     fn step(&mut self, item: TraceItem) {

@@ -30,9 +30,10 @@
 //! * [`crash`] — crash kinds, drain policies (drain-all/drain-process),
 //!   observer policies (blocking/warning), the battery-powered drain, and
 //!   post-crash recovery with real decryption + MAC + BMT verification,
-//! * [`checkpoint`] — versioned whole-system checkpoints: restore at
-//!   epoch N then replay is byte-identical to the uninterrupted run,
-//!   which is what shard crash-recovery and soak restarts build on,
+//! * [`checkpoint`] — versioned whole-system checkpoints and in-memory
+//!   rewind points: restoring or rewinding at epoch N then replaying is
+//!   byte-identical to the uninterrupted run, which is what shard
+//!   crash-recovery and soak restarts build on,
 //! * [`coherence`] — the metadata directory and SecPB-to-SecPB migration
 //!   protocol of Section IV-C for multi-core configurations,
 //! * [`facade`] — the [`PersistSystem`] trait: the one driving surface
@@ -79,7 +80,7 @@ pub mod system;
 pub mod tree;
 
 pub use buffer::SecPb;
-pub use checkpoint::CheckpointError;
+pub use checkpoint::{CheckpointError, Snapshot};
 pub use crash::{ConfigError, CrashKind, DrainPolicy, ObserverPolicy, RecoveryReport};
 pub use domain::{DomainKeys, PersistDomain};
 pub use facade::PersistSystem;

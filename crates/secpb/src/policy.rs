@@ -257,7 +257,7 @@ impl RecoveryCost {
     /// block and fold it into the rebuilt BMT, then fetch, decrypt, and
     /// MAC-verify every data block.  NVM reads pipeline across banks;
     /// crypto units pipeline at their occupancy.  This is exactly the
-    /// facade's historical `estimated_recovery_cycles` formula.
+    /// scalar recovery estimate the facade reported before policies.
     pub fn root_only(cfg: &SystemConfig, pages: u64, blocks: u64) -> Self {
         let sec = &cfg.security;
         let banks = cfg.nvm.banks.max(1) as u64;

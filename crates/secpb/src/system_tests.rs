@@ -330,7 +330,7 @@ fn recovery_time_grows_with_persistent_footprint() {
         sys.run_trace(store_trace(stores, 4096));
         sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
             .unwrap();
-        sys.estimated_recovery_cycles()
+        sys.recovery_cost().cycles
     };
     let small = measure(20);
     let large = measure(400);
@@ -344,7 +344,7 @@ fn recovery_time_grows_with_persistent_footprint() {
 #[test]
 fn empty_system_recovers_instantly() {
     let sys = system(Scheme::Cobcm);
-    assert_eq!(sys.estimated_recovery_cycles(), 0);
+    assert_eq!(sys.recovery_cost().cycles, 0);
 }
 
 #[test]

@@ -335,7 +335,7 @@ fn cmd_crash(args: &[String]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "estimated recovery   {} cycles",
-        sys.estimated_recovery_cycles()
+        sys.recovery_cost().cycles
     );
     let _ = writeln!(out, "consistent           {}", recovery.is_consistent());
     if !recovery.is_consistent() {

@@ -205,7 +205,6 @@ fn baseline_recovery_cost_is_the_root_only_formula() {
         );
         let dyn_sys: &dyn PersistSystem = &sys;
         assert_eq!(dyn_sys.recovery_cost(), expect, "{scheme}");
-        assert_eq!(dyn_sys.estimated_recovery_cycles(), expect.cycles);
         assert!(dyn_sys.policy().is_baseline());
     }
 }
