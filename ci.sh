@@ -20,8 +20,8 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -38,7 +38,7 @@ echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
 # host: with the extensions it exercises the AES-NI/4-lane-SHA-512
 # kernels, without them it validates the fallback path (graceful skip
 # happens inside the backends, not here).  The release binaries the
-# gates below run are rebuilt by this lane, so the equivalence smokes
+# gates below run are rebuilt by this lane, so the storm smokes
 # and the grid baseline exercise the hardware-class hot path.  The
 # feature must be enabled per package (--workspace), not just on the
 # root facade crate — a bare `--features hw-crypto` from the root only
@@ -59,17 +59,16 @@ echo "==> crypto_micro regression guard (batched fold >= 2x scalar)"
 # vectorized hash kernel is unavailable.
 ./target/release/crypto_micro --check
 
-echo "==> eager-vs-lazy metadata equivalence smoke (all schemes)"
-# equiv_smoke exits nonzero if the lazy metadata engine's observable
-# outputs (grid JSON, crash report, persisted root, stats, recovery)
-# diverge from the eager engine's on a fuzzed trace.
-./target/release/equiv_smoke 10000
-
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
-# fault_storm exits nonzero on any panic, silent corruption, accounting
-# mismatch, or undetected bit flip across all schemes, both metadata
-# engines, and both drain policies; --quick keeps this to a few seconds.
-./target/release/fault_storm --quick
+# secpb storm exits nonzero on any panic, silent corruption, accounting
+# mismatch, or undetected bit flip across all schemes, every front, and
+# both drain policies; --quick keeps this to a few seconds.  The
+# brown-out pass runs the same storm on a battery budgeted at 25% of the
+# provisioned worst case and must actually lose entries.
+./target/release/secpb storm --quick
+BROWN_OUT=$(./target/release/secpb storm --quick --brown-out 0.25)
+echo "$BROWN_OUT" | grep -Eq '^storm: .*, [1-9][0-9]* entries lost' \
+  || { echo "ci.sh: brown-out storm lost no entries" >&2; exit 1; }
 
 echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, telemetered)"
 # bench_grid exits nonzero if the parallel grid diverges from the serial
@@ -113,9 +112,8 @@ echo "$SERVE_OUT" | grep -Eq '^stores drained  [1-9]' || { echo "ci.sh: serve dr
 echo "==> checkpoint restore/rewind+replay byte-identity gate (tests/checkpoint_replay.rs)"
 # Restoring a checkpoint at epoch N, or rewinding to an in-memory
 # snapshot taken there, and replaying N..M must be byte-identical to the
-# uninterrupted run for every scheme, metadata mode, and tree
-# organisation — the contract shard crash-recovery and the soak's
-# restart storms build on.
+# uninterrupted run for every scheme and tree organisation — the
+# contract shard crash-recovery and the soak's restart storms build on.
 cargo test --release -q --test checkpoint_replay
 
 echo "==> host-time benchmark tests (hostbench/, every workload at a tiny budget)"

@@ -7,12 +7,11 @@
 //! and host nanoseconds per simulated store.
 //!
 //! Usage:
-//! `cargo run --release -p secpb-bench --bin bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] [--mode eager|lazy] [--backend auto|scalar|multiblock|hw] [--validate-parallel] [--update-baseline]`
+//! `cargo run --release -p secpb-bench --bin bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] [--backend auto|scalar|multiblock|hw] [--validate-parallel] [--update-baseline]`
 //!
 //! `--smoke` shrinks the grid to 2 workloads × 2 schemes (the CI
 //! determinism gate); the default grid is the full Table IV workload
-//! suite × all SecPB schemes.  `--mode` selects the security-metadata
-//! engine (default: lazy) and `--backend` pins the crypto backend
+//! suite × all SecPB schemes.  `--backend` pins the crypto backend
 //! (default: auto-detect).  Exits nonzero if parallel results diverge
 //! from serial.
 //!
@@ -42,17 +41,12 @@ use std::time::Instant;
 use secpb_bench::experiments::{run_grid, GridCell, TelemetryDigest};
 use secpb_core::metrics::counters;
 use secpb_core::scheme::Scheme;
-use secpb_sim::config::{CryptoBackendKind, MetadataMode, SystemConfig};
+use secpb_sim::config::{CryptoBackendKind, SystemConfig};
 use secpb_sim::json::Json;
 use secpb_sim::pool;
 use secpb_workloads::WorkloadProfile;
 
-fn build_grid(
-    smoke: bool,
-    instructions: u64,
-    mode: MetadataMode,
-    backend: CryptoBackendKind,
-) -> Vec<GridCell> {
+fn build_grid(smoke: bool, instructions: u64, backend: CryptoBackendKind) -> Vec<GridCell> {
     let (profiles, schemes): (Vec<WorkloadProfile>, Vec<Scheme>) = if smoke {
         (
             ["gamess", "povray"]
@@ -69,9 +63,7 @@ fn build_grid(
                 .collect(),
         )
     };
-    let cfg = SystemConfig::default()
-        .with_metadata_mode(mode)
-        .with_crypto_backend(backend);
+    let cfg = SystemConfig::default().with_crypto_backend(backend);
     profiles
         .iter()
         .flat_map(|p| {
@@ -110,31 +102,13 @@ fn main() {
         }
         None => CryptoBackendKind::default(),
     };
-    let mode = match raw.iter().position(|a| a == "--mode") {
-        Some(i) => {
-            if i + 1 >= raw.len() {
-                eprintln!("error: --mode requires a value (eager|lazy)");
-                std::process::exit(2);
-            }
-            let parsed = raw[i + 1].parse::<MetadataMode>();
-            raw.drain(i..=i + 1);
-            match parsed {
-                Ok(m) => m,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => MetadataMode::default(),
-    };
     let args = match secpb_bench::args::RunnerArgs::parse(&raw, 200_000) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: bench_grid [instructions] [--jobs N] [--json out.json] [--smoke] \
-                 [--mode eager|lazy] [--backend auto|scalar|multiblock|hw] [--telemetry] \
+                 [--backend auto|scalar|multiblock|hw] [--telemetry] \
                  [--validate-parallel] [--update-baseline]"
             );
             std::process::exit(2);
@@ -153,13 +127,12 @@ fn main() {
 
     let cores = pool::default_jobs();
     let parallel_timing_valid = cores >= 2 && !validate_parallel;
-    let cells = build_grid(smoke, args.instructions, mode, backend);
+    let cells = build_grid(smoke, args.instructions, backend);
     eprintln!(
-        "grid: {} cells ({}) @ {} instructions, {} metadata, {} backend, serial vs {jobs} jobs on {cores} core(s)",
+        "grid: {} cells ({}) @ {} instructions, {} backend, serial vs {jobs} jobs on {cores} core(s)",
         cells.len(),
         if smoke { "smoke" } else { "full" },
         args.instructions,
-        mode.name(),
         backend.name(),
     );
     if !parallel_timing_valid {
@@ -229,7 +202,6 @@ fn main() {
     let serial_ns_per_store = serial_s * 1e9 / total_stores.max(1) as f64;
 
     println!("cells                 {}", cells.len());
-    println!("metadata mode         {}", mode.name());
     println!("serial                {serial_s:.3} s ({serial_ips:.0} instr/s)");
     println!("serial ns/store       {serial_ns_per_store:.1}");
     if parallel_timing_valid {
@@ -319,7 +291,6 @@ fn main() {
         .field("grid", if smoke { "smoke" } else { "full" })
         .field("cells", cells.len())
         .field("instructions_per_cell", args.instructions)
-        .field("metadata_mode", mode.name())
         .field("crypto_backend", backend.name())
         .field("jobs", jobs)
         .field("host_cores", cores)

@@ -25,7 +25,7 @@ use secpb_core::policy::RecoveryCost;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::json::Json;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
@@ -39,8 +39,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// The fixed workload every point replays.
     pub workload: String,
-    /// The security-metadata engine mode.
-    pub mode: MetadataMode,
 }
 
 impl SweepConfig {
@@ -51,7 +49,6 @@ impl SweepConfig {
             instructions: 200_000,
             seed,
             workload: "milc".to_string(),
-            mode: MetadataMode::Lazy,
         }
     }
 
@@ -249,7 +246,6 @@ fn run_point(cfg: &SweepConfig, front: SweepFront) -> SweepPoint {
         }
     };
     let sys_cfg = SystemConfig::default()
-        .with_metadata_mode(cfg.mode)
         .with_triad_levels(front.triad_levels)
         .with_shadow_counters(front.shadow);
     let mut sys = match SecureSystem::build(sys_cfg, front.scheme, TreeKind::Monolithic, cfg.seed) {

@@ -2,7 +2,7 @@
 //! attacks the paper's central claim (the `(C, γ, M, R)` tuple survives
 //! power loss at *any* point).
 //!
-//! A storm replays one trace per `(scheme, metadata-mode, policy)` cell
+//! A storm replays one trace per `(front, scheme, policy)` cell
 //! and crashes the *same surviving system* at every trigger point.  At
 //! each crash it:
 //!
@@ -31,7 +31,7 @@ use secpb_core::tree::TreeKind;
 use secpb_energy::drain::{entries_within_budget, secpb_drain_energy, SchemeKind};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::{Asid, BlockAddr};
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::fault::{pick_victim, BitFlip, CrashTrigger, FaultClock, FlipTarget};
 use secpb_sim::json::Json;
 use secpb_sim::trace::{TraceItem, TraceSummary};
@@ -183,13 +183,11 @@ pub struct StormConfig {
     pub brown_out_fraction: Option<f64>,
     /// Schemes under storm.
     pub schemes: Vec<Scheme>,
-    /// Metadata engines under storm.
-    pub modes: Vec<MetadataMode>,
 }
 
 impl StormConfig {
-    /// The full acceptance-gate storm: every scheme, both metadata
-    /// engines, a trace of at least 10k stores.
+    /// The full acceptance-gate storm: every scheme, a trace of at
+    /// least 10k stores.
     pub fn full(seed: u64) -> Self {
         StormConfig {
             seed,
@@ -200,7 +198,6 @@ impl StormConfig {
             flips_per_crash: 4,
             brown_out_fraction: None,
             schemes: Scheme::ALL.to_vec(),
-            modes: vec![MetadataMode::Eager, MetadataMode::Lazy],
         }
     }
 
@@ -222,7 +219,7 @@ impl StormConfig {
     }
 }
 
-/// The verdict of one storm cell (one scheme × mode × policy × trigger
+/// The verdict of one storm cell (one front × scheme × policy × trigger
 /// pass over the trace).
 #[derive(Debug, Clone)]
 pub struct CellReport {
@@ -230,8 +227,6 @@ pub struct CellReport {
     pub front: StormFront,
     /// Scheme under storm.
     pub scheme: Scheme,
-    /// Metadata engine under storm.
-    pub mode: MetadataMode,
     /// Crash kind / drain policy exercised.
     pub policy: StormPolicy,
     /// Trigger description (`every-nth-store` or `mid-drain`).
@@ -263,17 +258,10 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn new(
-        front: StormFront,
-        scheme: Scheme,
-        mode: MetadataMode,
-        policy: StormPolicy,
-        trigger: &'static str,
-    ) -> Self {
+    fn new(front: StormFront, scheme: Scheme, policy: StormPolicy, trigger: &'static str) -> Self {
         CellReport {
             front,
             scheme,
-            mode,
             policy,
             trigger,
             stores: 0,
@@ -300,14 +288,10 @@ impl CellReport {
             && self.flips_detected == self.flips_injected
     }
 
-    /// One-line cell label, e.g. `cobcm/lazy/drain-all/every-nth-store`
-    /// (single-core SecPB), `eadr/lazy/drain-all/every-nth-store`, or
-    /// `mc4-cobcm/lazy/drain-all/every-nth-store`.
+    /// One-line cell label, e.g. `cobcm/drain-all/every-nth-store`
+    /// (single-core SecPB), `eadr/drain-all/every-nth-store`, or
+    /// `mc4-cobcm/drain-all/every-nth-store`.
     pub fn label(&self) -> String {
-        let mode = match self.mode {
-            MetadataMode::Eager => "eager",
-            MetadataMode::Lazy => "lazy",
-        };
         let head = match self.front {
             StormFront::SecPb => self.scheme.name().to_owned(),
             StormFront::Eadr => "eadr".to_owned(),
@@ -315,7 +299,7 @@ impl CellReport {
             StormFront::Triad(n) => format!("triad{n}-{}", self.scheme.name()),
             StormFront::FastRec => format!("fastrec-{}", self.scheme.name()),
         };
-        format!("{head}/{mode}/{}/{}", self.policy.name(), self.trigger)
+        format!("{head}/{}/{}", self.policy.name(), self.trigger)
     }
 
     /// JSON object for machine consumption.
@@ -385,12 +369,12 @@ impl StormReport {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<38} {:>7} {:>7} {:>8} {:>6} {:>6} {:>6} {:>5}\n",
+            "{:<33} {:>7} {:>7} {:>8} {:>6} {:>6} {:>6} {:>5}\n",
             "cell", "crashes", "drained", "lost", "flips", "caught", "skip", "ok"
         ));
         for c in &self.cells {
             out.push_str(&format!(
-                "{:<38} {:>7} {:>7} {:>8} {:>6} {:>6} {:>6} {:>5}\n",
+                "{:<33} {:>7} {:>7} {:>8} {:>6} {:>6} {:>6} {:>5}\n",
                 c.label(),
                 c.crashes,
                 c.drained,
@@ -417,12 +401,13 @@ impl StormReport {
 }
 
 /// Deterministic per-cell seed salt so different cells attack different
-/// victims/bits while staying replayable.
-fn cell_salt(front: StormFront, scheme: Scheme, mode: MetadataMode, policy: StormPolicy) -> u64 {
+/// victims/bits while staying replayable.  Bit 4 is always set: it once
+/// told the metadata engines apart, and keeping it replays every cell's
+/// historical victims and bits.
+fn cell_salt(front: StormFront, scheme: Scheme, policy: StormPolicy) -> u64 {
     let s = Scheme::ALL.iter().position(|&x| x == scheme).unwrap_or(0) as u64;
-    let m = matches!(mode, MetadataMode::Lazy) as u64;
     let p = matches!(policy, StormPolicy::AppCrashDrainProcess) as u64;
-    (front.salt() << 16) ^ (s << 8) ^ (m << 4) ^ (p << 2)
+    (front.salt() << 16) ^ (s << 8) ^ (1 << 4) ^ (p << 2)
 }
 
 /// Applies (or, called again with identical arguments, reverts) one
@@ -636,7 +621,6 @@ pub fn run_cell(
     cfg: &StormConfig,
     front: StormFront,
     scheme: Scheme,
-    mode: MetadataMode,
     policy: StormPolicy,
     trigger: CrashTrigger,
 ) -> CellReport {
@@ -646,7 +630,7 @@ pub fn run_cell(
         CrashTrigger::EveryNthStore(_) => "every-nth-store",
         CrashTrigger::MidDrain => "mid-drain",
     };
-    let mut rep = CellReport::new(front, scheme, mode, policy, trigger_name);
+    let mut rep = CellReport::new(front, scheme, policy, trigger_name);
     let trace = match storm_trace(cfg) {
         Ok(t) => t,
         Err(e) => {
@@ -654,9 +638,8 @@ pub fn run_cell(
             return rep;
         }
     };
-    let salt = cell_salt(front, scheme, mode, policy);
-    let sys_cfg = SystemConfig::default().with_metadata_mode(mode);
-    let mut sys = match build_front(front, sys_cfg, scheme, cfg.seed ^ salt) {
+    let salt = cell_salt(front, scheme, policy);
+    let mut sys = match build_front(front, SystemConfig::default(), scheme, cfg.seed ^ salt) {
         Ok(s) => s,
         Err(e) => {
             rep.failures.push(e);
@@ -721,52 +704,52 @@ pub fn run_cell(
     rep
 }
 
-/// Runs the full storm sweep: for every scheme × metadata mode, an
-/// every-nth-store crash storm under both drain policies plus a
-/// mid-drain single crash under drain-all — all on the single-core
-/// front — plus, per metadata mode, an every-nth-store drain-all cell
-/// on the eADR and 4-core fronts so every facade implementation faces
-/// the same flip storm.
+/// An every-nth-store crash storm under power loss with a full drain:
+/// the cell shape every front runs.
+fn drain_all_cell(cfg: &StormConfig, front: StormFront, scheme: Scheme) -> CellReport {
+    let every_nth = CrashTrigger::EveryNthStore(cfg.crash_every);
+    run_cell(
+        cfg,
+        front,
+        scheme,
+        StormPolicy::PowerLossDrainAll,
+        every_nth,
+    )
+}
+
+/// Runs the full storm sweep: for every scheme, an every-nth-store
+/// crash storm under both drain policies plus a mid-drain single crash
+/// under drain-all — all on the single-core front — plus an
+/// every-nth-store drain-all cell on the eADR, 4-core, Triad-NVM and
+/// fast-recovery fronts so every facade implementation faces the same
+/// flip storm.
 pub fn run_storm(cfg: &StormConfig) -> StormReport {
     let mut report = StormReport::default();
     for &scheme in &cfg.schemes {
-        for &mode in &cfg.modes {
-            for policy in StormPolicy::ALL {
-                report.cells.push(run_cell(
-                    cfg,
-                    StormFront::SecPb,
-                    scheme,
-                    mode,
-                    policy,
-                    CrashTrigger::EveryNthStore(cfg.crash_every),
-                ));
-            }
+        for policy in StormPolicy::ALL {
             report.cells.push(run_cell(
                 cfg,
                 StormFront::SecPb,
                 scheme,
-                mode,
-                StormPolicy::PowerLossDrainAll,
-                CrashTrigger::MidDrain,
-            ));
-        }
-    }
-    for &mode in &cfg.modes {
-        for front in [
-            StormFront::Eadr,
-            StormFront::MultiCore(4),
-            StormFront::Triad(4),
-            StormFront::FastRec,
-        ] {
-            report.cells.push(run_cell(
-                cfg,
-                front,
-                Scheme::Cobcm,
-                mode,
-                StormPolicy::PowerLossDrainAll,
+                policy,
                 CrashTrigger::EveryNthStore(cfg.crash_every),
             ));
         }
+        report.cells.push(run_cell(
+            cfg,
+            StormFront::SecPb,
+            scheme,
+            StormPolicy::PowerLossDrainAll,
+            CrashTrigger::MidDrain,
+        ));
+    }
+    for front in [
+        StormFront::Eadr,
+        StormFront::MultiCore(4),
+        StormFront::Triad(4),
+        StormFront::FastRec,
+    ] {
+        report.cells.push(drain_all_cell(cfg, front, Scheme::Cobcm));
     }
     report
 }
@@ -778,14 +761,7 @@ mod tests {
     #[test]
     fn quick_storm_single_cell_passes() {
         let cfg = StormConfig::quick(0x5EC9_B0A2);
-        let cell = run_cell(
-            &cfg,
-            StormFront::SecPb,
-            Scheme::Cobcm,
-            MetadataMode::Eager,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::SecPb, Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1, "storm should fire repeatedly");
         assert!(cell.flips_injected > 0);
@@ -795,14 +771,7 @@ mod tests {
     #[test]
     fn brown_out_cell_loses_and_accounts() {
         let cfg = StormConfig::quick(7).with_brown_out(0.10);
-        let cell = run_cell(
-            &cfg,
-            StormFront::SecPb,
-            Scheme::Cobcm,
-            MetadataMode::Eager,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::SecPb, Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.lost > 0, "a 10% battery must lose entries");
         assert!(cell.brown_out_crashes > 0);
@@ -815,7 +784,6 @@ mod tests {
             &cfg,
             StormFront::SecPb,
             Scheme::Bcm,
-            MetadataMode::Lazy,
             StormPolicy::PowerLossDrainAll,
             CrashTrigger::MidDrain,
         );
@@ -827,14 +795,7 @@ mod tests {
     #[test]
     fn insecure_scheme_skips_flips() {
         let cfg = StormConfig::quick(11);
-        let cell = run_cell(
-            &cfg,
-            StormFront::SecPb,
-            Scheme::Bbb,
-            MetadataMode::Eager,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::SecPb, Scheme::Bbb);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert_eq!(cell.flips_injected, 0);
         assert!(cell.flips_skipped > 0);
@@ -843,14 +804,7 @@ mod tests {
     #[test]
     fn eadr_front_cell_passes() {
         let cfg = StormConfig::quick(19);
-        let cell = run_cell(
-            &cfg,
-            StormFront::Eadr,
-            Scheme::Cobcm,
-            MetadataMode::Eager,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::Eadr, Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert!(cell.flips_injected > 0, "eADR persists a secure image");
@@ -861,14 +815,7 @@ mod tests {
     #[test]
     fn multicore_front_cell_passes() {
         let cfg = StormConfig::quick(23);
-        let cell = run_cell(
-            &cfg,
-            StormFront::MultiCore(4),
-            Scheme::Cobcm,
-            MetadataMode::Lazy,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::MultiCore(4), Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
@@ -878,14 +825,7 @@ mod tests {
     #[test]
     fn triad_front_cell_passes() {
         let cfg = StormConfig::quick(31);
-        let cell = run_cell(
-            &cfg,
-            StormFront::Triad(4),
-            Scheme::Cobcm,
-            MetadataMode::Lazy,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::Triad(4), Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
@@ -895,14 +835,7 @@ mod tests {
     #[test]
     fn fastrec_front_cell_passes() {
         let cfg = StormConfig::quick(37);
-        let cell = run_cell(
-            &cfg,
-            StormFront::FastRec,
-            Scheme::Cobcm,
-            MetadataMode::Lazy,
-            StormPolicy::PowerLossDrainAll,
-            CrashTrigger::EveryNthStore(cfg.crash_every),
-        );
+        let cell = drain_all_cell(&cfg, StormFront::FastRec, Scheme::Cobcm);
         assert!(cell.passed(), "{:?}", cell.failures);
         assert!(cell.crashes > 1);
         assert_eq!(cell.flips_detected, cell.flips_injected);
@@ -916,7 +849,6 @@ mod tests {
             &cfg,
             StormFront::Triad(200),
             Scheme::Cobcm,
-            MetadataMode::Eager,
             StormPolicy::PowerLossDrainAll,
             CrashTrigger::Never,
         );
@@ -945,7 +877,6 @@ mod tests {
             &cfg,
             StormFront::MultiCore(2),
             Scheme::Sp,
-            MetadataMode::Eager,
             StormPolicy::PowerLossDrainAll,
             CrashTrigger::Never,
         );
@@ -957,7 +888,6 @@ mod tests {
     fn storm_is_deterministic() {
         let cfg = StormConfig {
             schemes: vec![Scheme::Bcm],
-            modes: vec![MetadataMode::Eager],
             ..StormConfig::quick(13)
         };
         let a = run_storm(&cfg).to_json().to_pretty();
@@ -969,13 +899,12 @@ mod tests {
     fn report_renders_and_serializes() {
         let cfg = StormConfig {
             schemes: vec![Scheme::NoGap],
-            modes: vec![MetadataMode::Lazy],
             ..StormConfig::quick(17)
         };
         let report = run_storm(&cfg);
         assert!(report.passed(), "{}", report.render_text());
         let text = report.render_text();
-        assert!(text.contains("nogap/lazy/drain-all/every-nth-store"));
+        assert!(text.contains("nogap/drain-all/every-nth-store"));
         assert!(text.contains("PASS"));
         let json = report.to_json();
         assert_eq!(json.get("passed").and_then(Json::as_str), None);

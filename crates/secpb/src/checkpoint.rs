@@ -30,13 +30,13 @@
 //! and cycle scalars) is a pure function of the state captured here and
 //! the remaining trace.  The only state *not* captured is explicitly
 //! output-invisible: the tracer's span aggregates (never digested), the
-//! telemetry sink (observes, never steers), and the lazy engine's memo
-//! caches (pure memoization over keys/counters — a cold memo recomputes
-//! the same pads and digests).  Restore clears those; everything else
-//! overlays exactly, so replaying epochs N..M after restoring at N
-//! reproduces the uninterrupted run byte for byte —
-//! `tests/checkpoint_replay.rs` pins this for every scheme × metadata
-//! mode.
+//! telemetry sink (observes, never steers), and the metadata engine's
+//! memo caches (pure memoization over keys/counters — a cold memo
+//! recomputes the same pads and digests).  Restore clears those;
+//! everything else overlays exactly, so replaying epochs N..M after
+//! restoring at N reproduces the uninterrupted run byte for byte —
+//! `tests/checkpoint_replay.rs` pins this for every scheme and tree
+//! organisation.
 //!
 //! ## In-memory rewind points
 //!
@@ -192,7 +192,6 @@ pub fn config_fingerprint(
     w.bool(cfg.security.speculative_verification);
     w.u8(cfg.security.triad_levels);
     w.bool(cfg.security.shadow_counters);
-    w.str(cfg.security.metadata_mode.name());
     w.str(cfg.security.crypto_backend.name());
     w.u64(cfg.nvm.size_bytes);
     w.u64(cfg.nvm.read_latency.raw());
@@ -271,7 +270,7 @@ impl SecureSystem {
     /// configuration, scheme, tree kind, and key seed; the header
     /// fingerprint rejects anything else.  The attached telemetry sink
     /// survives the restore (telemetry observes, never steers); the
-    /// tracer's span aggregates and the lazy engine's memo caches are
+    /// tracer's span aggregates and the metadata engine's memo caches are
     /// reset — both are output-invisible.
     ///
     /// # Errors
@@ -451,7 +450,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_is_byte_identical() {
         let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
-        sys.run_trace(store_trace(0x10_0000, 300).into_iter());
+        sys.run_trace(store_trace(0x10_0000, 300));
         let bytes = sys.checkpoint_bytes();
 
         let mut restored = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
@@ -524,7 +523,7 @@ mod tests {
     #[test]
     fn truncated_payload_reports_wire_error() {
         let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
-        sys.run_trace(store_trace(0x30_0000, 50).into_iter());
+        sys.run_trace(store_trace(0x30_0000, 50));
         let bytes = sys.checkpoint_bytes();
         let mut target = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
         let err = target.restore_bytes(&bytes[..bytes.len() - 3]).unwrap_err();

@@ -22,10 +22,10 @@ use secpb_crypto::counter::{CounterBlock, SplitCounter};
 use secpb_crypto::mac::BlockMac;
 use secpb_crypto::memo::DigestMemo;
 use secpb_crypto::otp::OtpEngine;
-use secpb_crypto::sha512::{Digest, Sha512};
+use secpb_crypto::sha512::Digest;
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{CryptoBackendKind, MetadataMode};
+use secpb_sim::config::CryptoBackendKind;
 use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::trace::Access;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
@@ -123,7 +123,6 @@ pub struct PersistDomain {
     pub(crate) otp_engine: OtpEngine,
     pub(crate) mac_engine: BlockMac,
     pub(crate) tree: IntegrityTree,
-    pub(crate) mode: MetadataMode,
     /// Resolved crypto backend every engine dispatches through.
     pub(crate) backend: CryptoBackend,
     pub(crate) ctr_digests: DigestMemo,
@@ -139,7 +138,6 @@ impl std::fmt::Debug for PersistDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistDomain")
             .field("tree_kind", &self.tree_kind)
-            .field("mode", &self.mode)
             .field("data_blocks", &self.nvm.data_block_count())
             .finish_non_exhaustive()
     }
@@ -147,12 +145,12 @@ impl std::fmt::Debug for PersistDomain {
 
 impl PersistDomain {
     /// Builds the kernel, deriving the AES/MAC/tree keys from `key_seed`
-    /// with the front's salts.
+    /// with the front's salts.  The tree folds lazily and the OTP engine
+    /// memoizes pads (DESIGN.md §11).
     pub(crate) fn new(
         keys: DomainKeys,
         tree_kind: TreeKind,
         bmt_levels: u32,
-        mode: MetadataMode,
         backend_kind: CryptoBackendKind,
         key_seed: u64,
         policy: PersistencePolicy,
@@ -166,14 +164,12 @@ impl PersistDomain {
         let tree_key = (key_seed ^ keys.tree_xor).to_le_bytes();
         let mut tree = IntegrityTree::new(tree_kind, &tree_key, BMT_ARITY, bmt_levels);
         tree.set_backend(backend);
+        tree.set_lazy(true);
         let mut otp_engine = OtpEngine::new(&aes_key);
         otp_engine.set_backend(backend);
+        otp_engine.enable_pad_cache(secpb_crypto::memo::DEFAULT_CAPACITY);
         let mut mac_engine = BlockMac::new(&mac_key);
         mac_engine.set_backend(backend);
-        if mode == MetadataMode::Lazy {
-            tree.set_lazy(true);
-            otp_engine.enable_pad_cache(secpb_crypto::memo::DEFAULT_CAPACITY);
-        }
         PersistDomain {
             tree_kind,
             keys,
@@ -185,7 +181,6 @@ impl PersistDomain {
             otp_engine,
             mac_engine,
             tree,
-            mode,
             backend,
             ctr_digests: DigestMemo::new(secpb_crypto::memo::DEFAULT_CAPACITY),
             policy,
@@ -219,30 +214,13 @@ impl PersistDomain {
         entry[off..off + size].copy_from_slice(&access.value.to_le_bytes()[..size]);
     }
 
-    /// The SHA-512 digest of a counter block, memoized in lazy mode.
+    /// The memoized SHA-512 digest of a counter block.
     pub(crate) fn counter_digest(&self, page: u64, cb: &CounterBlock) -> Digest {
-        let bytes = cb.to_bytes();
-        match self.mode {
-            MetadataMode::Eager => Sha512::digest(&bytes),
-            MetadataMode::Lazy => self.ctr_digests.digest(page, &bytes),
-        }
-    }
-
-    /// Batched [`counter_digest`](Self::counter_digest): every miss in
-    /// the burst rides one multi-lane hash dispatch.  Bit-identical
-    /// digests to the per-item path.
-    pub(crate) fn counter_digest_batch(&self, items: &[(u64, [u8; 64])], out: &mut Vec<Digest>) {
-        match self.mode {
-            MetadataMode::Eager => {
-                let msgs: Vec<&[u8; 64]> = items.iter().map(|(_, bytes)| bytes).collect();
-                secpb_crypto::sha512::digest64_batch(&self.backend, &msgs, out);
-            }
-            MetadataMode::Lazy => self.ctr_digests.digest_batch(&self.backend, items, out),
-        }
+        self.ctr_digests.digest(page, &cb.to_bytes())
     }
 
     /// Combined hit/miss/eviction counters of the domain's memo caches
-    /// (the lazy engine's OTP pad cache and counter-digest memo).
+    /// (the OTP pad cache and the counter-digest memo).
     pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
         let pads = self
             .otp_engine
@@ -252,23 +230,17 @@ impl PersistDomain {
         pads.merged(self.ctr_digests.stats())
     }
 
-    /// Persists the tree root into NVM after a leaf update, charging the
-    /// policy's durable metadata traffic (selective node writes, shadow
-    /// refreshes).  The lazy engine skips the register writes: durable
-    /// roots are only *read* at recovery, which always follows a
-    /// [`sync_root`](Self::sync_root).  The policy counters are analytic
-    /// — charged identically in both modes, like the tree's hash counts.
-    pub(crate) fn persist_root(&mut self) {
+    /// Models the root persist that follows every leaf update by
+    /// charging the policy's durable metadata traffic (selective node
+    /// writes, shadow refreshes).  The charges are analytic, like the
+    /// tree's hash counts.  The root register and the shadow root are
+    /// written only by [`sync_root`](Self::sync_root): durable roots
+    /// are only *read* at recovery, which always follows a sync.
+    pub(crate) fn charge_root_persist(&mut self) {
         self.policy_state.leaf_persists += 1;
         self.policy_state.node_writes += self.policy.tree.node_writes_per_persist();
         if self.policy.counters == CounterLayout::Shadow {
             self.policy_state.shadow_writes += 1;
-        }
-        if self.mode == MetadataMode::Eager {
-            self.nvm.set_bmt_root(self.tree.root());
-            if self.policy.counters == CounterLayout::Shadow {
-                self.policy_state.shadow_root = Some(self.tree.root());
-            }
         }
     }
 
@@ -336,7 +308,7 @@ impl PersistDomain {
         self.nvm.write_counters(page, cb.clone());
         let digest = self.counter_digest(page, &cb);
         rec.tree_hashes = self.tree.update_leaf(page, digest);
-        self.persist_root();
+        self.charge_root_persist();
         rec
     }
 
@@ -380,7 +352,8 @@ impl PersistDomain {
         // One multi-lane dispatch covers every counter digest the burst
         // needs; memo lookups and inserts stay in drain order.
         let mut digests = Vec::with_capacity(pages.len());
-        self.counter_digest_batch(&pages, &mut digests);
+        self.ctr_digests
+            .digest_batch(&self.backend, &pages, &mut digests);
         // Pass 2, in drain order: leaf updates against the snapshotted
         // digests.  Same-page entries update the leaf once per entry with
         // the same digest sequence as sequential flushing, so the final
@@ -395,7 +368,7 @@ impl PersistDomain {
                 };
                 let page = NvmStore::page_of(entry.block);
                 rec.tree_hashes = self.tree.update_leaf(page, digest);
-                self.persist_root();
+                self.charge_root_persist();
                 rec
             })
             .collect()
@@ -418,7 +391,7 @@ impl PersistDomain {
         self.nvm.write_counters(page, cb.clone());
         let digest = self.counter_digest(page, &cb);
         let hashes = self.tree.update_leaf(page, digest);
-        self.persist_root();
+        self.charge_root_persist();
         hashes
     }
 
@@ -489,7 +462,7 @@ impl PersistDomain {
 
     /// Overlays state captured by [`encode_into`](Self::encode_into) onto
     /// a domain constructed with the same scalars (salts, tree kind,
-    /// metadata mode, backend, key seed).
+    /// backend, key seed).
     pub(crate) fn restore_from(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         let n = r.seq_len(8 + 64)?;
         let mut golden = FxHashMap::default();
@@ -541,9 +514,7 @@ impl PersistDomain {
         let tree_key = (self.seed ^ self.keys.tree_xor).to_le_bytes();
         let mut rebuilt = IntegrityTree::new(self.tree_kind, &tree_key, BMT_ARITY, self.bmt_levels);
         rebuilt.set_backend(self.backend);
-        if self.mode == MetadataMode::Lazy {
-            rebuilt.set_lazy(true);
-        }
+        rebuilt.set_lazy(true);
         rebuilt
     }
 }
@@ -569,7 +540,6 @@ mod tests {
             DomainKeys::SECPB,
             TreeKind::Monolithic,
             8,
-            MetadataMode::Eager,
             CryptoBackendKind::Auto,
             7,
             PersistencePolicy::default(),
@@ -591,7 +561,6 @@ mod tests {
             DomainKeys::EADR,
             TreeKind::Monolithic,
             8,
-            MetadataMode::Lazy,
             CryptoBackendKind::Auto,
             42,
             PersistencePolicy::default(),

@@ -20,7 +20,7 @@ use secpb_mem::cache::LineState;
 use secpb_mem::hierarchy::{Hierarchy, HitLevel};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::TelemetrySink;
@@ -65,7 +65,6 @@ impl EadrSystem {
             DomainKeys::EADR,
             TreeKind::Monolithic,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
             cfg.security.crypto_backend,
             key_seed,
             policy,
@@ -102,14 +101,16 @@ impl EadrSystem {
         &self.cfg
     }
 
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
-    }
-
     /// Combined memo-cache statistics (pad cache + counter-digest memo).
     pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
         self.domain.memo_stats()
+    }
+
+    /// Folds the integrity-tree work deferred by writeback persists and
+    /// persists the root register, as the crash drain does.  Returns
+    /// the analytic hash count (zero: the eADR tree is monolithic).
+    pub fn sync_metadata(&mut self) -> u64 {
+        self.domain.sync_root(true)
     }
 
     /// The core clock.
@@ -263,9 +264,8 @@ impl EadrSystem {
         for &block in &dirty {
             self.persist_tuple(block);
         }
-        // Observation point: fold all deferred tree work and persist the
-        // root (a no-op for the eager engine, which persisted per tuple).
-        self.domain.sync_root(true);
+        // Observation point: the root register catches up with the drain.
+        self.sync_metadata();
         self.hierarchy.clear();
         let n = dirty.len() as u64;
         self.stats.bump_by("eadr.crash_lines", n);

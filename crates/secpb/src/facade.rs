@@ -88,26 +88,19 @@ pub trait PersistSystem {
     }
 
     /// Combined hit/miss/eviction counters of the front's crypto memo
-    /// caches (the lazy engine's OTP pad cache and counter-digest memo).
-    /// Zero for fronts or modes that attach no memos; purely
-    /// observational — memo contents never change any output.
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        secpb_crypto::memo::MemoStats::default()
-    }
+    /// caches (the OTP pad cache and the counter-digest memo).  Purely
+    /// observational: memo contents never change any output.
+    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats;
 
-    /// Folds all deferred security metadata — dirty integrity-tree paths
-    /// and pending counter digests — and persists the root, returning
-    /// the analytic hash count charged to the sync.  This is the
-    /// epoch-boundary observation point the service plane drains shards
-    /// at: under the lazy engine a whole epoch's tree updates fold in
-    /// sibling batches (`compute_batch`) and its counter digests
-    /// coalesce (`digest_batch`), so the per-store metadata cost
-    /// amortizes across the batch.  Fronts whose metadata is generated
-    /// at writeback/crash time (eADR, the multi-core event model) have
-    /// nothing deferred and return 0.
-    fn sync_metadata(&mut self) -> u64 {
-        0
-    }
+    /// Folds all deferred integrity-tree work and persists the root
+    /// register, returning the analytic hash count charged to the sync.
+    /// Every front defers its tree folds to observation points, so
+    /// until a sync (or a crash, which syncs) the durable root lags the
+    /// NVM counter image.  This is the epoch-boundary observation point
+    /// the service plane drains shards at: a whole epoch's tree updates
+    /// fold in sibling batches (`compute_batch`), so the per-store
+    /// metadata cost amortizes across the batch.
+    fn sync_metadata(&mut self) -> u64;
 
     /// Serialises the complete system state into a versioned checkpoint
     /// (see [`checkpoint`](crate::checkpoint) for the wire format and
@@ -403,6 +396,10 @@ impl PersistSystem for EadrSystem {
         EadrSystem::telemetry(self)
     }
 
+    fn sync_metadata(&mut self) -> u64 {
+        EadrSystem::sync_metadata(self)
+    }
+
     fn step(&mut self, item: TraceItem) {
         EadrSystem::step(self, item);
     }
@@ -511,6 +508,10 @@ impl PersistSystem for MultiCoreSystem {
 
     fn telemetry(&self) -> Option<&TelemetrySink> {
         MultiCoreSystem::telemetry(self)
+    }
+
+    fn sync_metadata(&mut self) -> u64 {
+        MultiCoreSystem::sync_metadata(self)
     }
 
     fn step(&mut self, item: TraceItem) {

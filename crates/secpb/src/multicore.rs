@@ -22,7 +22,7 @@
 
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
@@ -91,7 +91,6 @@ impl MultiCoreSystem {
             DomainKeys::MULTI_CORE,
             TreeKind::Monolithic,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
             cfg.security.crypto_backend,
             key_seed,
             policy,
@@ -121,14 +120,17 @@ impl MultiCoreSystem {
         self.core_now[core]
     }
 
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
-    }
-
     /// Combined memo-cache statistics (pad cache + counter-digest memo).
     pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
         self.domain.memo_stats()
+    }
+
+    /// Folds the integrity-tree work deferred by drains and flushes and
+    /// persists the root register, as the crash drain does.  Entries
+    /// still buffered in the per-core SecPBs stay there.  Returns the
+    /// analytic hash count (zero: this front's tree is monolithic).
+    pub fn sync_metadata(&mut self) -> u64 {
+        self.domain.sync_root(true)
     }
 
     /// The system configuration.
@@ -375,9 +377,8 @@ impl MultiCoreSystem {
                 }
             }
         }
-        // Observation point: fold any deferred tree work before reading
-        // and persisting the root (a no-op for the eager engine).
-        self.domain.sync_root(true);
+        // Observation point: the root register catches up with the drain.
+        self.sync_metadata();
         self.stats.bump_by("mc.crash_drains", drained);
         self.stats.bump_by("mc.lost_entries", lost.len() as u64);
         Ok((drained, lost))

@@ -623,7 +623,7 @@ impl SecureSystem {
         let hashes = self.domain.tree.update_leaf(page, digest);
         self.stats.inc(self.h.bmt_root_updates);
         self.stats.add(self.h.bmt_node_hashes, hashes);
-        self.domain.persist_root();
+        self.domain.charge_root_persist();
         // Refresh in-flight SecPB entries of the page: their recorded
         // counters are stale after the major bump.
         let resident: Vec<BlockAddr> = self

@@ -387,8 +387,10 @@ mod tests {
 
     #[test]
     fn resolve_rejects_illegal_depth_and_forests() {
-        let mut sec = SecurityConfig::default();
-        sec.triad_levels = 9; // > 8-level tree
+        let mut sec = SecurityConfig {
+            triad_levels: 9, // > 8-level tree
+            ..SecurityConfig::default()
+        };
         assert_eq!(
             PersistencePolicy::resolve(Scheme::NoGap, &sec, TreeKind::Monolithic),
             Err(PolicyError::DepthOutOfRange {

@@ -90,8 +90,8 @@ impl PersistDomain {
         let layout_ok = if self.policy.counters == CounterLayout::Shadow {
             // Fast-recovery layout (Huang & Hua): the durable shadow of
             // the root must validate the register.  Every recovery
-            // follows a sync, so the shadow reflects the final persisted
-            // root in both metadata modes.
+            // follows a sync, which writes the register and the shadow
+            // together, so the shadow reflects the final persisted root.
             self.nvm.bmt_root().is_some() && self.nvm.bmt_root() == self.policy_state.shadow_root
         } else if let Some(frontier) = self.persisted_frontier() {
             // Triad-NVM selective persistence: folding up from the
@@ -234,8 +234,8 @@ impl SecureSystem {
         let drain_complete_at = last_drain_issue;
         let mut secsync = self.drain_engine.all_complete_at().max(drain_complete_at);
         secsync = secsync.max(self.wpq.drained_at());
-        // Fold any cached BMF subtree roots (and, in lazy mode, all
-        // deferred tree updates) into the persisted root.
+        // Fold all deferred tree updates (and any cached BMF subtree
+        // roots) into the persisted root.
         let sync_hashes = self.sync_metadata();
         secsync += sync_hashes * self.cfg.security.bmt_hash_latency;
 

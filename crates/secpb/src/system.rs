@@ -33,7 +33,7 @@ use secpb_mem::nvm::NvmTiming;
 use secpb_mem::store::NvmStore;
 use secpb_mem::wpq::WritePendingQueue;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::{MetadataMode, SystemConfig};
+use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::{HistId, StatId, Stats};
 use secpb_sim::telemetry::TelemetrySink;
@@ -218,7 +218,6 @@ impl SecureSystem {
             DomainKeys::SECPB,
             tree_kind,
             cfg.security.bmt_levels,
-            cfg.security.metadata_mode,
             cfg.security.crypto_backend,
             key_seed,
             policy,
@@ -268,19 +267,9 @@ impl SecureSystem {
         &self.cfg
     }
 
-    /// Whether the security-metadata engine is eager or lazy.
-    pub fn metadata_mode(&self) -> MetadataMode {
-        self.domain.mode
-    }
-
     /// The integrity tree (for inspecting fold statistics).
     pub fn integrity_tree(&self) -> &IntegrityTree {
         &self.domain.tree
-    }
-
-    /// Pad-cache hit/miss statistics, when the lazy engine is active.
-    pub fn pad_cache_stats(&self) -> Option<secpb_crypto::memo::MemoStats> {
-        self.domain.otp_engine.pad_cache().map(|c| c.stats())
     }
 
     /// Combined memo-cache statistics (pad cache + counter-digest memo).
@@ -288,10 +277,11 @@ impl SecureSystem {
         self.domain.memo_stats()
     }
 
-    /// Folds all deferred integrity-tree work and persists the root —
-    /// the observation point that makes lazy and eager states identical.
+    /// Folds all deferred integrity-tree work and persists the root
+    /// register (secure schemes only) — the observation point after
+    /// which the durable root authenticates the NVM counter image.
     /// Returns the analytic hash count charged to the sec-sync gap (BMF
-    /// root-cache folds; zero for a monolithic tree in both modes).
+    /// root-cache folds; zero for a monolithic tree).
     pub fn sync_metadata(&mut self) -> u64 {
         let sync_hashes = self.domain.sync_root(self.scheme.is_secure());
         self.stats.add(self.h.bmt_node_hashes, sync_hashes);

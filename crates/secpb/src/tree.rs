@@ -135,7 +135,8 @@ impl IntegrityTree {
     /// is zero because every update was already charged its full walk.
     /// Lazy-fold hashes are a host-side performance artifact and are
     /// reported via [`fold_hashes`](Self::fold_hashes) instead, so stats
-    /// and timing stay byte-identical across metadata modes.
+    /// and timing do not depend on whether the tree folds lazily or
+    /// walks every update.
     pub fn sync(&mut self) -> u64 {
         match self {
             IntegrityTree::Monolithic(t) => {

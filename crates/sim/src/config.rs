@@ -141,47 +141,6 @@ impl SecPbConfig {
     }
 }
 
-/// How the *functional* security metadata (integrity-tree nodes, OTP
-/// pads, counter-block digests) is computed.  This is not a timing knob:
-/// both modes produce byte-identical roots, statistics, and reports —
-/// the timing model charges analytic hash counts either way.  Lazy mode
-/// defers the HMAC leaf-to-root folds to observation points (crash,
-/// recovery, explicit sync) and memoizes pads/digests, which is how the
-/// simulator itself stays fast on the store hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MetadataMode {
-    /// Walk the integrity tree and recompute every pad/digest on every
-    /// update (the reference engine the equivalence harness checks
-    /// against).
-    Eager,
-    /// Record dirty leaves and batch the HMAC folding at observation
-    /// points; memoize OTP pads and counter-block digests.
-    #[default]
-    Lazy,
-}
-
-impl MetadataMode {
-    /// Stable lowercase name (CLI flags, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            MetadataMode::Eager => "eager",
-            MetadataMode::Lazy => "lazy",
-        }
-    }
-}
-
-impl std::str::FromStr for MetadataMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "eager" => Ok(MetadataMode::Eager),
-            "lazy" => Ok(MetadataMode::Lazy),
-            other => Err(format!("unknown metadata mode '{other}' (eager|lazy)")),
-        }
-    }
-}
-
 /// Which crypto backend the functional engines dispatch hashing and
 /// encryption through.  Purely a host-performance knob: every backend is
 /// byte-identical (the equivalence suites assert it), so reports, roots,
@@ -257,9 +216,6 @@ pub struct SecurityConfig {
     /// paper's assumption in Section V-A).  When `false`, a load that
     /// misses to memory stalls for decryption + verification.
     pub speculative_verification: bool,
-    /// Functional metadata engine mode (lazy folding + memoization vs
-    /// the eager reference; observable outputs are identical).
-    pub metadata_mode: MetadataMode,
     /// Crypto backend the functional engines dispatch through (a host
     /// performance knob; observable outputs are identical).
     pub crypto_backend: CryptoBackendKind,
@@ -284,7 +240,6 @@ impl Default for SecurityConfig {
             single_inflight_bmt: true,
             value_independent_coalescing: true,
             speculative_verification: true,
-            metadata_mode: MetadataMode::default(),
             crypto_backend: CryptoBackendKind::default(),
             triad_levels: 0,
             shadow_counters: false,
@@ -406,14 +361,6 @@ impl SystemConfig {
     /// verify-before-use pipeline).
     pub fn with_speculative_verification(mut self, speculative: bool) -> Self {
         self.security.speculative_verification = speculative;
-        self
-    }
-
-    /// Returns a copy with the functional metadata engine switched
-    /// between the eager reference and the lazy (deferred-fold,
-    /// memoized) engine.  Observable outputs are identical in both.
-    pub fn with_metadata_mode(mut self, mode: MetadataMode) -> Self {
-        self.security.metadata_mode = mode;
         self
     }
 
@@ -563,21 +510,5 @@ mod tests {
         }
         let cfg = SystemConfig::default().with_crypto_backend(CryptoBackendKind::Scalar);
         assert_eq!(cfg.security.crypto_backend, CryptoBackendKind::Scalar);
-    }
-
-    #[test]
-    fn metadata_mode_defaults_lazy_and_parses() {
-        assert_eq!(MetadataMode::default(), MetadataMode::Lazy);
-        assert_eq!(
-            SystemConfig::default().security.metadata_mode,
-            MetadataMode::Lazy
-        );
-        assert_eq!("eager".parse::<MetadataMode>(), Ok(MetadataMode::Eager));
-        assert_eq!("LAZY".parse::<MetadataMode>(), Ok(MetadataMode::Lazy));
-        assert!("eagre".parse::<MetadataMode>().is_err());
-        let eager = SystemConfig::default().with_metadata_mode(MetadataMode::Eager);
-        assert_eq!(eager.security.metadata_mode, MetadataMode::Eager);
-        assert_eq!(MetadataMode::Eager.name(), "eager");
-        assert_eq!(MetadataMode::Lazy.name(), "lazy");
     }
 }

@@ -931,7 +931,7 @@ mod tests {
     fn storm_quick_passes_and_rejects_bad_flags() {
         let out = run(&["storm", "--quick", "--seed", "3"]).unwrap();
         assert!(out.contains("PASS"), "{out}");
-        assert!(out.contains("cobcm/lazy"), "{out}");
+        assert!(out.contains("cobcm/drain-all"), "{out}");
         assert!(run(&["storm", "--seed"]).is_err());
         assert!(run(&["storm", "--brown-out", "2.0"]).is_err());
         assert!(run(&["storm", "--bogus"]).is_err());

@@ -1,7 +1,7 @@
 //! Checkpoint/restore equivalence suite: getting a system back to epoch
 //! N and replaying epochs N..M must be byte-identical to the
-//! uninterrupted run — for every scheme, both metadata engines, and
-//! every integrity-tree organisation, and both ways back: restoring
+//! uninterrupted run — for every scheme and every integrity-tree
+//! organisation, and both ways back: restoring
 //! SPBC checkpoint bytes into a fresh system, or rewinding the system
 //! to its own in-memory snapshot.  This is the contract the serve
 //! plane's shard crash-recovery and the soak harness's restarts build
@@ -15,7 +15,7 @@ use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::core::tree::TreeKind;
 use secpb::core::CheckpointError;
-use secpb::sim::config::{MetadataMode, SystemConfig};
+use secpb::sim::config::SystemConfig;
 use secpb::sim::trace::TraceItem;
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
@@ -32,13 +32,8 @@ fn epochs(workload: &str, seed: u64, n: usize, len: usize) -> Vec<Vec<TraceItem>
     items[..n * len].chunks(len).map(|c| c.to_vec()).collect()
 }
 
-fn build(mode: MetadataMode, scheme: Scheme, kind: TreeKind, seed: u64) -> SecureSystem {
-    SecureSystem::with_tree(
-        SystemConfig::default().with_metadata_mode(mode),
-        scheme,
-        kind,
-        seed,
-    )
+fn build(scheme: Scheme, kind: TreeKind, seed: u64) -> SecureSystem {
+    SecureSystem::with_tree(SystemConfig::default(), scheme, kind, seed)
 }
 
 /// Runs one epoch and syncs at its boundary (the serve plane's
@@ -121,30 +116,26 @@ fn check_resumes(
 #[test]
 fn restore_at_epoch_n_plus_replay_matches_straight_through_for_all_schemes() {
     for scheme in Scheme::ALL {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("milc", 0xC0FFEE ^ scheme as u64, 6, 1500);
-            check_resumes(
-                &format!("{scheme}/{}", mode.name()),
-                || build(mode, scheme, TreeKind::Monolithic, 17),
-                &epochs,
-                2,
-            );
-        }
+        let epochs = epochs("milc", 0xC0FFEE ^ scheme as u64, 6, 1500);
+        check_resumes(
+            &scheme.to_string(),
+            || build(scheme, TreeKind::Monolithic, 17),
+            &epochs,
+            2,
+        );
     }
 }
 
 #[test]
 fn forest_trees_replay_identically_after_restore() {
     for kind in [TreeKind::Dbmf, TreeKind::Sbmf] {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("povray", 99, 5, 1200);
-            check_resumes(
-                &format!("{kind:?}/{}", mode.name()),
-                || build(mode, Scheme::Cobcm, kind, 5),
-                &epochs,
-                1,
-            );
-        }
+        let epochs = epochs("povray", 99, 5, 1200);
+        check_resumes(
+            &format!("{kind:?}"),
+            || build(Scheme::Cobcm, kind, 5),
+            &epochs,
+            1,
+        );
     }
 }
 
@@ -154,7 +145,7 @@ fn restored_system_survives_crash_and_recovery_identically() {
     // match the uninterrupted run's: same drained work, same recovery
     // report.
     let epochs = epochs("hmmer", 3, 4, 1500);
-    let make = || build(MetadataMode::Lazy, Scheme::Bcm, TreeKind::Monolithic, 31);
+    let make = || build(Scheme::Bcm, TreeKind::Monolithic, 31);
     let mut reference = make();
     for epoch in &epochs {
         run_epoch(&mut reference, epoch);
@@ -200,16 +191,12 @@ fn policy_fronts_replay_identically_after_restore() {
         ),
     ];
     for (name, cfg) in &fronts {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let epochs = epochs("milc", 0xFA57 ^ mode as u64, 5, 1500);
-            let cfg = cfg.clone().with_metadata_mode(mode);
-            let label = format!("{name}/{}", mode.name());
-            let make = || {
-                SecureSystem::build(cfg.clone(), Scheme::NoGap, TreeKind::Monolithic, 23).unwrap()
-            };
-            for (how, resumed) in check_resumes(&label, make, &epochs, 2) {
-                assert!(resumed.recover().is_consistent(), "{label}/{how:?}");
-            }
+        // `^ 1` keeps the trace these rows have always replayed.
+        let epochs = epochs("milc", 0xFA57 ^ 1, 5, 1500);
+        let make =
+            || SecureSystem::build(cfg.clone(), Scheme::NoGap, TreeKind::Monolithic, 23).unwrap();
+        for (how, resumed) in check_resumes(name, make, &epochs, 2) {
+            assert!(resumed.recover().is_consistent(), "{name}/{how:?}");
         }
     }
 }
@@ -286,12 +273,12 @@ fn facade_exposes_checkpoint_only_on_the_single_core_front() {
 #[test]
 fn rewind_rejects_a_snapshot_of_a_differently_built_system() {
     let epochs = epochs("gcc", 4, 2, 800);
-    let mut seed1 = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 1);
+    let mut seed1 = build(Scheme::Cobcm, TreeKind::Dbmf, 1);
     run_epoch(&mut seed1, &epochs[0]);
     let mut slot = None;
     seed1.snapshot_into(&mut slot);
 
-    let mut seed2 = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 2);
+    let mut seed2 = build(Scheme::Cobcm, TreeKind::Dbmf, 2);
     run_epoch(&mut seed2, &epochs[1]);
     let before = seed2.checkpoint_bytes();
     assert_eq!(
@@ -303,7 +290,7 @@ fn rewind_rejects_a_snapshot_of_a_differently_built_system() {
         before,
         "a rejected rewind leaves the system untouched"
     );
-    let mut other_scheme = build(MetadataMode::Lazy, Scheme::Cm, TreeKind::Dbmf, 1);
+    let mut other_scheme = build(Scheme::Cm, TreeKind::Dbmf, 1);
     assert_eq!(
         other_scheme.rewind(slot.as_ref().unwrap()),
         Err(CheckpointError::ConfigMismatch)
@@ -323,11 +310,11 @@ fn checkpoint_of_restored_system_reproduces_original_bytes() {
     // checkpoint is the identity on bytes, even mid-stream with live
     // SecPB occupancy and in-flight drains.
     let epochs = epochs("gcc", 8, 3, 2000);
-    let mut sys = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 77);
+    let mut sys = build(Scheme::Cobcm, TreeKind::Dbmf, 77);
     sys.run_trace(epochs[0].iter().copied());
     // No sync: leave lazy folds pending and drains in flight.
     let bytes = sys.checkpoint_bytes();
-    let mut target = build(MetadataMode::Lazy, Scheme::Cobcm, TreeKind::Dbmf, 77);
+    let mut target = build(Scheme::Cobcm, TreeKind::Dbmf, 77);
     target.restore_bytes(&bytes).unwrap();
     assert_eq!(target.checkpoint_bytes(), bytes);
 }

@@ -16,7 +16,7 @@ use secpb::core::multicore::MultiCoreSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::sim::addr::BlockAddr;
-use secpb::sim::config::{MetadataMode, SystemConfig};
+use secpb::sim::config::SystemConfig;
 use secpb::sim::trace::TraceItem;
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
@@ -55,26 +55,24 @@ fn crash_observables(sys: &mut dyn PersistSystem, trace: &[TraceItem]) -> (u64, 
 #[test]
 fn one_core_multicore_matches_single_core_on_fuzzed_traces() {
     for (workload, seed) in [("milc", 0xF077_u64), ("hmmer", 77), ("sjeng", 0xBEEF)] {
-        for mode in [MetadataMode::Eager, MetadataMode::Lazy] {
-            let trace = fuzz_trace(workload, seed, 30_000);
-            let cfg = SystemConfig::default().with_metadata_mode(mode);
-            let mut single = SecureSystem::new(cfg.clone(), Scheme::Cobcm, seed);
-            let mut multi =
-                MultiCoreSystem::new(cfg, Scheme::Cobcm, 1, seed).expect("1-core config is valid");
+        let trace = fuzz_trace(workload, seed, 30_000);
+        let cfg = SystemConfig::default();
+        let mut single = SecureSystem::new(cfg.clone(), Scheme::Cobcm, seed);
+        let mut multi =
+            MultiCoreSystem::new(cfg, Scheme::Cobcm, 1, seed).expect("1-core config is valid");
 
-            let (sb, sv) = crash_observables(&mut single, &trace);
-            let (mb, mv) = crash_observables(&mut multi, &trace);
-            assert_eq!(sb, mb, "{workload}/{mode:?}: blocks_checked diverged");
-            assert_eq!(sv, mv, "{workload}/{mode:?}: verdict block sets diverged");
+        let (sb, sv) = crash_observables(&mut single, &trace);
+        let (mb, mv) = crash_observables(&mut multi, &trace);
+        assert_eq!(sb, mb, "{workload}: blocks_checked diverged");
+        assert_eq!(sv, mv, "{workload}: verdict block sets diverged");
 
-            // The durable logical state agrees block for block.
-            for block in store_blocks(&trace) {
-                assert_eq!(
-                    PersistSystem::expected_plaintext(&single, block),
-                    PersistSystem::expected_plaintext(&multi, block),
-                    "{workload}/{mode:?}: {block} plaintext diverged"
-                );
-            }
+        // The durable logical state agrees block for block.
+        for block in store_blocks(&trace) {
+            assert_eq!(
+                PersistSystem::expected_plaintext(&single, block),
+                PersistSystem::expected_plaintext(&multi, block),
+                "{workload}: {block} plaintext diverged"
+            );
         }
     }
 }
