@@ -33,11 +33,12 @@ echo "==> tier-1: cargo test -q"
 cargo test -q
 
 echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
-# The hw backends detect AES-NI/AVX2 at runtime and fall back to the
-# portable engines when the ISA is absent, so this lane is safe on any
-# host: with the extensions it exercises the AES-NI/4-lane-SHA-512
-# kernels, without them it validates the fallback path (graceful skip
-# happens inside the backends, not here).  The release binaries the
+# The hw backends detect AES-NI/AVX2/AVX-512F at runtime and fall back
+# to the portable engines when the ISA is absent, so this lane is safe on
+# any host: with the extensions it exercises the AES-NI kernel and the
+# 8-lane (AVX-512F) and 4-lane (AVX2) SHA-512 kernels, without them it
+# validates the fallback path (graceful skip happens inside the
+# backends, not here).  The release binaries the
 # gates below run are rebuilt by this lane, so the storm smokes
 # and the grid baseline exercise the hardware-class hot path.  The
 # feature must be enabled per package (--workspace), not just on the
@@ -50,13 +51,15 @@ echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed traces
 # The suite sweeps every backend against the scalar reference: digests,
 # grid JSON, crash/recovery verdicts, telemetry-on/off parity, plus the
 # arena stress test.  Run against the hw-crypto build so a detected
-# AES-NI/AVX2 host pins the real hardware kernels to the reference.
+# AES-NI/AVX2/AVX-512F host pins the real hardware kernels to the
+# reference.
 cargo test -q --features hw-crypto --test backend_equivalence
 
-echo "==> crypto_micro regression guard (batched fold >= 2x scalar)"
+echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.75x 4-lane)"
 # Fails if the multi-block batched HMAC fold is not at least 2x faster
-# than the scalar backend; self-skips (with a notice) on hosts where the
-# vectorized hash kernel is unavailable.
+# than the scalar backend, or, where AVX-512F is detected, if an 8-lane
+# compress_batch costs more than 0.75x a 4-lane one per block; each
+# check self-skips (with a notice) on hosts without its vector kernel.
 ./target/release/crypto_micro --check
 
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"

@@ -6,11 +6,13 @@
 //! `--check` is the CI regression guard: it exits non-zero unless the
 //! multi-block batched HMAC fold is at least 2x faster than the scalar
 //! backend on the BMT sibling-group shape (the speedup the batched fold
-//! rewrite exists to deliver).
+//! rewrite exists to deliver) and, where AVX-512F is detected, unless an
+//! eight-lane `compress_batch` costs at most 0.75x a four-lane one per
+//! block (the eight-lane kernel's reason to exist).
 
 use std::time::Instant;
 
-use secpb_crypto::backend::CryptoBackend;
+use secpb_crypto::backend::{CryptoBackend, HashBackend};
 use secpb_crypto::bmt::BonsaiMerkleTree;
 use secpb_crypto::counter::SplitCounter;
 use secpb_crypto::hmac::HmacSha512;
@@ -46,6 +48,12 @@ fn main() {
         CryptoBackend::hw_available(),
         CryptoBackend::auto().name()
     );
+    let hash_kernel = match CryptoBackend::simd_hash_lanes() {
+        8 => "sha512x8 (avx512f, 8 lanes)",
+        4 => "sha512x4 (avx2, 4 lanes)",
+        _ => "portable (4 lanes, no vector kernel)",
+    };
+    println!("widest hash kernel: {hash_kernel}");
     println!();
 
     // ---- hash primitives ----
@@ -69,6 +77,21 @@ fn main() {
         }),
         "tag",
     );
+
+    // ---- raw compress_batch: one four-lane vs one eight-lane dispatch ----
+    let mut lane_ns = [0.0f64; 2];
+    for (slot, lanes) in [4usize, 8].into_iter().enumerate() {
+        let blocks: Vec<[u8; 128]> = (0..lanes).map(|l| [l as u8 ^ 0x3C; 128]).collect();
+        let refs: Vec<&[u8; 128]> = blocks.iter().collect();
+        let mut states = vec![[0x6A09_E667_F3BC_C908u64; 8]; lanes];
+        let ns = bench(20_000, |_| {
+            CryptoBackend::MultiBlock.compress_batch(&mut states, &refs);
+            std::hint::black_box(&states);
+        }) / lanes as f64;
+        row(&format!("compress_batch_{lanes}lanes"), ns, "block");
+        lane_ns[slot] = ns;
+    }
+    let [four_lane_ns, eight_lane_ns] = lane_ns;
 
     // ---- batched HMAC fold: the BMT sibling-group shape ----
     // One 8-ary node hash is a 512-byte message; a fold level dispatches
@@ -161,13 +184,16 @@ fn main() {
         row(&format!("mac_sweep_256[{}]", backend.name()), ns, "block");
     }
 
-    // ---- regression guard ----
+    // ---- regression guards ----
     let scalar = fold_ns["scalar"];
     let batched = fold_ns[CryptoBackend::auto().name()].min(fold_ns["multiblock"]);
     let speedup = scalar / batched;
+    let lane_ratio = eight_lane_ns / four_lane_ns;
     println!();
     println!("batched fold speedup vs scalar: {speedup:.2}x");
+    println!("8-lane vs 4-lane compress cost per block: {lane_ratio:.2}x");
     if check {
+        let mut failed = false;
         // Without the vectorized kernel (feature off, or no AVX2 on this
         // host) batching is an equivalence feature, not a speedup — there
         // is nothing to guard, so skip rather than fail.
@@ -178,9 +204,28 @@ fn main() {
             );
         } else if speedup < 2.0 {
             eprintln!("FAIL: batched fold must be >= 2x faster than scalar (got {speedup:.2}x)");
-            std::process::exit(1);
+            failed = true;
         } else {
             println!("check ok: batched fold >= 2x scalar");
+        }
+        // Only an AVX-512F host runs eight-lane groups; elsewhere an
+        // eight-block batch is two four-lane groups and the ratio is ~1.
+        if CryptoBackend::simd_hash_lanes() < 8 {
+            println!(
+                "lane check skipped: eight-lane kernel unavailable \
+                 (build with --features hw-crypto on an AVX-512F host)"
+            );
+        } else if lane_ratio > 0.75 {
+            eprintln!(
+                "FAIL: an 8-lane compress must cost <= 0.75x a 4-lane one per block \
+                 (got {lane_ratio:.2}x)"
+            );
+            failed = true;
+        } else {
+            println!("check ok: 8-lane compress <= 0.75x 4-lane per block");
+        }
+        if failed {
+            std::process::exit(1);
         }
     }
 }

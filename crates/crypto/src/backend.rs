@@ -2,28 +2,30 @@
 //! feature-gated hardware (AES-NI) implementations of the hash and cipher
 //! hot paths.
 //!
-//! Every fold of an integrity tree, every recovery-sweep MAC check, and
-//! every OTP pad is built from two primitive operations: the SHA-512
-//! compression function and the AES block encryption.  Both are
-//! *embarrassingly batchable* — sibling nodes of a tree level, the MACs of
-//! a recovery chunk, and the four AES blocks of one pad are mutually
-//! independent — so the engines dispatch whole batches through the
-//! [`HashBackend`] / [`CipherBackend`] traits and let the backend decide
-//! how to schedule them:
+//! Every fold of an integrity tree, every recovery-sweep MAC check, every
+//! drain burst's MACs and counter digests, and every OTP pad is built from
+//! two primitive operations: the SHA-512 compression function and the AES
+//! block encryption.  Both are *embarrassingly batchable* — sibling nodes
+//! of a tree level, the MACs of a recovery chunk or a drain burst, and the
+//! four AES blocks of one pad are mutually independent — so the engines
+//! dispatch whole batches through the [`HashBackend`] / [`CipherBackend`]
+//! traits and let the backend decide how to schedule them:
 //!
 //! * [`Scalar`] — one block at a time, the reference implementation.
-//! * [`MultiBlock`] — four interleaved SHA-512 lanes per dispatch.  With
-//!   the `hw-crypto` feature and a runtime-detected AVX2 CPU this runs
-//!   the explicit 256-bit `sha512x4` kernel (one ymm register per round
-//!   variable, all four lanes at once); otherwise it falls back to
-//!   [`sha512`]'s portable structure-of-arrays compression, four
+//! * [`MultiBlock`] — interleaved SHA-512 lanes per dispatch.  With the
+//!   `hw-crypto` feature a batch runs as eight-lane groups through the
+//!   512-bit `sha512x8` kernel when AVX-512F is detected at runtime, then
+//!   four-lane groups through the 256-bit `sha512x4` kernel when AVX2 is
+//!   (one vector register per round variable, all lanes at once), then a
+//!   scalar remainder.  Without the feature or the ISA, four-lane groups
+//!   run [`sha512`]'s portable structure-of-arrays compression: four
 //!   independent dependency chains the out-of-order core can pipeline.
 //! * [`HwCrypto`] — `std::arch` AES-NI for the cipher side (compiled in
 //!   only with the `hw-crypto` feature and used only when
 //!   `is_x86_feature_detected!` confirms the ISA at runtime, falling back
 //!   to scalar otherwise).  x86 offers no SHA-512 instruction (SHA-NI
 //!   covers SHA-1/SHA-256 only), so the hash side uses the multi-block
-//!   schedule — which under the same feature gate is the AVX2 kernel.
+//!   schedule, which under the same feature gate runs the vector kernels.
 //!
 //! All three backends are bit-identical by construction; the
 //! backend-equivalence suite proves it over fuzzed traces, digests, and
@@ -98,8 +100,9 @@ impl CipherBackend for Scalar {
     }
 }
 
-/// The software-pipelined backend: four interleaved SHA-512 lanes per
-/// dispatch (structure-of-arrays, auto-vectorizable), scalar AES.
+/// The software-pipelined backend: interleaved SHA-512 lanes per dispatch
+/// (eight or four per group on vector hardware, four structure-of-arrays
+/// lanes otherwise), scalar AES.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultiBlock;
 
@@ -111,6 +114,18 @@ impl HashBackend for MultiBlock {
     fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
         assert_eq!(states.len(), blocks.len(), "lane count mismatch");
         let mut i = 0;
+        // Widest kernel first: eight-lane groups while AVX-512F is
+        // present, then four-lane groups, then the scalar remainder.
+        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+        while states.len() - i >= sha512x8::LANES {
+            let end = i + sha512x8::LANES;
+            let lane_blocks = blocks[i..end].try_into().expect("8 lanes");
+            let lane_states = (&mut states[i..end]).try_into().expect("8 lanes");
+            if !sha512x8::try_compress8(lane_states, lane_blocks) {
+                break;
+            }
+            i = end;
+        }
         while states.len() - i >= LANES {
             let lane_blocks = [blocks[i], blocks[i + 1], blocks[i + 2], blocks[i + 3]];
             let lane_states: &mut [[u64; 8]; LANES] =
@@ -192,7 +207,8 @@ impl CipherBackend for HwCrypto {
 pub enum CryptoBackend {
     /// One block at a time (the reference engine).
     Scalar,
-    /// Four interleaved SHA-512 lanes per dispatch, scalar AES.
+    /// Interleaved SHA-512 lanes per dispatch (eight- and four-lane
+    /// vector kernels where available), scalar AES.
     #[default]
     MultiBlock,
     /// AES-NI cipher (with runtime detection and scalar fallback),
@@ -225,19 +241,33 @@ impl CryptoBackend {
         }
     }
 
-    /// Whether the vectorized multi-block hash kernel is actually usable
-    /// here (`hw-crypto` compiled in and AVX2 detected at runtime).  When
-    /// `false`, batched dispatches still work but run the portable
+    /// Whether a vectorized multi-block hash kernel is actually usable
+    /// here (`hw-crypto` compiled in and AVX2 or AVX-512F detected at
+    /// runtime; [`simd_hash_lanes`](Self::simd_hash_lanes) says which).
+    /// When `false`, batched dispatches still work but run the portable
     /// schedule, so batching is a correctness/equivalence feature rather
     /// than a speedup — benchmark regression guards key off this.
     pub fn simd_hash_available() -> bool {
+        Self::simd_hash_lanes() > 0
+    }
+
+    /// Lanes of the widest vectorized hash kernel usable here: 8 with
+    /// `hw-crypto` on an AVX-512F CPU, 4 on an AVX2 one, 0 when batched
+    /// dispatches run the portable schedule.
+    pub fn simd_hash_lanes() -> usize {
         #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
         {
-            sha512x4::available()
+            if sha512x8::available() {
+                sha512x8::LANES
+            } else if sha512x4::available() {
+                LANES
+            } else {
+                0
+            }
         }
         #[cfg(not(all(feature = "hw-crypto", target_arch = "x86_64")))]
         {
-            false
+            0
         }
     }
 
@@ -463,7 +493,7 @@ mod sha512x4 {
 
     /// Round `i`'s big-endian message word of `block`, as the lane type.
     #[inline(always)]
-    fn word(block: &[u8; 128], i: usize) -> i64 {
+    pub(super) fn word(block: &[u8; 128], i: usize) -> i64 {
         u64::from_be_bytes(block[8 * i..8 * i + 8].try_into().expect("8 bytes")) as i64
     }
 
@@ -544,6 +574,154 @@ mod sha512x4 {
     }
 }
 
+/// The `std::arch` AVX-512 eight-lane SHA-512 compression kernel — the
+/// [`sha512x4`] schedule on 512-bit registers, likewise compiled in only
+/// under the `hw-crypto` feature and entered only behind a runtime
+/// `is_x86_feature_detected!("avx512f")` check.  One zmm register holds a
+/// round variable for eight lanes; AVX-512F's native 64-bit rotate
+/// (`vprorq`) replaces AVX2's shift-shift-or, and the three-input
+/// `vpternlogq` computes each Σ/σ XOR, `Ch` and `Maj` in one instruction.
+#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod sha512x8 {
+    use std::arch::x86_64::{
+        _mm512_add_epi64, _mm512_ror_epi64, _mm512_set1_epi64, _mm512_setr_epi64,
+        _mm512_srli_epi64, _mm512_storeu_si512, _mm512_ternarylogic_epi64,
+    };
+
+    use super::sha512x4::word;
+    use crate::sha512::constants;
+
+    /// Lanes per dispatch.
+    pub(super) const LANES: usize = 8;
+
+    // `vpternlogq` truth tables: bit `4x + 2y + z` of the immediate is
+    // the result for input bits `x`, `y`, `z`.
+    /// `x ^ y ^ z`.
+    const XOR3: i32 = 0x96;
+    /// `Ch(x, y, z) = x ? y : z`.
+    const CH: i32 = 0xCA;
+    /// `Maj(x, y, z)`: the majority bit.
+    const MAJ: i32 = 0xE8;
+
+    /// `(x >>> a) ^ (x >>> b) ^ (x >>> c)` on each 64-bit lane.
+    macro_rules! sigma {
+        ($x:expr, $a:literal, $b:literal, $c:literal) => {
+            _mm512_ternarylogic_epi64::<XOR3>(
+                _mm512_ror_epi64::<$a>($x),
+                _mm512_ror_epi64::<$b>($x),
+                _mm512_ror_epi64::<$c>($x),
+            )
+        };
+    }
+
+    /// The message-schedule σ: `(x >>> a) ^ (x >>> b) ^ (x >> s)`.
+    macro_rules! small_sigma {
+        ($x:expr, $a:literal, $b:literal, $s:literal) => {
+            _mm512_ternarylogic_epi64::<XOR3>(
+                _mm512_ror_epi64::<$a>($x),
+                _mm512_ror_epi64::<$b>($x),
+                _mm512_srli_epi64::<$s>($x),
+            )
+        };
+    }
+
+    /// Whether the CPU advertises AVX-512F.
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+
+    /// Runs the eight-lane compression through AVX-512F if the ISA is
+    /// present; returns `false` (untouched states) when the caller must
+    /// fall back.
+    pub(super) fn try_compress8(
+        states: &mut [[u64; 8]; LANES],
+        blocks: [&[u8; 128]; LANES],
+    ) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available()` just confirmed the `avx512f` target
+        // feature.
+        unsafe { compress8(states, blocks) };
+        true
+    }
+
+    /// Eight independent SHA-512 compressions, one per 64-bit lane of
+    /// each zmm value.  Bit-identical to eight scalar `compress_block`
+    /// calls.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified the `avx512f` target feature.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn compress8(states: &mut [[u64; 8]; LANES], blocks: [&[u8; 128]; LANES]) {
+        let (k, _) = constants();
+        let mut w = [_mm512_set1_epi64(0); 80];
+        for (i, w_i) in w.iter_mut().take(16).enumerate() {
+            *w_i = _mm512_setr_epi64(
+                word(blocks[0], i),
+                word(blocks[1], i),
+                word(blocks[2], i),
+                word(blocks[3], i),
+                word(blocks[4], i),
+                word(blocks[5], i),
+                word(blocks[6], i),
+                word(blocks[7], i),
+            );
+        }
+        for i in 16..80 {
+            let s0 = small_sigma!(w[i - 15], 1, 8, 7);
+            let s1 = small_sigma!(w[i - 2], 19, 61, 6);
+            w[i] = _mm512_add_epi64(
+                _mm512_add_epi64(w[i - 16], s0),
+                _mm512_add_epi64(w[i - 7], s1),
+            );
+        }
+        let mut v = [_mm512_set1_epi64(0); 8];
+        for (r, row) in v.iter_mut().enumerate() {
+            *row = _mm512_setr_epi64(
+                states[0][r] as i64,
+                states[1][r] as i64,
+                states[2][r] as i64,
+                states[3][r] as i64,
+                states[4][r] as i64,
+                states[5][r] as i64,
+                states[6][r] as i64,
+                states[7][r] as i64,
+            );
+        }
+        let init = v;
+        for (&k_i, &w_i) in k.iter().zip(&w) {
+            let [a, b, c, d, e, f, g, h] = v;
+            let s1 = sigma!(e, 14, 18, 41);
+            let ch = _mm512_ternarylogic_epi64::<CH>(e, f, g);
+            let kw = _mm512_add_epi64(_mm512_set1_epi64(k_i as i64), w_i);
+            let temp1 = _mm512_add_epi64(_mm512_add_epi64(h, s1), _mm512_add_epi64(ch, kw));
+            let s0 = sigma!(a, 28, 34, 39);
+            let maj = _mm512_ternarylogic_epi64::<MAJ>(a, b, c);
+            let temp2 = _mm512_add_epi64(s0, maj);
+            v = [
+                _mm512_add_epi64(temp1, temp2),
+                a,
+                b,
+                c,
+                _mm512_add_epi64(d, temp1),
+                e,
+                f,
+                g,
+            ];
+        }
+        for (r, (row, row0)) in v.iter().zip(&init).enumerate() {
+            let mut lanes = [0u64; LANES];
+            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), _mm512_add_epi64(*row0, *row));
+            for (l, lane) in lanes.iter().enumerate() {
+                states[l][r] = *lane;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +743,9 @@ mod tests {
 
     #[test]
     fn all_backends_compress_identically() {
-        for n in [0usize, 1, 3, 4, 5, 8, 13] {
+        // On an AVX-512 host 8, 12, 13 and 16 run eight lanes alone,
+        // 8+4, 8+4+scalar and two eight-lane groups.
+        for n in [0usize, 1, 3, 4, 5, 8, 12, 13, 16] {
             let (base_states, blocks) = states_and_blocks(n);
             let refs: Vec<&[u8; 128]> = blocks.iter().collect();
             let mut results = Vec::new();

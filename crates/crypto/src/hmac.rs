@@ -247,7 +247,7 @@ mod tests {
         // Message lengths spanning one and several padded blocks,
         // including the 81-byte block-MAC and 512-byte BMT-node shapes.
         for msg_len in [1usize, 64, 81, 88, 111, 112, 512] {
-            for n in [1usize, 3, 4, 5, 9] {
+            for n in [1usize, 3, 4, 5, 8, 9, 12, 16] {
                 let flat: Vec<u8> = (0..n * msg_len).map(|i| (i * 17 % 251) as u8).collect();
                 let singles: Vec<Digest> =
                     flat.chunks_exact(msg_len).map(|m| mac.compute(m)).collect();

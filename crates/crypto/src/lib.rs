@@ -41,8 +41,9 @@
 //! assert_eq!(aes.decrypt_block(&ct), pt);
 //! ```
 
-// The only unsafe code in the crate is the `std::arch` AES-NI kernel
-// behind the `hw-crypto` feature; default builds stay forbid-clean.
+// The only unsafe code in the crate is the `std::arch` kernels (AES-NI,
+// AVX2 and AVX-512 SHA-512) behind the `hw-crypto` feature; default
+// builds stay forbid-clean.
 #![cfg_attr(not(feature = "hw-crypto"), forbid(unsafe_code))]
 #![cfg_attr(feature = "hw-crypto", deny(unsafe_code))]
 #![warn(missing_docs)]

@@ -13,12 +13,24 @@
 //! kernels every front drives.  The crash-verdict and recovery kernels
 //! live in [`recovery`](crate::recovery), implemented on this type.
 //!
+//! Two kernels carry every front's persists.  Drained SecPB entries, from
+//! a background burst of any scheme down to a single crash-drain or
+//! multi-core flush, go through one batched drain kernel
+//! (`flush_resolved`): the front resolves each entry's counter, pad and
+//! ciphertext in drain order, and the kernel computes the run's MACs in
+//! one multi-lane dispatch and its counter digests in another around the
+//! in-order NVM writes and leaf updates.  SP's per-store persists and
+//! eADR's writebacks go through the one-block `persist_with_counter`.
+//! Every counter increment is overflow-aware (`increment_counter`): a
+//! minor-counter overflow re-encrypts the page's persisted blocks here,
+//! so no front can persist a counter whose major the NVM image lacks.
+//!
 //! Each front keeps its historical key-derivation salts (a
 //! [`DomainKeys`]) so the refactor is bit-identical to the three
 //! hand-written implementations it replaces.
 
 use secpb_crypto::backend::CryptoBackend;
-use secpb_crypto::counter::{CounterBlock, SplitCounter};
+use secpb_crypto::counter::{CounterBlock, IncrementOutcome, SplitCounter, MINOR_MAX};
 use secpb_crypto::mac::BlockMac;
 use secpb_crypto::memo::DigestMemo;
 use secpb_crypto::otp::OtpEngine;
@@ -76,21 +88,15 @@ impl DomainKeys {
     };
 }
 
-/// What a `PersistDomain::flush_entry` call actually computed, so each
-/// front can translate the work into its own statistics namespace.
+/// What a page re-encryption ([`PersistDomain::reencrypt_page`]) did, so
+/// each front can translate the work into its own statistics namespace.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FlushRecord {
-    /// The entry arrived without a valid counter; the kernel incremented
-    /// the logical counter (raw, no overflow handling).
-    pub counter_incremented: bool,
-    /// The OTP was generated at flush time (was not carried early).
-    pub otp_generated: bool,
-    /// The ciphertext was generated at flush time.
-    pub ciphertext_generated: bool,
-    /// The MAC was computed at flush time.
-    pub mac_generated: bool,
-    /// BMT node hashes charged by the leaf update.
-    pub tree_hashes: u64,
+pub(crate) struct Reencryption {
+    /// Persisted blocks of the page re-encrypted and re-MACed under the
+    /// bumped major counter.
+    pub(crate) blocks: u64,
+    /// BMT node hashes charged by the page's leaf update.
+    pub(crate) tree_hashes: u64,
 }
 
 /// The durable integrity-tree frontier a
@@ -244,86 +250,101 @@ impl PersistDomain {
         }
     }
 
-    /// Raw logical-counter increment (no page-overflow handling — the
-    /// eADR and multi-core fronts never re-encrypt; the single-core
-    /// pipeline layers overflow handling on top in
-    /// `SecureSystem::increment_logical`).
-    pub(crate) fn increment_raw(&mut self, block: BlockAddr) -> SplitCounter {
+    /// Increments `block`'s logical counter.  On a minor-counter
+    /// overflow the page's major counter bumps and its persisted blocks
+    /// are re-encrypted under it ([`reencrypt_page`](Self::reencrypt_page))
+    /// before the fresh counter is returned with a record of that work.
+    pub(crate) fn increment_counter(
+        &mut self,
+        block: BlockAddr,
+    ) -> (SplitCounter, Option<Reencryption>) {
         let page = NvmStore::page_of(block);
         let slot = NvmStore::page_slot_of(block);
         let cb = self.counters.entry(page).or_default();
-        cb.increment(slot);
-        cb.counter_of(slot)
+        let overflow = cb.increment(slot) == IncrementOutcome::PageOverflow;
+        let ctr = cb.counter_of(slot);
+        let reencryption = if overflow {
+            let fresh = cb.clone();
+            Some(self.reencrypt_page(page, fresh))
+        } else {
+            None
+        };
+        (ctr, reencryption)
     }
 
-    /// Applies an entry's full memory-tuple update to the durable state —
-    /// the drain-completion kernel shared by the SecPB fronts.
-    ///
-    /// With `secure == false` (the insecure `bbb` baseline) only the data
-    /// block moves.  Otherwise any metadata the entry did not carry early
-    /// is generated here; the returned [`FlushRecord`] says what was.
-    pub(crate) fn flush_entry(&mut self, mut entry: Entry, secure: bool) -> FlushRecord {
-        let block = entry.block;
-        if !secure {
-            self.nvm.write_data(block, entry.plaintext);
-            return FlushRecord::default();
-        }
-        let page = NvmStore::page_of(block);
-        let slot = NvmStore::page_slot_of(block);
-        let mut rec = FlushRecord::default();
+    /// Whether the next [`increment_counter`](Self::increment_counter) of
+    /// `block` overflows its page — where a drain burst must split, so
+    /// the entries resolved under the old major persist before the page
+    /// is re-encrypted.
+    pub(crate) fn increment_overflows(&self, block: BlockAddr) -> bool {
+        self.counters
+            .get(&NvmStore::page_of(block))
+            .is_some_and(|cb| cb.counter_of(NvmStore::page_slot_of(block)).minor == MINOR_MAX)
+    }
 
-        if !entry.valid.counter {
-            entry.counter = self.increment_raw(block);
-            entry.valid.counter = true;
-            rec.counter_incremented = true;
+    /// Page re-encryption after a minor-counter overflow (Section IV-A
+    /// notes SecPB's once-per-dirty-block increments delay it): every
+    /// persisted block of `page` is decrypted under the NVM counter
+    /// block, re-encrypted and re-MACed under `new_cb` (the page's fresh
+    /// logical counters), which is then persisted and folded into the
+    /// page's leaf.  In-flight entries are the front's to refresh.
+    fn reencrypt_page(&mut self, page: u64, new_cb: CounterBlock) -> Reencryption {
+        let old_cb = self.nvm.read_counters(page);
+        let blocks: Vec<BlockAddr> = self
+            .nvm
+            .data_blocks()
+            .filter(|b| NvmStore::page_of(*b) == page)
+            .collect();
+        for &block in &blocks {
+            let slot = NvmStore::page_slot_of(block);
+            let old_ctr = old_cb.counter_of(slot);
+            let new_ctr = new_cb.counter_of(slot);
+            let pt = self
+                .otp_engine
+                .decrypt(&self.nvm.read_data(block), block.index(), old_ctr);
+            let ct = self.otp_engine.encrypt(&pt, block.index(), new_ctr);
+            let mac = self.mac_engine.compute(&ct, block.index(), new_ctr);
+            self.nvm.write_data(block, ct);
+            self.nvm.write_mac(block, mac.truncate_u64());
         }
-        let ctr = entry.counter;
-        let pad = if entry.valid.otp {
-            entry.otp
-        } else {
-            rec.otp_generated = true;
-            self.otp_engine.generate(block.index(), ctr)
-        };
-        let ct = if entry.valid.ciphertext {
-            entry.ciphertext
-        } else {
-            rec.ciphertext_generated = true;
-            OtpEngine::apply_pad(&entry.plaintext, &pad)
-        };
-        let mac = match entry.mac {
-            Some(m) if entry.valid.mac => m,
-            _ => {
-                // `mac_generated` reports whether the *modeled* MAC unit
-                // ran at drain; with `valid.mac` set the unit already ran
-                // early and only the host-side tag was deferred here.
-                rec.mac_generated = !entry.valid.mac;
-                self.mac_engine.compute(&ct, block.index(), ctr)
-            }
-        };
-
-        self.nvm.write_data(block, ct);
-        self.nvm.write_mac(block, mac.truncate_u64());
-        let mut cb = self.nvm.read_counters(page);
-        cb.set_counter(slot, ctr);
-        self.nvm.write_counters(page, cb.clone());
-        let digest = self.counter_digest(page, &cb);
-        rec.tree_hashes = self.tree.update_leaf(page, digest);
+        let digest = self.counter_digest(page, &new_cb);
+        self.nvm.write_counters(page, new_cb);
+        let tree_hashes = self.tree.update_leaf(page, digest);
         self.charge_root_persist();
-        rec
+        Reencryption {
+            blocks: blocks.len() as u64,
+            tree_hashes,
+        }
     }
 
-    /// Flushes a run of entries whose counter and ciphertext are already
-    /// valid, computing the (stateless) block MACs in one multi-lane
-    /// batch instead of one HMAC per entry.  Everything stateful — NVM
-    /// writes, counter blocks, digests, tree leaves — still runs
-    /// per-entry in input order, so the result is byte-identical to
-    /// calling [`flush_entry`](Self::flush_entry) on each entry in turn.
-    pub(crate) fn flush_ready_batch(&mut self, entries: &[Entry]) -> Vec<FlushRecord> {
+    /// Generates the pad and ciphertext `entry` did not carry early,
+    /// under its resolved counter (Figure 4's data chain, at drain time).
+    pub(crate) fn seal(&self, entry: &mut Entry) {
+        debug_assert!(entry.valid.counter, "sealing requires a resolved counter");
+        if !entry.valid.otp {
+            entry.otp = self.otp_engine.generate(entry.block.index(), entry.counter);
+            entry.valid.otp = true;
+        }
+        if !entry.valid.ciphertext {
+            entry.ciphertext = OtpEngine::apply_pad(&entry.plaintext, &entry.otp);
+            entry.valid.ciphertext = true;
+        }
+    }
+
+    /// The drain kernel every SecPB front flushes through: persists a run
+    /// of entries whose counters and ciphertexts are resolved (see
+    /// [`seal`](Self::seal)), returning each entry's BMT node-hash
+    /// charge.  The run's block MACs are computed in one multi-lane
+    /// dispatch and its counter digests in another; everything stateful
+    /// — NVM writes, counter blocks, memo lookups and inserts, tree
+    /// leaves — runs per entry in drain order, so the durable state is
+    /// byte-identical to persisting the entries one at a time.
+    pub(crate) fn flush_resolved(&mut self, entries: &[Entry]) -> Vec<u64> {
         debug_assert!(
             entries
                 .iter()
                 .all(|e| e.valid.counter && e.valid.ciphertext),
-            "batched flush requires resolved counters and ciphertexts"
+            "the drain kernel requires resolved counters and ciphertexts"
         );
         let mut tags = Vec::with_capacity(entries.len());
         {
@@ -335,7 +356,7 @@ impl PersistDomain {
         }
         // Pass 1, in drain order: data/MAC/counter writes, snapshotting
         // each entry's post-write counter block.  A later same-page entry
-        // reads the earlier one's update exactly as the sequential path
+        // reads the earlier one's update exactly as a one-at-a-time flush
         // would.
         let mut pages: Vec<(u64, [u8; 64])> = Vec::with_capacity(entries.len());
         for (entry, &tag64) in entries.iter().zip(&tags) {
@@ -346,30 +367,23 @@ impl PersistDomain {
             self.nvm.write_mac(block, tag64);
             let mut cb = self.nvm.read_counters(page);
             cb.set_counter(slot, entry.counter);
-            self.nvm.write_counters(page, cb.clone());
             pages.push((page, cb.to_bytes()));
+            self.nvm.write_counters(page, cb);
         }
-        // One multi-lane dispatch covers every counter digest the burst
-        // needs; memo lookups and inserts stay in drain order.
         let mut digests = Vec::with_capacity(pages.len());
         self.ctr_digests
             .digest_batch(&self.backend, &pages, &mut digests);
         // Pass 2, in drain order: leaf updates against the snapshotted
         // digests.  Same-page entries update the leaf once per entry with
-        // the same digest sequence as sequential flushing, so the final
+        // the same digest sequence as one-at-a-time flushing, so the final
         // tree state and per-entry hash counts are identical.
-        entries
+        pages
             .iter()
             .zip(&digests)
-            .map(|(entry, &digest)| {
-                let mut rec = FlushRecord {
-                    mac_generated: !entry.valid.mac,
-                    ..FlushRecord::default()
-                };
-                let page = NvmStore::page_of(entry.block);
-                rec.tree_hashes = self.tree.update_leaf(page, digest);
+            .map(|(&(page, _), &digest)| {
+                let hashes = self.tree.update_leaf(page, digest);
                 self.charge_root_persist();
-                rec
+                hashes
             })
             .collect()
     }
@@ -395,10 +409,10 @@ impl PersistDomain {
         hashes
     }
 
-    /// [`persist_with_counter`](Self::persist_with_counter) preceded by a
-    /// raw counter increment (the eADR tuple-persist kernel).
+    /// [`persist_with_counter`](Self::persist_with_counter) preceded by an
+    /// overflow-aware counter increment (the eADR tuple-persist kernel).
     pub(crate) fn persist_block(&mut self, block: BlockAddr) -> u64 {
-        let ctr = self.increment_raw(block);
+        let (ctr, _) = self.increment_counter(block);
         self.persist_with_counter(block, ctr)
     }
 
@@ -535,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_record_reports_late_work() {
+    fn drain_kernel_persists_a_sealed_entry() {
         let mut d = PersistDomain::new(
             DomainKeys::SECPB,
             TreeKind::Monolithic,
@@ -546,13 +560,28 @@ mod tests {
         );
         let block = Address(0x1000).block();
         d.golden.insert(block, [3u8; 64]);
-        let entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
-        let rec = d.flush_entry(entry, true);
-        assert!(rec.counter_incremented && rec.otp_generated);
-        assert!(rec.ciphertext_generated && rec.mac_generated);
-        // Insecure flush does no metadata work at all.
-        let entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
-        assert_eq!(d.flush_entry(entry, false), FlushRecord::default());
+        let mut entry = Entry::new(block, secpb_sim::addr::Asid(0), [3u8; 64], 0);
+        (entry.counter, _) = d.increment_counter(block);
+        entry.valid.counter = true;
+        d.seal(&mut entry);
+        assert!(entry.valid.otp && entry.valid.ciphertext);
+        assert_eq!(d.flush_resolved(std::slice::from_ref(&entry)).len(), 1);
+        let ctr = d
+            .nvm
+            .read_counters(NvmStore::page_of(block))
+            .counter_of(NvmStore::page_slot_of(block));
+        assert_eq!(ctr, entry.counter);
+        assert_eq!(
+            d.otp_engine
+                .decrypt(&d.nvm.read_data(block), block.index(), ctr),
+            [3u8; 64]
+        );
+        assert!(d.mac_engine.verify_truncated(
+            &d.nvm.read_data(block),
+            block.index(),
+            ctr,
+            d.nvm.read_mac(block)
+        ));
     }
 
     #[test]

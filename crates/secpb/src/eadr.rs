@@ -311,6 +311,7 @@ mod tests {
     use super::*;
     use secpb_energy::runtime::{measured_energy, MeasuredWork};
     use secpb_sim::addr::Address;
+    use secpb_sim::config::CacheConfig;
 
     fn store_trace(n: u64) -> Vec<TraceItem> {
         (0..n)
@@ -403,6 +404,34 @@ mod tests {
         let victim = Address(0x10_0000).block();
         sys.nvm_store_mut().tamper_data(victim, 3, 3);
         assert!(!sys.recover().integrity_ok());
+    }
+
+    #[test]
+    fn counter_overflow_reencrypts_the_page_and_recovers() {
+        // A 2/4/8-line hierarchy: sixteen conflicting pages evict each
+        // round's store, so the two hot blocks of one page write back
+        // (and bump their minor counters) every other round.
+        let cfg = SystemConfig {
+            l1: CacheConfig::new(2 * 64, 1, 64, 2),
+            l2: CacheConfig::new(4 * 64, 2, 64, 20),
+            l3: CacheConfig::new(8 * 64, 2, 64, 30),
+            ..SystemConfig::default()
+        };
+        let mut sys = EadrSystem::new(cfg, 6);
+        for round in 0..500u64 {
+            sys.step(TraceItem::then(
+                0,
+                Access::store(Address(0x40000 + (round % 2) * 64), round),
+            ));
+            for page in 0..16u64 {
+                sys.step(TraceItem::then(
+                    0,
+                    Access::store(Address(0x100_0000 + page * 4096), round),
+                ));
+            }
+        }
+        sys.crash();
+        assert!(sys.recover().is_consistent());
     }
 
     #[test]

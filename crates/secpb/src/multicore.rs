@@ -407,8 +407,16 @@ impl MultiCoreSystem {
         self.domain.resync_lost(lost, true);
     }
 
-    fn flush_entry(&mut self, entry: Entry) {
-        self.domain.flush_entry(entry, true);
+    /// Flushes one entry through the domain's drain kernel as a
+    /// one-entry run, resolving its counter (overflow-aware), pad and
+    /// ciphertext first.
+    fn flush_entry(&mut self, mut entry: Entry) {
+        if !entry.valid.counter {
+            (entry.counter, _) = self.domain.increment_counter(entry.block);
+            entry.valid.counter = true;
+        }
+        self.domain.seal(&mut entry);
+        self.domain.flush_resolved(std::slice::from_ref(&entry));
         self.stats.bump("mc.flushes");
     }
 }
@@ -546,6 +554,23 @@ mod tests {
             m.expected_plaintext(Address(0x10_0000).block())[..8],
             49u64.to_le_bytes()
         );
+    }
+
+    #[test]
+    fn counter_overflow_reencrypts_the_page_and_recovers() {
+        // Six blocks of one page cycle through a 4-entry SecPB, so every
+        // store past the fourth capacity-drains a block of the page and
+        // its minor counter overflows after 128 drains.
+        for cores in [1, 2] {
+            let mut cfg = SystemConfig::default();
+            cfg.secpb.entries = 4;
+            let mut m = MultiCoreSystem::new(cfg, Scheme::Cobcm, cores, 7).unwrap();
+            for i in 0..1_000u64 {
+                m.store(st(0, 0x40000 + (i % 6) * 64, i));
+            }
+            m.crash().unwrap();
+            assert!(m.recover().is_consistent(), "mc{cores}");
+        }
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! (Figure 4's dependency chain `counter → {OTP → ciphertext → MAC,
 //! BMT}`): each flag that is set runs its step at store-persist time and
 //! marks the entry field valid; each flag that is clear leaves the step
-//! for drain time (`SecureSystem::flush_entry`) or the post-crash
-//! sec-sync.  The only scheme identities consulted are capability
-//! predicates on [`Scheme`] (store-release serialization for NoGap, the
-//! double buffer access for OBCM, SecPB use at all for SP).
+//! for drain time or the post-crash sec-sync.  Every drain — a background
+//! burst, a slot wait's single entry, a crash drain — flushes through one
+//! path: the front resolves late counters, pads and ciphertexts in drain
+//! order, and the domain's batched kernel MACs, digests and persists the
+//! run.  The only scheme identities consulted are capability predicates
+//! on [`Scheme`] (store-release serialization for NoGap, the double
+//! buffer access for OBCM, SecPB use at all for SP).
 
-use secpb_crypto::counter::{IncrementOutcome, SplitCounter};
+use secpb_crypto::counter::SplitCounter;
 use secpb_crypto::otp::OtpEngine;
 use secpb_mem::cache::LineState;
 use secpb_mem::hierarchy::HitLevel;
@@ -275,11 +278,9 @@ impl SecureSystem {
         }
     }
 
-    /// Drains the `n` oldest entries as one burst.  Per-entry timing,
-    /// stats, and spans run in drain order exactly as `n` calls to
-    /// [`drain_one`](Self::drain_one) would; the functional flushes are
-    /// handed to [`flush_entries`](Self::flush_entries) so runs of
-    /// fully-resolved entries share one multi-lane MAC dispatch.
+    /// Drains the `n` oldest entries as one burst: per-entry timing,
+    /// stats and spans in drain order, then one
+    /// [`flush_entries`](Self::flush_entries) call for the whole burst.
     fn drain_burst(&mut self, now: Cycle, n: usize) {
         let mut pending: Vec<Entry> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -288,58 +289,67 @@ impl SecureSystem {
                 self.stats.inc(self.h.anomalies);
                 break;
             };
-            let (ii, latency) = self.drain_timing(&entry, now);
-            let completion = self.drain_engine.issue(now, ii, latency);
-            self.tracer.span(Phase::Drain, now, completion);
-            self.stats
-                .record(self.h.drain_latency, completion.since(now));
-            self.stats
-                .record(self.h.entry_lifetime, now.since(entry.born));
-            self.stats.record(self.h.writes_per_entry, entry.stores);
-            self.stats.inc(self.h.drains);
+            self.issue_drain(&entry, now);
             pending.push(entry);
         }
         self.flush_entries(pending);
     }
 
-    /// Flushes drained entries in order, batching maximal runs whose
-    /// counter and ciphertext are already resolved (no state left to
-    /// generate besides the stateless MAC) through the domain's
-    /// multi-lane batch kernel; anything else falls back to the
-    /// one-entry path at its position in the order.
-    fn flush_entries(&mut self, entries: Vec<Entry>) {
+    /// Flushes drained entries in drain order through the domain's
+    /// batched drain kernel.  Each entry's late counter (overflow-aware),
+    /// pad and ciphertext resolve here first.  An increment that would
+    /// overflow its page splits the run: the entries resolved before it
+    /// persist before the page is re-encrypted, exactly as one-at-a-time
+    /// flushing would order them.
+    fn flush_entries(&mut self, entries: impl IntoIterator<Item = Entry>) {
         if !self.scheme.is_secure() {
             for entry in entries {
-                self.domain.flush_entry(entry, false);
+                self.domain.nvm.write_data(entry.block, entry.plaintext);
             }
             return;
         }
-        let mut ready: Vec<Entry> = Vec::new();
-        for entry in entries {
-            if entry.valid.counter && entry.valid.ciphertext {
-                ready.push(entry);
-            } else {
-                self.flush_ready_run(&ready);
-                ready.clear();
-                self.flush_entry(entry);
+        let mut run: Vec<Entry> = Vec::new();
+        for mut entry in entries {
+            if !entry.valid.counter {
+                if self.domain.increment_overflows(entry.block) {
+                    self.flush_run(&run);
+                    run.clear();
+                }
+                entry.counter = self.increment_logical(entry.block);
+                entry.valid.counter = true;
             }
+            if !entry.valid.otp {
+                self.stats.inc(self.h.otps);
+            }
+            if !entry.valid.ciphertext {
+                self.stats.inc(self.h.ciphertexts);
+            }
+            self.domain.seal(&mut entry);
+            run.push(entry);
         }
-        self.flush_ready_run(&ready);
+        self.flush_run(&run);
     }
 
-    fn flush_ready_run(&mut self, run: &[Entry]) {
+    /// Persists a resolved run through the domain kernel and translates
+    /// its per-entry hash charges into the typed stats.
+    fn flush_run(&mut self, run: &[Entry]) {
         if run.is_empty() {
             return;
         }
-        let recs = self.domain.flush_ready_batch(run);
-        for (entry, rec) in run.iter().zip(&recs) {
-            if rec.mac_generated {
+        let tree_hashes = self.domain.flush_resolved(run);
+        for (entry, &hashes) in run.iter().zip(&tree_hashes) {
+            // With `valid.mac` set the modeled MAC unit already ran early
+            // and only the host-side tag was deferred to this flush.
+            if !entry.valid.mac {
                 self.stats.inc(self.h.macs);
             }
             self.stats.inc(self.h.bmt_root_updates);
-            self.stats.add(self.h.bmt_node_hashes, rec.tree_hashes);
+            self.stats.add(self.h.bmt_node_hashes, hashes);
             if !entry.valid.bmt {
-                self.stats.add(self.h.late_bmt_node_hashes, rec.tree_hashes);
+                // Only schemes that left the BMT update *late* charge
+                // these hashes to the drain (battery) budget; eager
+                // schemes already paid at store time.
+                self.stats.add(self.h.late_bmt_node_hashes, hashes);
             }
         }
     }
@@ -362,8 +372,10 @@ impl SecureSystem {
         any
     }
 
-    /// Drains one entry: timing through the drain engine, function through
-    /// [`flush_entry`](Self::flush_entry).
+    /// Drains one entry as a one-entry run: timing through the drain
+    /// engine, function through [`flush_entries`](Self::flush_entries).
+    /// Crash drains call this per entry, so each entry's drain timing
+    /// sees the tree state the previous flush left behind.
     pub(crate) fn drain_one(
         &mut self,
         block: BlockAddr,
@@ -373,7 +385,15 @@ impl SecureSystem {
             .pb
             .remove(block)
             .ok_or(RecoveryError::MissingPbEntry(block))?;
-        let (ii, latency) = self.drain_timing(&entry, now);
+        let completion = self.issue_drain(&entry, now);
+        self.flush_entries([entry]);
+        Ok(completion)
+    }
+
+    /// Issues `entry`'s drain at `now` through the drain engine and
+    /// records its span and stats; returns the completion cycle.
+    fn issue_drain(&mut self, entry: &Entry, now: Cycle) -> Cycle {
+        let (ii, latency) = self.drain_timing(entry, now);
         let completion = self.drain_engine.issue(now, ii, latency);
         self.tracer.span(Phase::Drain, now, completion);
         self.stats
@@ -381,9 +401,8 @@ impl SecureSystem {
         self.stats
             .record(self.h.entry_lifetime, now.since(entry.born));
         self.stats.record(self.h.writes_per_entry, entry.stores);
-        self.flush_entry(entry);
         self.stats.inc(self.h.drains);
-        Ok(completion)
+        completion
     }
 
     /// Computes (initiation interval, latency) of draining `entry` at
@@ -565,67 +584,33 @@ impl SecureSystem {
         walk
     }
 
-    /// Increments the logical counter of `block`, handling page overflow
-    /// (re-encryption).
+    /// Increments the logical counter of `block` through the domain,
+    /// which re-encrypts the page on overflow; the front accounts the
+    /// re-encryption and refreshes its in-flight entries of the page.
     pub(crate) fn increment_logical(&mut self, block: BlockAddr) -> SplitCounter {
-        let page = NvmStore::page_of(block);
-        let slot = NvmStore::page_slot_of(block);
-        let cb = self.domain.counters.entry(page).or_default();
-        let outcome = cb.increment(slot);
+        let (ctr, reencryption) = self.domain.increment_counter(block);
         self.stats.inc(self.h.counter_increments);
-        if outcome == IncrementOutcome::PageOverflow {
-            self.reencrypt_page(page);
-        }
-        match self.domain.counters.get(&page) {
-            Some(cb) => cb.counter_of(slot),
-            None => {
-                self.stats.inc(self.h.anomalies);
-                SplitCounter::default()
+        if let Some(r) = reencryption {
+            self.stats.inc(self.h.page_overflows);
+            for _ in 0..r.blocks {
+                self.stats.inc(self.h.otps);
+                self.stats.inc(self.h.ciphertexts);
+                self.stats.inc(self.h.macs);
             }
+            self.stats.inc(self.h.bmt_root_updates);
+            self.stats.add(self.h.bmt_node_hashes, r.tree_hashes);
+            self.refresh_in_flight(NvmStore::page_of(block));
         }
+        ctr
     }
 
-    /// Page re-encryption after a minor-counter overflow (Section IV-A
-    /// notes SecPB's once-per-dirty-block increments delay this).
-    fn reencrypt_page(&mut self, page: u64) {
-        self.stats.inc(self.h.page_overflows);
-        let old_cb = self.domain.nvm.read_counters(page);
-        let Some(new_cb) = self.domain.counters.get(&page).cloned() else {
+    /// After a page re-encryption, refreshes the SecPB entries of the
+    /// page: their recorded counters are stale after the major bump.
+    fn refresh_in_flight(&mut self, page: u64) {
+        let Some(cb) = self.domain.counters.get(&page) else {
             self.stats.inc(self.h.anomalies);
             return;
         };
-        let blocks: Vec<BlockAddr> = self
-            .domain
-            .nvm
-            .data_blocks()
-            .filter(|b| NvmStore::page_of(*b) == page)
-            .collect();
-        for block in blocks {
-            let slot = NvmStore::page_slot_of(block);
-            let old_ctr = old_cb.counter_of(slot);
-            let new_ctr = new_cb.counter_of(slot);
-            let ct = self.domain.nvm.read_data(block);
-            let pt = self.domain.otp_engine.decrypt(&ct, block.index(), old_ctr);
-            let new_ct = self.domain.otp_engine.encrypt(&pt, block.index(), new_ctr);
-            let new_mac = self
-                .domain
-                .mac_engine
-                .compute(&new_ct, block.index(), new_ctr);
-            self.domain.nvm.write_data(block, new_ct);
-            self.domain.nvm.write_mac(block, new_mac.truncate_u64());
-            self.stats.inc(self.h.otps);
-            self.stats.inc(self.h.ciphertexts);
-            self.stats.inc(self.h.macs);
-        }
-        // Persist the fresh counter block and fold it into the tree.
-        self.domain.nvm.write_counters(page, new_cb.clone());
-        let digest = self.domain.counter_digest(page, &new_cb);
-        let hashes = self.domain.tree.update_leaf(page, digest);
-        self.stats.inc(self.h.bmt_root_updates);
-        self.stats.add(self.h.bmt_node_hashes, hashes);
-        self.domain.charge_root_persist();
-        // Refresh in-flight SecPB entries of the page: their recorded
-        // counters are stale after the major bump.
         let resident: Vec<BlockAddr> = self
             .pb
             .iter()
@@ -633,58 +618,17 @@ impl SecureSystem {
             .map(|e| e.block)
             .collect();
         for block in resident {
-            let slot = NvmStore::page_slot_of(block);
-            let fresh = new_cb.counter_of(slot);
             let Some(e) = self.pb.entry_mut(block) else {
                 self.stats.inc(self.h.anomalies);
                 continue;
             };
             if e.valid.counter {
-                e.counter = fresh;
+                e.counter = cb.counter_of(NvmStore::page_slot_of(block));
             }
             e.valid.otp = false;
             e.valid.ciphertext = false;
             e.valid.mac = false;
             e.mac = None;
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Functional flush (drain completion)
-    // ---------------------------------------------------------------
-
-    /// Applies an entry's full memory-tuple update to the durable state:
-    /// the single-core front pre-fills the counter through the
-    /// overflow-aware [`increment_logical`](Self::increment_logical),
-    /// delegates the tuple write to the domain kernel, and translates the
-    /// returned [`crate::domain::FlushRecord`] into its typed stats.
-    pub(crate) fn flush_entry(&mut self, mut entry: Entry) {
-        if !self.scheme.is_secure() {
-            self.domain.flush_entry(entry, false);
-            return;
-        }
-        let late_bmt = !entry.valid.bmt;
-        if !entry.valid.counter {
-            entry.counter = self.increment_logical(entry.block);
-            entry.valid.counter = true;
-        }
-        let rec = self.domain.flush_entry(entry, true);
-        if rec.otp_generated {
-            self.stats.inc(self.h.otps);
-        }
-        if rec.ciphertext_generated {
-            self.stats.inc(self.h.ciphertexts);
-        }
-        if rec.mac_generated {
-            self.stats.inc(self.h.macs);
-        }
-        self.stats.inc(self.h.bmt_root_updates);
-        self.stats.add(self.h.bmt_node_hashes, rec.tree_hashes);
-        if late_bmt {
-            // Only schemes that left the BMT update *late* charge these
-            // hashes to the drain (battery) budget; eager schemes already
-            // paid at store time.
-            self.stats.add(self.h.late_bmt_node_hashes, rec.tree_hashes);
         }
     }
 

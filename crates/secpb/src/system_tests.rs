@@ -289,31 +289,42 @@ fn observer_sees_gap_timing() {
 
 #[test]
 fn page_overflow_triggers_reencryption_and_stays_consistent() {
-    let mut cfg = SystemConfig::default();
-    cfg.secpb.entries = 4;
-    let mut sys = SecureSystem::new(cfg, Scheme::Cobcm, 7);
-    // Hammer two blocks in the same page so their entries thrash and
-    // the minor counters climb past 127.
-    let mut trace = Vec::new();
-    for i in 0..600u64 {
-        trace.push(TraceItem::then(
-            0,
-            Access::store(Address(0x40000 + (i % 2) * 64), i),
-        ));
-        // Interleave stores to other pages to force drains (thrash).
-        trace.push(TraceItem::then(
-            0,
-            Access::store(Address(0x80000 + (i % 8) * 4096), i),
-        ));
+    // Hammer blocks of one page so their entries thrash and the minor
+    // counters climb past 127, interleaving stores to other pages to
+    // force drains.  With 4 entries every drain burst is a single entry;
+    // with 16 a burst holds several, so an overflow lands mid-burst and
+    // must split it before the page is re-encrypted.  BCM entries carry
+    // early counters, which the re-encryption refreshes in flight.
+    let cases: [(usize, u64, u64, &[Scheme]); 2] = [
+        (4, 2, 600, &[Scheme::Cobcm]),
+        (16, 8, 4000, &[Scheme::Cobcm, Scheme::Bcm]),
+    ];
+    for (entries, hot_blocks, iters, schemes) in cases {
+        for &scheme in schemes {
+            let mut cfg = SystemConfig::default();
+            cfg.secpb.entries = entries;
+            let mut sys = SecureSystem::new(cfg, scheme, 7);
+            let mut trace = Vec::new();
+            for i in 0..iters {
+                trace.push(TraceItem::then(
+                    0,
+                    Access::store(Address(0x40000 + (i % hot_blocks) * 64), i),
+                ));
+                trace.push(TraceItem::then(
+                    0,
+                    Access::store(Address(0x80000 + (i % 8) * 4096), i),
+                ));
+            }
+            let r = sys.run_trace(trace);
+            assert!(
+                r.stats.get(counters::PAGE_OVERFLOWS) > 0,
+                "{scheme}/{entries}: expected at least one minor-counter overflow"
+            );
+            sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+                .unwrap();
+            assert!(sys.recover().is_consistent(), "{scheme}/{entries}");
+        }
     }
-    let r = sys.run_trace(trace);
-    assert!(
-        r.stats.get(counters::PAGE_OVERFLOWS) > 0,
-        "expected at least one minor-counter overflow"
-    );
-    sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-        .unwrap();
-    assert!(sys.recover().is_consistent());
 }
 
 #[test]

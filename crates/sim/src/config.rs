@@ -155,7 +155,7 @@ pub enum CryptoBackendKind {
     Auto,
     /// One-block-at-a-time reference implementation.
     Scalar,
-    /// Software-pipelined multi-block (4-lane SHA-512) dispatch.
+    /// Software-pipelined multi-block (interleaved-lane SHA-512) dispatch.
     MultiBlock,
     /// `std::arch` AES-NI cipher kernels (requires the `hw-crypto`
     /// feature and runtime CPU support; falls back to scalar otherwise).

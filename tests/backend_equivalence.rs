@@ -2,10 +2,11 @@
 //! backends are a pure performance feature, so every observable output
 //! must be byte-identical no matter which backend computed it.
 //!
-//! Scalar is the reference engine.  MultiBlock (4-lane interleaved
-//! SHA-512 schedule) and HwCrypto (AES-NI + vectorized hash when the
-//! `hw-crypto` feature is compiled in and the ISA is detected; graceful
-//! scalar fallback otherwise) must agree with it on digests, grid JSON
+//! Scalar is the reference engine.  MultiBlock (interleaved SHA-512
+//! lanes: the eight-lane AVX-512 and four-lane AVX2 kernels when the
+//! `hw-crypto` feature is compiled in and the ISA is detected, the
+//! portable four-lane schedule otherwise) and HwCrypto (AES-NI plus the
+//! same hash kernels; graceful scalar fallback) must agree with it on digests, grid JSON
 //! reports, crash/recovery verdicts, and telemetry-on/off parity.  The
 //! sweep always runs all three — on hosts without the feature or the
 //! ISA the hw backend exercises its fallback path, which is exactly the
@@ -66,9 +67,11 @@ fn cfg_with(kind: CryptoBackendKind) -> SystemConfig {
 fn fuzzed_digest_batches_agree_across_backends() {
     // 64-byte single-compression batches at awkward sizes (0, 1, lane
     // count, lane count ± 1, large odd) — every backend must reproduce
-    // the one-shot scalar digest bit-for-bit.
+    // the one-shot scalar digest bit-for-bit.  On an AVX-512 host 8, 12,
+    // 13 and 16 run eight lanes alone, 8+4, 8+4+scalar and two
+    // eight-lane groups.
     let mut fuzz = Fuzz(0x5EC9_B001);
-    for batch_len in [0usize, 1, 3, 4, 5, 17, 64] {
+    for batch_len in [0usize, 1, 3, 4, 5, 17, 64, 8, 12, 13, 16] {
         let msgs: Vec<[u8; 64]> = (0..batch_len).map(|_| fuzz.bytes64()).collect();
         let expected: Vec<_> = msgs.iter().map(|m| Sha512::digest(m)).collect();
         for backend in CryptoBackend::ALL {
