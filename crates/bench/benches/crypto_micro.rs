@@ -8,7 +8,6 @@ use secpb_crypto::bmt::BonsaiMerkleTree;
 use secpb_crypto::counter::{CounterBlock, SplitCounter};
 use secpb_crypto::hmac::HmacSha512;
 use secpb_crypto::mac::BlockMac;
-use secpb_crypto::memo::DigestMemo;
 use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::Sha512;
 
@@ -93,39 +92,6 @@ fn bench_lazy_bmt() {
     });
 }
 
-/// Pad-cache hit vs miss vs uncached generation, plus the counter-block
-/// digest memo — the memoization layer on the simulated-store hot path.
-fn bench_memo() {
-    let ctr = SplitCounter { major: 4, minor: 7 };
-
-    let uncached = OtpEngine::new(&[9u8; 24]);
-    bench("otp_generate_uncached", || {
-        uncached.generate(black_box(0x40), ctr)
-    });
-
-    let cached = OtpEngine::with_pad_cache(&[9u8; 24], 4096);
-    cached.generate(0x40, ctr); // warm the single hot entry
-    bench("otp_generate_cache_hit", || {
-        cached.generate(black_box(0x40), ctr)
-    });
-
-    let mut addr = 0u64;
-    bench("otp_generate_cache_miss", || {
-        addr += 0x40;
-        cached.generate(black_box(addr), ctr)
-    });
-
-    let memo = DigestMemo::new(4096);
-    let block = [0x3Cu8; 64];
-    memo.digest(7, &block);
-    bench("digest_memo_hit", || memo.digest(black_box(7), &block));
-    let mut key = 0u64;
-    bench("digest_memo_miss", || {
-        key += 1;
-        memo.digest(black_box(key), &block)
-    });
-}
-
 fn bench_counters() {
     let mut cb = CounterBlock::new();
     for i in 0..64 {
@@ -145,6 +111,5 @@ fn main() {
     bench_otp();
     bench_bmt();
     bench_lazy_bmt();
-    bench_memo();
     bench_counters();
 }

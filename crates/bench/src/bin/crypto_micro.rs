@@ -152,7 +152,7 @@ fn main() {
         let mut engine = OtpEngine::new(&[7u8; 24]);
         engine.set_backend(backend);
         let ns = bench(50_000, |i| {
-            std::hint::black_box(engine.generate_uncached(i, SplitCounter { major: 1, minor: 2 }));
+            std::hint::black_box(engine.generate(i, SplitCounter { major: 1, minor: 2 }));
         });
         row(&format!("otp_generate[{}]", backend.name()), ns, "pad");
     }

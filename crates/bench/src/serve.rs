@@ -1017,7 +1017,6 @@ impl ShardState {
         };
         self.monitor.absorb(reader);
         let occupancy = self.sys.occupancy();
-        let memo = self.sys.memo_stats();
         let gauges = HealthGauges {
             occupancy,
             anomalies: self.sys.anomalies(),
@@ -1030,9 +1029,6 @@ impl ShardState {
                 occupancy as usize,
             ),
             recovery_cycles: self.sys.recovery_cost().cycles,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
             shed_parts: self.shed,
             replayed_chunks: self.replayed,
             restored_shards: self.restored,

@@ -590,7 +590,9 @@ pub fn build_front(
     key_seed: u64,
 ) -> Result<Box<dyn PersistSystem + Send>, String> {
     match front {
-        StormFront::SecPb => Ok(Box::new(SecureSystem::new(sys_cfg, scheme, key_seed))),
+        StormFront::SecPb => SecureSystem::build(sys_cfg, scheme, TreeKind::Monolithic, key_seed)
+            .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
+            .map_err(|e| format!("invalid configuration: {e}")),
         StormFront::Eadr => Ok(Box::new(EadrSystem::new(sys_cfg, key_seed))),
         StormFront::MultiCore(cores) => MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed)
             .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>)

@@ -218,16 +218,12 @@ fn emit_snapshot<W: Write, T: Write>(
         return Err(format!("trace stream write failed: {e}"));
     }
     let occupancy = sys.occupancy();
-    let memo = sys.memo_stats();
     let gauges = HealthGauges {
         occupancy,
         anomalies: sys.anomalies(),
         nwpe: sys.stats().ratio(counters::PERSISTS, counters::ALLOCATIONS),
         battery_joules: secpb_drain_energy(energy_scheme(sys.scheme()), occupancy as usize),
         recovery_cycles: sys.recovery_cost().cycles,
-        memo_hits: memo.hits,
-        memo_misses: memo.misses,
-        memo_evictions: memo.evictions,
         ..HealthGauges::default()
     };
     let snap = monitor.snapshot(

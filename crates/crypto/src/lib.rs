@@ -15,8 +15,6 @@
 //!   encryption of 64-byte memory blocks,
 //! * [`mac`] — per-block memory authentication codes binding ciphertext,
 //!   address, and counter,
-//! * [`memo`] — bounded, deterministic memoization of OTP pads and
-//!   counter-block digests (both are data-value-independent),
 //! * [`bmt`] — the Bonsai Merkle Tree over counter blocks, with a root
 //!   register, leaf-to-root updates, and verification (Rogers et al.,
 //!   MICRO'07),
@@ -55,7 +53,6 @@ pub mod bmt;
 pub mod counter;
 pub mod hmac;
 pub mod mac;
-pub mod memo;
 pub mod otp;
 pub mod sgx_tree;
 pub mod sha512;

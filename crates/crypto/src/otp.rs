@@ -11,7 +11,6 @@
 use crate::aes::Aes;
 use crate::backend::{CipherBackend, CryptoBackend};
 use crate::counter::SplitCounter;
-use crate::memo::PadCache;
 
 /// A 64-byte one-time pad.
 pub type Otp = [u8; 64];
@@ -41,21 +40,15 @@ pub struct OtpEngine {
     /// Cipher backend: a pad's four AES blocks go out as one batched
     /// dispatch (AES-NI when available, scalar otherwise).
     backend: CryptoBackend,
-    /// Optional pad memo: pads are pure functions of (address, counter),
-    /// so caching them is output-invariant (see [`crate::memo`]).
-    cache: Option<PadCache>,
 }
 
 impl OtpEngine {
     /// Creates an engine with an AES-192 key, matching the paper's
-    /// Table III energy model (AES-192 for data encryption).  Pads are
-    /// recomputed on every call; see
-    /// [`with_pad_cache`](Self::with_pad_cache) for the memoized variant.
+    /// Table III energy model (AES-192 for data encryption).
     pub fn new(key: &[u8; 24]) -> Self {
         OtpEngine {
             aes: Aes::new_192(key),
             backend: CryptoBackend::default(),
-            cache: None,
         }
     }
 
@@ -70,41 +63,12 @@ impl OtpEngine {
         self.backend
     }
 
-    /// Creates an engine whose pads are memoized in a [`PadCache`] of the
-    /// given capacity.
-    pub fn with_pad_cache(key: &[u8; 24], capacity: usize) -> Self {
-        let mut engine = Self::new(key);
-        engine.enable_pad_cache(capacity);
-        engine
-    }
-
-    /// Attaches (or replaces) a pad cache of the given capacity.
-    pub fn enable_pad_cache(&mut self, capacity: usize) {
-        self.cache = Some(PadCache::new(capacity));
-    }
-
-    /// The attached pad cache, if memoization is enabled.
-    pub fn pad_cache(&self) -> Option<&PadCache> {
-        self.cache.as_ref()
-    }
-
     /// Generates the 64-byte pad for a block at `block_addr` (a 64-byte
-    /// block number) with encryption counter `counter`, consulting the pad
-    /// cache when one is attached.
-    pub fn generate(&self, block_addr: u64, counter: SplitCounter) -> Otp {
-        match &self.cache {
-            Some(cache) => cache.get_or_insert_with(block_addr, counter, || {
-                self.generate_uncached(block_addr, counter)
-            }),
-            None => self.generate_uncached(block_addr, counter),
-        }
-    }
-
-    /// Computes the pad without touching the cache.
+    /// block number) with encryption counter `counter`.
     ///
     /// The pad is four AES blocks of `E_k(addr ‖ counter ‖ chunk)`; the
     /// chunk index keeps the four 16-byte pads distinct.
-    pub fn generate_uncached(&self, block_addr: u64, counter: SplitCounter) -> Otp {
+    pub fn generate(&self, block_addr: u64, counter: SplitCounter) -> Otp {
         let base = counter.nonce_bytes();
         let addr_bytes = block_addr.to_le_bytes();
         let mut blocks = [base; 4];
@@ -229,23 +193,6 @@ mod tests {
         let b = OtpEngine::new(&[2; 24]);
         let c = SplitCounter::default();
         assert_ne!(a.generate(0, c), b.generate(0, c));
-    }
-
-    #[test]
-    fn cached_pads_equal_uncached_pads() {
-        let plain = engine();
-        let cached = OtpEngine::with_pad_cache(&[0x11; 24], 8);
-        for addr in [0u64, 7, 0x1000] {
-            for minor in [0u8, 1, 0x7F] {
-                let c = SplitCounter { major: 3, minor };
-                assert_eq!(plain.generate(addr, c), cached.generate(addr, c));
-                // Second call is a hit and must return the same pad.
-                assert_eq!(plain.generate(addr, c), cached.generate(addr, c));
-            }
-        }
-        let stats = cached.pad_cache().expect("cache attached").stats();
-        assert_eq!(stats.hits, 9);
-        assert_eq!(stats.misses + stats.hits, 18);
     }
 
     #[test]

@@ -29,12 +29,11 @@
 //! digest in the serve plane covers stats counters, histogram counts,
 //! and cycle scalars) is a pure function of the state captured here and
 //! the remaining trace.  The only state *not* captured is explicitly
-//! output-invisible: the tracer's span aggregates (never digested), the
-//! telemetry sink (observes, never steers), and the metadata engine's
-//! memo caches (pure memoization over keys/counters — a cold memo
-//! recomputes the same pads and digests).  Restore clears those;
-//! everything else overlays exactly, so replaying epochs N..M after
-//! restoring at N reproduces the uninterrupted run byte for byte —
+//! output-invisible: the tracer's span aggregates (never digested;
+//! restore resets them) and the telemetry sink (observes, never steers;
+//! it survives a restore).  Everything else overlays exactly, so
+//! replaying epochs N..M after restoring at N reproduces the
+//! uninterrupted run byte for byte —
 //! `tests/checkpoint_replay.rs` pins this for every scheme and tree
 //! organisation.
 //!
@@ -270,8 +269,7 @@ impl SecureSystem {
     /// configuration, scheme, tree kind, and key seed; the header
     /// fingerprint rejects anything else.  The attached telemetry sink
     /// survives the restore (telemetry observes, never steers); the
-    /// tracer's span aggregates and the metadata engine's memo caches are
-    /// reset — both are output-invisible.
+    /// tracer's span aggregates, which are output-invisible, are reset.
     ///
     /// # Errors
     ///
@@ -366,8 +364,8 @@ impl SecureSystem {
     ///
     /// An empty slot, or one holding a snapshot of a differently built
     /// system, gets a new twin; otherwise the twin is overwritten in
-    /// place, reusing its hash tables and cache way arrays.  The memo
-    /// caches, the tracer, and the telemetry sink are not copied.
+    /// place, reusing its hash tables and cache way arrays.  The tracer
+    /// and the telemetry sink are not copied.
     pub fn snapshot_into(&self, slot: &mut Option<Snapshot>) {
         let fingerprint = self.fingerprint();
         match slot {
@@ -390,8 +388,7 @@ impl SecureSystem {
     ///
     /// The post-conditions are those of
     /// [`restore_bytes`](Self::restore_bytes): the attached telemetry
-    /// sink survives, the tracer's span aggregates and the memo caches
-    /// are reset.
+    /// sink survives and the tracer's span aggregates are reset.
     ///
     /// # Errors
     ///
@@ -406,15 +403,14 @@ impl SecureSystem {
         self.refresh_from(&to.twin);
         self.stats.set_sink(sink);
         self.tracer.reset();
-        self.domain.clear_memos();
         Ok(())
     }
 
     /// Overwrites every field a checkpoint captures with `src`'s, by
     /// `clone_from` so this system's allocations are reused.  Both
-    /// systems must be built from the same parameters; the tracer, the
-    /// crypto engines and their memo caches are left alone, and the
-    /// statistics come without a telemetry sink.
+    /// systems must be built from the same parameters; the tracer and
+    /// the crypto engines are left alone, and the statistics come
+    /// without a telemetry sink.
     fn refresh_from(&mut self, src: &SecureSystem) {
         self.now = src.now;
         self.measure_from = src.measure_from;

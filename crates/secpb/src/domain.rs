@@ -32,9 +32,8 @@
 use secpb_crypto::backend::CryptoBackend;
 use secpb_crypto::counter::{CounterBlock, IncrementOutcome, SplitCounter, MINOR_MAX};
 use secpb_crypto::mac::BlockMac;
-use secpb_crypto::memo::DigestMemo;
 use secpb_crypto::otp::OtpEngine;
-use secpb_crypto::sha512::Digest;
+use secpb_crypto::sha512::{digest64_batch, Digest, Sha512};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::CryptoBackendKind;
@@ -131,7 +130,6 @@ pub struct PersistDomain {
     pub(crate) tree: IntegrityTree,
     /// Resolved crypto backend every engine dispatches through.
     pub(crate) backend: CryptoBackend,
-    pub(crate) ctr_digests: DigestMemo,
     /// The persistence policy driving this domain (what metadata is
     /// persisted when); `PersistencePolicy::for_scheme` layouts are the
     /// byte-identical baseline.
@@ -151,8 +149,7 @@ impl std::fmt::Debug for PersistDomain {
 
 impl PersistDomain {
     /// Builds the kernel, deriving the AES/MAC/tree keys from `key_seed`
-    /// with the front's salts.  The tree folds lazily and the OTP engine
-    /// memoizes pads (DESIGN.md §11).
+    /// with the front's salts.  The tree folds lazily (DESIGN.md §11).
     pub(crate) fn new(
         keys: DomainKeys,
         tree_kind: TreeKind,
@@ -173,7 +170,6 @@ impl PersistDomain {
         tree.set_lazy(true);
         let mut otp_engine = OtpEngine::new(&aes_key);
         otp_engine.set_backend(backend);
-        otp_engine.enable_pad_cache(secpb_crypto::memo::DEFAULT_CAPACITY);
         let mut mac_engine = BlockMac::new(&mac_key);
         mac_engine.set_backend(backend);
         PersistDomain {
@@ -188,7 +184,6 @@ impl PersistDomain {
             mac_engine,
             tree,
             backend,
-            ctr_digests: DigestMemo::new(secpb_crypto::memo::DEFAULT_CAPACITY),
             policy,
             policy_state: PolicyState::default(),
         }
@@ -218,22 +213,6 @@ impl PersistDomain {
         let off = access.addr.block_offset();
         let size = usize::from(access.size);
         entry[off..off + size].copy_from_slice(&access.value.to_le_bytes()[..size]);
-    }
-
-    /// The memoized SHA-512 digest of a counter block.
-    pub(crate) fn counter_digest(&self, page: u64, cb: &CounterBlock) -> Digest {
-        self.ctr_digests.digest(page, &cb.to_bytes())
-    }
-
-    /// Combined hit/miss/eviction counters of the domain's memo caches
-    /// (the OTP pad cache and the counter-digest memo).
-    pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        let pads = self
-            .otp_engine
-            .pad_cache()
-            .map(|c| c.stats())
-            .unwrap_or_default();
-        pads.merged(self.ctr_digests.stats())
     }
 
     /// Models the root persist that follows every leaf update by
@@ -307,7 +286,7 @@ impl PersistDomain {
             self.nvm.write_data(block, ct);
             self.nvm.write_mac(block, mac.truncate_u64());
         }
-        let digest = self.counter_digest(page, &new_cb);
+        let digest = Sha512::digest(&new_cb.to_bytes());
         self.nvm.write_counters(page, new_cb);
         let tree_hashes = self.tree.update_leaf(page, digest);
         self.charge_root_persist();
@@ -336,9 +315,9 @@ impl PersistDomain {
     /// [`seal`](Self::seal)), returning each entry's BMT node-hash
     /// charge.  The run's block MACs are computed in one multi-lane
     /// dispatch and its counter digests in another; everything stateful
-    /// — NVM writes, counter blocks, memo lookups and inserts, tree
-    /// leaves — runs per entry in drain order, so the durable state is
-    /// byte-identical to persisting the entries one at a time.
+    /// — NVM writes, counter blocks, tree leaves — runs per entry in
+    /// drain order, so the durable state is byte-identical to persisting
+    /// the entries one at a time.
     pub(crate) fn flush_resolved(&mut self, entries: &[Entry]) -> Vec<u64> {
         debug_assert!(
             entries
@@ -371,8 +350,8 @@ impl PersistDomain {
             self.nvm.write_counters(page, cb);
         }
         let mut digests = Vec::with_capacity(pages.len());
-        self.ctr_digests
-            .digest_batch(&self.backend, &pages, &mut digests);
+        let msgs: Vec<&[u8; 64]> = pages.iter().map(|(_, bytes)| bytes).collect();
+        digest64_batch(&self.backend, &msgs, &mut digests);
         // Pass 2, in drain order: leaf updates against the snapshotted
         // digests.  Same-page entries update the leaf once per entry with
         // the same digest sequence as one-at-a-time flushing, so the final
@@ -402,8 +381,8 @@ impl PersistDomain {
         self.nvm.write_mac(block, mac.truncate_u64());
         let mut cb = self.nvm.read_counters(page);
         cb.set_counter(slot, ctr);
-        self.nvm.write_counters(page, cb.clone());
-        let digest = self.counter_digest(page, &cb);
+        let digest = Sha512::digest(&cb.to_bytes());
+        self.nvm.write_counters(page, cb);
         let hashes = self.tree.update_leaf(page, digest);
         self.charge_root_persist();
         hashes
@@ -451,10 +430,7 @@ impl PersistDomain {
     /// Appends the domain's dynamic state — golden image, logical
     /// counters (both in sorted key order), NVM store, and integrity
     /// tree — to a checkpoint.  The crypto engines are pure functions of
-    /// the construction scalars and are rebuilt, not serialised; the
-    /// memo caches are host-side accelerators whose contents never reach
-    /// any digested output, so [`restore_from`](Self::restore_from)
-    /// simply clears them.
+    /// the construction scalars and are rebuilt, not serialised.
     pub(crate) fn encode_into(&self, w: &mut WireWriter) {
         let mut golden: Vec<_> = self.golden.iter().collect();
         golden.sort_by_key(|(b, _)| b.index());
@@ -496,7 +472,6 @@ impl PersistDomain {
         self.golden = golden;
         self.counters = counters;
         self.nvm = nvm;
-        self.clear_memos();
         Ok(())
     }
 
@@ -504,22 +479,13 @@ impl PersistDomain {
     /// [`encode_into`](Self::encode_into) captures, plus the policy
     /// state — with `src`'s, reusing this domain's hash tables.  Both
     /// domains must be built from the same scalars; the crypto engines
-    /// and memo caches are left alone.
+    /// are left alone.
     pub(crate) fn refresh_from(&mut self, src: &PersistDomain) {
         self.golden.clone_from(&src.golden);
         self.counters.clone_from(&src.counters);
         self.nvm.clone_from(&src.nvm);
         self.tree.clone_from(&src.tree);
         self.policy_state.clone_from(&src.policy_state);
-    }
-
-    /// Empties the memo caches (after a restore or rewind their keys
-    /// may name a state the system no longer holds).
-    pub(crate) fn clear_memos(&self) {
-        self.ctr_digests.clear();
-        if let Some(pads) = self.otp_engine.pad_cache() {
-            pads.clear();
-        }
     }
 
     /// A fresh integrity tree keyed like this domain's, for the recovery

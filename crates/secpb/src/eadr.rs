@@ -101,11 +101,6 @@ impl EadrSystem {
         &self.cfg
     }
 
-    /// Combined memo-cache statistics (pad cache + counter-digest memo).
-    pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        self.domain.memo_stats()
-    }
-
     /// Folds the integrity-tree work deferred by writeback persists and
     /// persists the root register, as the crash drain does.  Returns
     /// the analytic hash count (zero: the eADR tree is monolithic).

@@ -87,11 +87,6 @@ pub trait PersistSystem {
         self.stats().get(counters::ANOMALIES)
     }
 
-    /// Combined hit/miss/eviction counters of the front's crypto memo
-    /// caches (the OTP pad cache and the counter-digest memo).  Purely
-    /// observational: memo contents never change any output.
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats;
-
     /// Folds all deferred integrity-tree work and persists the root
     /// register, returning the analytic hash count charged to the sync.
     /// Every front defers its tree folds to observation points, so
@@ -306,10 +301,6 @@ impl PersistSystem for SecureSystem {
         self.persist_buffer().occupancy() as u64
     }
 
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        SecureSystem::memo_stats(self)
-    }
-
     fn drains_in_flight(&self) -> bool {
         SecureSystem::drains_in_flight(self)
     }
@@ -414,10 +405,6 @@ impl PersistSystem for EadrSystem {
 
     fn occupancy(&self) -> u64 {
         self.dirty_lines() as u64
-    }
-
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        EadrSystem::memo_stats(self)
     }
 
     fn crash_with_budget(
@@ -531,10 +518,6 @@ impl PersistSystem for MultiCoreSystem {
 
     fn occupancy(&self) -> u64 {
         MultiCoreSystem::occupancy(self) as u64
-    }
-
-    fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        MultiCoreSystem::memo_stats(self)
     }
 
     fn crash_with_budget(

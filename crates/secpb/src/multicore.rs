@@ -120,11 +120,6 @@ impl MultiCoreSystem {
         self.core_now[core]
     }
 
-    /// Combined memo-cache statistics (pad cache + counter-digest memo).
-    pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        self.domain.memo_stats()
-    }
-
     /// Folds the integrity-tree work deferred by drains and flushes and
     /// persists the root register, as the crash drain does.  Entries
     /// still buffered in the per-core SecPBs stay there.  Returns the

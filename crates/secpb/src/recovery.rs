@@ -11,6 +11,7 @@
 //! or it is a plaintext mismatch — the dangerous case a storm fails on.
 
 use secpb_crypto::counter::SplitCounter;
+use secpb_crypto::sha512::digest64_batch;
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::telemetry::TelemetryEvent;
@@ -22,6 +23,11 @@ use crate::domain::PersistDomain;
 use crate::metrics::counters;
 use crate::policy::CounterLayout;
 use crate::system::SecureSystem;
+
+/// Items per multi-lane dispatch in the recovery sweep: counter pages
+/// per digest batch in the tree rebuild, blocks per MAC batch in the
+/// verify loop.
+const SWEEP_CHUNK: usize = 256;
 
 impl PersistDomain {
     /// The recovery sweep.  `secure` selects the full decrypt/MAC/tree
@@ -80,9 +86,17 @@ impl PersistDomain {
             let mut rebuilt = self.rebuilt_tree();
             let mut pages: Vec<u64> = self.nvm.counter_pages().collect();
             pages.sort_unstable();
-            for page in pages {
-                let cb = self.nvm.read_counters(page);
-                rebuilt.update_leaf(page, self.counter_digest(page, &cb));
+            for chunk in pages.chunks(SWEEP_CHUNK) {
+                let cbs: Vec<[u8; 64]> = chunk
+                    .iter()
+                    .map(|&page| self.nvm.read_counters(page).to_bytes())
+                    .collect();
+                let msgs: Vec<&[u8; 64]> = cbs.iter().collect();
+                let mut digests = Vec::with_capacity(chunk.len());
+                digest64_batch(&self.backend, &msgs, &mut digests);
+                for (&page, digest) in chunk.iter().zip(digests) {
+                    rebuilt.update_leaf(page, digest);
+                }
             }
             rebuilt.sync();
             self.nvm.bmt_root() == Some(rebuilt.root())
@@ -105,7 +119,6 @@ impl PersistDomain {
         // The sweep MACs every persisted block; verifying a chunk at a
         // time turns the hot loop into a few multi-lane HMAC dispatches
         // per chunk instead of one full HMAC per block.
-        const SWEEP_CHUNK: usize = 256;
         let mut cts: Vec<([u8; 64], SplitCounter)> = Vec::with_capacity(SWEEP_CHUNK);
         let mut tags: Vec<u64> = Vec::with_capacity(SWEEP_CHUNK);
         for chunk in blocks.chunks(SWEEP_CHUNK) {

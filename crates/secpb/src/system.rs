@@ -127,6 +127,16 @@ pub(crate) enum Attr {
     NogapWait,
 }
 
+/// What [`SecureSystem::memo_stats`] reports: always zero, since no
+/// crypto memo exists.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Memo lookups answered without computing.
+    pub hits: u64,
+    /// Memo lookups that computed.
+    pub misses: u64,
+}
+
 /// The complete simulated system.
 pub struct SecureSystem {
     pub(crate) cfg: SystemConfig,
@@ -183,36 +193,46 @@ impl SecureSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the persistence-policy knobs in `cfg.security`
+    /// Panics if the SecPB geometry in `cfg.secpb` (zero entries,
+    /// inverted watermarks) is invalid for a scheme that keeps a SecPB,
+    /// or if the persistence-policy knobs in `cfg.security`
     /// (`triad_levels`, `shadow_counters`) are illegal for this tree;
     /// use [`build`](Self::build) to get a typed error instead.  The
-    /// default knobs are always legal.
+    /// default configuration is always legal.
     pub fn with_tree(
         cfg: SystemConfig,
         scheme: Scheme,
         tree_kind: TreeKind,
         key_seed: u64,
     ) -> Self {
-        Self::build(cfg, scheme, tree_kind, key_seed).expect("invalid persistence policy")
+        Self::build(cfg, scheme, tree_kind, key_seed)
+            .expect("invalid SecPB geometry or persistence policy")
     }
 
-    /// [`with_tree`](Self::with_tree) with policy validation surfaced as
-    /// a value: the persistence policy is resolved from the scheme plus
-    /// the `triad_levels`/`shadow_counters` knobs and rejected with a
-    /// typed [`ConfigError::Policy`](crate::crash::ConfigError) when the
+    /// [`with_tree`](Self::with_tree) with validation surfaced as a
+    /// value.  A scheme that keeps a SecPB needs a valid SecPB geometry
+    /// ([`ConfigError::check_secpb`](crate::crash::ConfigError::check_secpb));
+    /// the persistence policy is resolved from the scheme plus the
+    /// `triad_levels`/`shadow_counters` knobs and rejected when the
     /// combination is illegal (depth beyond the tree height, selective
     /// depth on a forest).
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Policy`](crate::crash::ConfigError) on an illegal
-    /// policy assignment.
+    /// [`ConfigError::ZeroSecPbEntries`](crate::crash::ConfigError::ZeroSecPbEntries)
+    /// or [`ConfigError::InvalidWatermarks`](crate::crash::ConfigError::InvalidWatermarks)
+    /// on a degenerate SecPB,
+    /// [`ConfigError::Policy`](crate::crash::ConfigError::Policy) on an
+    /// illegal policy assignment.
     pub fn build(
         cfg: SystemConfig,
         scheme: Scheme,
         tree_kind: TreeKind,
         key_seed: u64,
     ) -> Result<Self, crate::crash::ConfigError> {
+        if scheme.uses_secpb() {
+            crate::crash::ConfigError::check_secpb(&cfg.secpb)?;
+        }
         let policy = PersistencePolicy::resolve(scheme, &cfg.security, tree_kind)?;
         let domain = PersistDomain::new(
             DomainKeys::SECPB,
@@ -272,9 +292,11 @@ impl SecureSystem {
         &self.domain.tree
     }
 
-    /// Combined memo-cache statistics (pad cache + counter-digest memo).
-    pub fn memo_stats(&self) -> secpb_crypto::memo::MemoStats {
-        self.domain.memo_stats()
+    /// Always zero: pads and counter digests are computed where they are
+    /// used, with no memo in front of them.  Exists only so hostbench's
+    /// per-layer `crypto.memo_hit_ratio` keeps reading.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats::default()
     }
 
     /// Folds all deferred integrity-tree work and persists the root

@@ -378,12 +378,6 @@ pub struct HealthGauges {
     pub battery_joules: f64,
     /// Estimated cycles a recovery sweep would take right now.
     pub recovery_cycles: u64,
-    /// Crypto memo-cache hits (pad cache + counter-digest memo).
-    pub memo_hits: u64,
-    /// Crypto memo-cache misses.
-    pub memo_misses: u64,
-    /// Crypto memo-cache clock evictions.
-    pub memo_evictions: u64,
     /// Tenant epoch-parts deferred (shed) under brown-out degradation,
     /// bronze class first.  Shed work is deferred, never dropped.
     pub shed_parts: u64,
@@ -522,9 +516,6 @@ impl HealthMonitor {
             anomalies: gauges.anomalies,
             battery_joules: gauges.battery_joules,
             recovery_cycles: gauges.recovery_cycles,
-            memo_hits: gauges.memo_hits,
-            memo_misses: gauges.memo_misses,
-            memo_evictions: gauges.memo_evictions,
             shed: gauges.shed_parts,
             replayed: gauges.replayed_chunks,
             restored: gauges.restored_shards,
@@ -573,13 +564,6 @@ pub struct HealthSnapshot {
     pub battery_joules: f64,
     /// Estimated recovery-sweep cycles for the current footprint.
     pub recovery_cycles: u64,
-    /// Crypto memo-cache hits (pad cache + counter-digest memo).
-    pub memo_hits: u64,
-    /// Crypto memo-cache misses.
-    pub memo_misses: u64,
-    /// Crypto memo-cache clock evictions — a rising rate means the
-    /// working set outgrew the memo rings.
-    pub memo_evictions: u64,
     /// Tenant epoch-parts deferred under brown-out degradation (bronze
     /// first); deferred work is replayed later, never dropped.
     pub shed: u64,
@@ -624,13 +608,6 @@ impl HealthSnapshot {
             .field("battery_joules", self.battery_joules)
             .field("recovery_cycles", self.recovery_cycles)
             .field(
-                "memo",
-                Json::obj()
-                    .field("hits", self.memo_hits)
-                    .field("misses", self.memo_misses)
-                    .field("evictions", self.memo_evictions),
-            )
-            .field(
                 "resilience",
                 Json::obj()
                     .field("shed", self.shed)
@@ -674,7 +651,6 @@ impl HealthSnapshot {
         let drain = json
             .get("drain_latency")
             .ok_or("missing field \"drain_latency\"")?;
-        let memo = json.get("memo").ok_or("missing field \"memo\"")?;
         let resilience = json
             .get("resilience")
             .ok_or("missing field \"resilience\"")?;
@@ -697,9 +673,6 @@ impl HealthSnapshot {
             anomalies: u64_field(json, "anomalies")?,
             battery_joules: f64_field(json, "battery_joules")?,
             recovery_cycles: u64_field(json, "recovery_cycles")?,
-            memo_hits: u64_field(memo, "hits")?,
-            memo_misses: u64_field(memo, "misses")?,
-            memo_evictions: u64_field(memo, "evictions")?,
             shed: u64_field(resilience, "shed")?,
             replayed: u64_field(resilience, "replayed")?,
             restored: u64_field(resilience, "restored")?,

@@ -824,6 +824,11 @@ mod tests {
         );
         let err = run(&["run", "hmmer", "cobcm", "--front", "mc0"]).unwrap_err();
         assert!(err.contains("invalid configuration"), "{err}");
+        let err = run(&["run", "hmmer", "cobcm", "0"]).unwrap_err();
+        assert!(
+            err.contains("invalid configuration") && err.contains("at least one entry"),
+            "{err}"
+        );
         let err = run(&["run", "hmmer", "cobcm", "--front", "warp"]).unwrap_err();
         assert!(err.contains("unknown front"), "{err}");
         let err = run(&["run", "hmmer", "cobcm", "--front"]).unwrap_err();

@@ -1,9 +1,9 @@
 //! The metadata engine checked against a from-scratch root oracle.
 //!
-//! The engine folds the integrity tree lazily, memoizes counter digests,
+//! The engine folds the integrity tree lazily, batches counter digests,
 //! and writes the durable root register only at observation points.
-//! Recovery's own rebuild shares the lazy fold and the digest memo, so a
-//! bug in either passes it.  The oracle is the check Triad-NVM and Zuo
+//! Recovery's own rebuild shares the lazy fold, so it agrees with a
+//! wrong fold.  The oracle is the check Triad-NVM and Zuo
 //! et al. build recovery on — rebuild the tree from the persisted
 //! counters and match the root register — made of public pieces the
 //! engine's fold does not use: a fresh [`IntegrityTree`] in its default

@@ -189,6 +189,28 @@ fn counter_rollback_is_detected() {
             "{scheme}: counter rollback must break the BMT root"
         );
     }
+
+    // One store to each of 300 pages: the tree rebuild spans more than
+    // one digest batch, so a rebuild that skipped its short tail batch
+    // would already fail the clean recovery, and the rollback lands on
+    // a page in that tail.
+    let page_bytes = 64 * secpb::mem::store::BLOCKS_PER_PAGE;
+    let trace: Vec<TraceItem> = (0..300u64)
+        .map(|p| TraceItem::then(4, Access::store(Address(0x4_0000 + p * page_bytes), p + 1)))
+        .collect();
+    let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 11);
+    sys.run_trace(trace);
+    sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+        .unwrap();
+    assert_eq!(sys.nvm_store().counter_pages().count(), 300);
+    assert!(sys.recover().is_consistent(), "300 pages must recover");
+    let last = sys.nvm_store().counter_pages().max().unwrap();
+    sys.nvm_store_mut()
+        .rollback_counters(last, secpb::crypto::counter::CounterBlock::default());
+    assert!(
+        !sys.recover().root_ok,
+        "rolling back page {last} must break the BMT root"
+    );
 }
 
 #[test]
