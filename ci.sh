@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Scratch space for the smoke reports below: one private directory
+# (mktemp honours TMPDIR), removed on any exit, pass or fail.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+
 UPDATE_BASELINE=0
 for arg in "$@"; do
   case "$arg" in
@@ -78,28 +83,26 @@ echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, t
 # one; --smoke keeps this to a few seconds.  With --telemetry the serial
 # pass runs with live rings attached, so the determinism gate also
 # proves telemetry events observe without steering.
-./target/release/bench_grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke_tel.json --telemetry
-./target/release/bench_grid 50000 --jobs 4 --smoke --json /tmp/bench_grid_smoke.json
+./target/release/bench_grid 50000 --jobs 4 --smoke --json "$CI_TMP/bench_grid_smoke_tel.json" --telemetry
+./target/release/bench_grid 50000 --jobs 4 --smoke --json "$CI_TMP/bench_grid_smoke.json"
 # Telemetry-on vs telemetry-off must produce byte-identical reports once
 # host-timing and ring-accounting fields are stripped: every simulated
 # number (cycles, ipc, recovery verdicts, recovery_cycles) is unchanged.
 normalize_grid() {
   grep -vE '"(serial_seconds|parallel_seconds|speedup|serial_instructions_per_second|parallel_instructions_per_second|serial_ns_per_store|ns_per_store|telemetry|telemetry_events|telemetry_dropped)"' "$1"
 }
-if ! diff <(normalize_grid /tmp/bench_grid_smoke.json) <(normalize_grid /tmp/bench_grid_smoke_tel.json); then
+if ! diff <(normalize_grid "$CI_TMP/bench_grid_smoke.json") <(normalize_grid "$CI_TMP/bench_grid_smoke_tel.json"); then
   echo "ci.sh: telemetry-on grid diverged from telemetry-off" >&2
   exit 1
 fi
-rm -f /tmp/bench_grid_smoke.json /tmp/bench_grid_smoke_tel.json
 
 echo "==> grid parallel-determinism pin (--validate-parallel on every CI run)"
 # --validate-parallel pins the parallel pass to 2 workers so even a
 # 1-core CI host proves the serial/parallel byte-identity contract; the
 # report must record that the check ran.
-./target/release/bench_grid 50000 --smoke --validate-parallel --json /tmp/bench_grid_smoke_vp.json
-grep -q '"parallel_determinism_validated": true' /tmp/bench_grid_smoke_vp.json \
+./target/release/bench_grid 50000 --smoke --validate-parallel --json "$CI_TMP/bench_grid_smoke_vp.json"
+grep -q '"parallel_determinism_validated": true' "$CI_TMP/bench_grid_smoke_vp.json" \
   || { echo "ci.sh: grid smoke did not validate parallel determinism" >&2; exit 1; }
-rm -f /tmp/bench_grid_smoke_vp.json
 
 echo "==> sharded service smoke (secpb serve --quick)"
 # The serve command itself exits nonzero on zero drained stores, any
@@ -173,18 +176,18 @@ echo "==> service scaling + determinism smoke (serve_bench --smoke)"
 # host has the cores to make wall-clock ratios meaningful, if aggregate
 # stores/sec degrades as shards are added.  Validate the report fields
 # the baseline depends on either way.
-./target/release/serve_bench --smoke --json /tmp/bench_serve_smoke.json
-grep -q '"determinism_validated": true' /tmp/bench_serve_smoke.json \
+SERVE_JSON="$CI_TMP/bench_serve_smoke.json"
+./target/release/serve_bench --smoke --json "$SERVE_JSON"
+grep -q '"determinism_validated": true' "$SERVE_JSON" \
   || { echo "ci.sh: serve_bench did not validate shard determinism" >&2; exit 1; }
-grep -q '"scaling_valid":' /tmp/bench_serve_smoke.json \
+grep -q '"scaling_valid":' "$SERVE_JSON" \
   || { echo "ci.sh: serve_bench report missing scaling_valid" >&2; exit 1; }
-grep -q '"aggregate_stores_per_sec":' /tmp/bench_serve_smoke.json \
+grep -q '"aggregate_stores_per_sec":' "$SERVE_JSON" \
   || { echo "ci.sh: serve_bench report missing throughput fields" >&2; exit 1; }
-if grep -q '"scaling_valid": true' /tmp/bench_serve_smoke.json; then
-  grep -q '"monotone_throughput": true' /tmp/bench_serve_smoke.json \
+if grep -q '"scaling_valid": true' "$SERVE_JSON"; then
+  grep -q '"monotone_throughput": true' "$SERVE_JSON" \
     || { echo "ci.sh: serve_bench throughput degraded with shard count" >&2; exit 1; }
 fi
-rm -f /tmp/bench_serve_smoke.json
 
 echo "==> live telemetry watch smoke (storm cell, snapshots + zero anomalies)"
 # secpb watch exits nonzero if it streams no snapshots, observes any

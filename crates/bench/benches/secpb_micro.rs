@@ -1,10 +1,14 @@
 //! Microbenchmarks for the SecPB core: per-store simulation throughput
-//! under each scheme, drain costs, and crash/recovery walks.
+//! under each scheme, drain costs, crash/recovery walks, and in-memory
+//! rewind points.
 
-use secpb_bench::micro::{bench, bench_once, black_box};
+use std::time::Instant;
+
+use secpb_bench::micro::{bench, bench_measured, bench_once, black_box};
 use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
+use secpb_core::tree::TreeKind;
 use secpb_sim::addr::Address;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::trace::{Access, TraceItem};
@@ -50,6 +54,47 @@ fn bench_crash_recovery() {
         let report = sys.recover();
         assert!(report.is_consistent());
         report.blocks_checked
+    });
+}
+
+/// A serve shard's rewind-point costs on a gamess COBCM DBMF system
+/// warmed with 1M instructions: a snapshot into an empty slot (a new
+/// twin and a whole copy), a refresh of the same slot after one synced
+/// 1024-item epoch, and a rewind after one.
+fn bench_rewind_points() {
+    let profile = WorkloadProfile::named("gamess").unwrap();
+    let mut generator = TraceGenerator::new(profile, 11);
+    let mut sys =
+        SecureSystem::with_tree(SystemConfig::default(), Scheme::Cobcm, TreeKind::Dbmf, 11);
+    sys.run_trace(generator.stream(1_000_000));
+    sys.sync_metadata();
+    let trace = generator.generate(2_000_000);
+    let mut epochs = trace.chunks_exact(1024).cycle();
+    let mut run_epoch = |sys: &mut SecureSystem| {
+        sys.run_trace(epochs.next().unwrap().iter().copied());
+        sys.sync_metadata();
+    };
+
+    bench_measured("rewind_point/first_snapshot", 10, || {
+        let mut slot = None;
+        let start = Instant::now();
+        sys.snapshot_into(&mut slot);
+        start.elapsed()
+    });
+    let mut slot = None;
+    sys.snapshot_into(&mut slot);
+    bench_measured("rewind_point/refresh_after_1024_item_epoch", 50, || {
+        run_epoch(&mut sys);
+        let start = Instant::now();
+        sys.snapshot_into(&mut slot);
+        start.elapsed()
+    });
+    let snapshot = slot.expect("a snapshot was taken");
+    bench_measured("rewind_point/rewind_after_1024_item_epoch", 50, || {
+        run_epoch(&mut sys);
+        let start = Instant::now();
+        sys.rewind(&snapshot).unwrap();
+        start.elapsed()
     });
 }
 
@@ -106,6 +151,7 @@ fn main() {
     bench_store_throughput();
     bench_workload_replay();
     bench_crash_recovery();
+    bench_rewind_points();
     bench_trace_generation();
     bench_grid_engine();
 }

@@ -85,3 +85,19 @@ pub fn bench_once<T>(name: &str, samples: u32, mut f: impl FnMut() -> T) -> f64 
     );
     best
 }
+
+/// Runs `f` for a fixed number of samples, each returning the duration
+/// it measured itself, and prints one report line with the best and the
+/// median — for operations that need untimed setup before every call.
+pub fn bench_measured(name: &str, samples: u32, mut f: impl FnMut() -> Duration) -> f64 {
+    let mut ns: Vec<f64> = (0..samples.max(1)).map(|_| f().as_nanos() as f64).collect();
+    ns.sort_by(f64::total_cmp);
+    let best = ns[0];
+    println!(
+        "{name:<44} {:>12}/iter   ({} samples, median {})",
+        human_ns(best),
+        ns.len(),
+        human_ns(ns[ns.len() / 2])
+    );
+    best
+}

@@ -54,7 +54,8 @@
 //! the uninterrupted run (the [`checkpoint`] module's contract), the
 //! recovered shard digests exactly like one that never crashed.  The
 //! rewind point never leaves the process, so the shard copies its state
-//! instead of encoding SPBC bytes.
+//! instead of encoding SPBC bytes, and each checkpoint or rewind copies
+//! only what changed since the previous one.
 //! Brown-out epochs degrade gracefully instead: parts whose QoS class
 //! the energy budget cannot fund are *deferred* to a later epoch —
 //! bronze first, gold never, nothing ever dropped.  Ingress backpressure

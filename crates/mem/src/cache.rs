@@ -90,7 +90,7 @@ impl CacheStats {
 /// let hit = c.access(BlockAddr(1), LineState::Clean);
 /// assert!(hit.hit);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// Flat set-major line storage: `lines[set * ways + way]`.  One
@@ -106,32 +106,12 @@ pub struct Cache {
     set_shift: u32,
     use_clock: u64,
     stats: CacheStats,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Self {
-        Cache {
-            config: self.config,
-            lines: self.lines.clone(),
-            sets: self.sets,
-            ways: self.ways,
-            set_shift: self.set_shift,
-            use_clock: self.use_clock,
-            stats: self.stats,
-        }
-    }
-
-    /// Refreshes this cache in place: the way array is reused, and since
-    /// lines are `Copy` an equal-geometry refresh is one `memcpy`.
-    fn clone_from(&mut self, source: &Self) {
-        self.config = source.config;
-        self.lines.clone_from(&source.lines);
-        self.sets = source.sets;
-        self.ways = source.ways;
-        self.set_shift = source.set_shift;
-        self.use_clock = source.use_clock;
-        self.stats = source.stats;
-    }
+    /// One bit per set: the sets written since the last sync with a twin
+    /// (see [`snapshot_into`](Self::snapshot_into)), so a set written
+    /// twice is still copied once.  Empty until the first sync and after
+    /// a wholesale change, meaning any set may differ; a cache that never
+    /// syncs pays one length check per access.
+    changed: Vec<u64>,
 }
 
 impl Cache {
@@ -151,6 +131,7 @@ impl Cache {
             config,
             use_clock: 0,
             stats: CacheStats::default(),
+            changed: Vec::new(),
         }
     }
 
@@ -187,6 +168,19 @@ impl Cache {
         }
     }
 
+    #[inline]
+    fn mark_changed(&mut self, set_idx: usize) {
+        if let Some(word) = self.changed.get_mut(set_idx / 64) {
+            *word |= 1 << (set_idx % 64);
+        }
+    }
+
+    /// Starts a sync interval: no set has changed yet.
+    fn start_tracking(&mut self) {
+        self.changed.clear();
+        self.changed.resize(self.sets.div_ceil(64), 0);
+    }
+
     fn block_from(&self, set: usize, tag: u64) -> BlockAddr {
         if self.set_shift != u32::MAX {
             BlockAddr((tag << self.set_shift) | set as u64)
@@ -205,6 +199,7 @@ impl Cache {
         let clock = self.use_clock;
         let set_idx = self.set_index(block);
         let tag = self.tag(block);
+        self.mark_changed(set_idx);
         let base = set_idx * self.ways;
         let set = &mut self.lines[base..base + self.ways];
 
@@ -279,12 +274,12 @@ impl Cache {
         let set_idx = self.set_index(block);
         let tag = self.tag(block);
         let base = set_idx * self.ways;
-        for way in self.lines[base..base + self.ways].iter_mut() {
-            if way.as_ref().is_some_and(|l| l.tag == tag) {
-                return way.take().map(|l| l.state);
-            }
-        }
-        None
+        let way = self.lines[base..base + self.ways]
+            .iter_mut()
+            .find(|way| way.as_ref().is_some_and(|l| l.tag == tag))?;
+        let state = way.take().map(|l| l.state);
+        self.mark_changed(set_idx);
+        state
     }
 
     /// Overwrites the state of a resident block; no-op if absent.
@@ -298,6 +293,7 @@ impl Cache {
             .find(|l| l.tag == tag)
         {
             line.state = state;
+            self.mark_changed(set_idx);
         }
     }
 
@@ -361,6 +357,7 @@ impl Cache {
         if n != self.lines.len() {
             return Err(r.malformed("cache way count does not match geometry"));
         }
+        self.changed.clear();
         for way in self.lines.iter_mut() {
             *way = if r.bool()? {
                 let tag = r.u64()?;
@@ -388,6 +385,65 @@ impl Cache {
     pub fn clear(&mut self) {
         for way in self.lines.iter_mut() {
             *way = None;
+        }
+        self.changed.clear();
+    }
+
+    /// Makes `twin`, a cache of the same geometry, equal to this one and
+    /// starts a new sync interval.  With `incremental`, only the sets
+    /// written since the last sync are copied, which requires `twin` to
+    /// have matched this cache then and to be unchanged since; otherwise,
+    /// or when this cache was not tracking, the whole way array is copied.
+    pub fn snapshot_into(&mut self, twin: &mut Cache, incremental: bool) {
+        copy_sets(
+            &mut twin.lines,
+            &self.lines,
+            &self.changed,
+            self.ways,
+            incremental,
+        );
+        twin.use_clock = self.use_clock;
+        twin.stats = self.stats;
+        self.start_tracking();
+    }
+
+    /// Makes this cache equal to `twin` again, under the contract of
+    /// [`snapshot_into`](Self::snapshot_into): with `incremental`, only
+    /// the sets this cache wrote since the last sync are copied back.
+    pub fn rewind_to(&mut self, twin: &Cache, incremental: bool) {
+        copy_sets(
+            &mut self.lines,
+            &twin.lines,
+            &self.changed,
+            self.ways,
+            incremental,
+        );
+        self.use_clock = twin.use_clock;
+        self.stats = twin.stats;
+        self.start_tracking();
+    }
+}
+
+/// Copies from `src` to `dst` the way runs of the sets flagged in
+/// `changed`, or every way when not `incremental` or not tracking.
+fn copy_sets(
+    dst: &mut [Option<Line>],
+    src: &[Option<Line>],
+    changed: &[u64],
+    ways: usize,
+    incremental: bool,
+) {
+    if !incremental || changed.is_empty() {
+        dst.copy_from_slice(src);
+        return;
+    }
+    for (word_idx, &word) in changed.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let set = word_idx * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let ways = set * ways..(set + 1) * ways;
+            dst[ways.clone()].copy_from_slice(&src[ways]);
         }
     }
 }
@@ -557,6 +613,46 @@ mod tests {
         assert!(small()
             .restore_from(&mut WireReader::new(&bytes[..bytes.len() - 1]))
             .is_err());
+    }
+
+    #[test]
+    fn incremental_syncs_copy_every_written_set() {
+        let encode = |c: &Cache| {
+            let mut w = WireWriter::new();
+            c.encode_into(&mut w);
+            w.into_bytes()
+        };
+        // 8 sets x 2 ways, every way filled.  Each mutator below writes
+        // sets no other step touches, so one that forgot to flag its set
+        // would leave the rewound cache different.
+        let mut live = Cache::new(CacheConfig::new(1024, 2, 64, 1));
+        for b in 0..16 {
+            live.access(BlockAddr(b), LineState::Dirty);
+        }
+        let mut twin = Cache::new(*live.config());
+        live.snapshot_into(&mut twin, false);
+        let synced = encode(&live);
+        let mutators: [fn(&mut Cache); 4] = [
+            |c| {
+                c.access(BlockAddr(3), LineState::PersistDirty);
+            },
+            |c| {
+                c.invalidate(BlockAddr(5));
+            },
+            |c| c.set_state(BlockAddr(6), LineState::Clean),
+            Cache::clear,
+        ];
+        for mutate in mutators {
+            mutate(&mut live);
+            assert_ne!(encode(&live), synced);
+            live.rewind_to(&twin, true);
+            assert_eq!(encode(&live), synced);
+        }
+        for mutate in mutators {
+            mutate(&mut live);
+            live.snapshot_into(&mut twin, true);
+            assert_eq!(encode(&twin), encode(&live));
+        }
     }
 
     #[test]

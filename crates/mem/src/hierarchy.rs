@@ -85,31 +85,12 @@ impl HierarchyStats {
 /// assert_eq!(warm.latency, 2);
 /// assert_eq!(h.stats().l1_hits, 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,
     l3: Cache,
     stats: HierarchyStats,
-}
-
-impl Clone for Hierarchy {
-    fn clone(&self) -> Self {
-        Hierarchy {
-            l1: self.l1.clone(),
-            l2: self.l2.clone(),
-            l3: self.l3.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Refreshes every level in place, reusing its way array.
-    fn clone_from(&mut self, source: &Self) {
-        self.l1.clone_from(&source.l1);
-        self.l2.clone_from(&source.l2);
-        self.l3.clone_from(&source.l3);
-        self.stats = source.stats;
-    }
 }
 
 impl Hierarchy {
@@ -282,6 +263,24 @@ impl Hierarchy {
         self.l1.clear();
         self.l2.clear();
         self.l3.clear();
+    }
+
+    /// Makes `twin` equal to this hierarchy level by level (see
+    /// [`Cache::snapshot_into`]) and starts a new sync interval.
+    pub fn snapshot_into(&mut self, twin: &mut Hierarchy, incremental: bool) {
+        self.l1.snapshot_into(&mut twin.l1, incremental);
+        self.l2.snapshot_into(&mut twin.l2, incremental);
+        self.l3.snapshot_into(&mut twin.l3, incremental);
+        twin.stats = self.stats;
+    }
+
+    /// Makes this hierarchy equal to `twin` again (see
+    /// [`Cache::rewind_to`]).
+    pub fn rewind_to(&mut self, twin: &Hierarchy, incremental: bool) {
+        self.l1.rewind_to(&twin.l1, incremental);
+        self.l2.rewind_to(&twin.l2, incremental);
+        self.l3.rewind_to(&twin.l3, incremental);
+        self.stats = twin.stats;
     }
 
     /// Appends all three levels plus the per-level counters to a

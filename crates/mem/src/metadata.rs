@@ -67,28 +67,11 @@ pub struct MetadataAccess {
 /// let again = md.access(MetadataKind::Counter, 7, true, first.done, &mut nvm);
 /// assert!(again.hit);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MetadataCaches {
     counter: Cache,
     mac: Cache,
     bmt: Cache,
-}
-
-impl Clone for MetadataCaches {
-    fn clone(&self) -> Self {
-        MetadataCaches {
-            counter: self.counter.clone(),
-            mac: self.mac.clone(),
-            bmt: self.bmt.clone(),
-        }
-    }
-
-    /// Refreshes every species' cache in place, reusing its way array.
-    fn clone_from(&mut self, source: &Self) {
-        self.counter.clone_from(&source.counter);
-        self.mac.clone_from(&source.mac);
-        self.bmt.clone_from(&source.bmt);
-    }
 }
 
 impl MetadataCaches {
@@ -193,6 +176,22 @@ impl MetadataCaches {
         self.counter.clear();
         self.mac.clear();
         self.bmt.clear();
+    }
+
+    /// Makes `twin` equal to these caches species by species (see
+    /// [`Cache::snapshot_into`]) and starts a new sync interval.
+    pub fn snapshot_into(&mut self, twin: &mut MetadataCaches, incremental: bool) {
+        self.counter.snapshot_into(&mut twin.counter, incremental);
+        self.mac.snapshot_into(&mut twin.mac, incremental);
+        self.bmt.snapshot_into(&mut twin.bmt, incremental);
+    }
+
+    /// Makes these caches equal to `twin` again (see
+    /// [`Cache::rewind_to`]).
+    pub fn rewind_to(&mut self, twin: &MetadataCaches, incremental: bool) {
+        self.counter.rewind_to(&twin.counter, incremental);
+        self.mac.rewind_to(&twin.mac, incremental);
+        self.bmt.rewind_to(&twin.bmt, incremental);
     }
 
     /// Appends all three species' caches to a checkpoint.  Restore

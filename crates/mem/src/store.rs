@@ -14,6 +14,7 @@
 use secpb_crypto::counter::CounterBlock;
 use secpb_crypto::sha512::Digest;
 use secpb_sim::addr::BlockAddr;
+use secpb_sim::changelog::ChangeLog;
 use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
 
@@ -34,33 +35,17 @@ pub const BLOCKS_PER_PAGE: u64 = secpb_crypto::counter::BLOCKS_PER_PAGE as u64;
 /// assert_eq!(nvm.read_data(BlockAddr(4))[0], 0xAB);
 /// assert_eq!(nvm.read_data(BlockAddr(5)), [0; 64]); // untouched: zeros
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct NvmStore {
     data: FxHashMap<BlockAddr, [u8; 64]>,
     counters: FxHashMap<u64, CounterBlock>,
     macs: FxHashMap<BlockAddr, u64>,
     bmt_root: Option<Digest>,
-}
-
-impl Clone for NvmStore {
-    fn clone(&self) -> Self {
-        NvmStore {
-            data: self.data.clone(),
-            counters: self.counters.clone(),
-            macs: self.macs.clone(),
-            bmt_root: self.bmt_root,
-        }
-    }
-
-    /// Refreshes the image in place: each map keeps its table when the
-    /// source's has the same bucket count, as between an image and its
-    /// in-memory rewind point.
-    fn clone_from(&mut self, source: &Self) {
-        self.data.clone_from(&source.data);
-        self.counters.clone_from(&source.counters);
-        self.macs.clone_from(&source.macs);
-        self.bmt_root = source.bmt_root;
-    }
+    /// The keys of each map written since the last sync with a twin
+    /// (see [`snapshot_into`](Self::snapshot_into)).
+    data_log: ChangeLog<BlockAddr>,
+    counter_log: ChangeLog<u64>,
+    mac_log: ChangeLog<BlockAddr>,
 }
 
 impl NvmStore {
@@ -87,6 +72,7 @@ impl NvmStore {
     /// Writes a data (ciphertext) block.
     pub fn write_data(&mut self, block: BlockAddr, bytes: [u8; 64]) {
         self.data.insert(block, bytes);
+        self.data_log.note(block, self.data.len());
     }
 
     /// Reads the counter block of a page (fresh zeroed block if never
@@ -98,6 +84,7 @@ impl NvmStore {
     /// Writes a page's counter block.
     pub fn write_counters(&mut self, page: u64, counters: CounterBlock) {
         self.counters.insert(page, counters);
+        self.counter_log.note(page, self.counters.len());
     }
 
     /// Reads a block's truncated MAC (0 if never written).
@@ -108,6 +95,7 @@ impl NvmStore {
     /// Writes a block's truncated MAC.
     pub fn write_mac(&mut self, block: BlockAddr, mac: u64) {
         self.macs.insert(block, mac);
+        self.mac_log.note(block, self.macs.len());
     }
 
     /// The persisted BMT root, if one was ever stored.
@@ -206,6 +194,29 @@ impl NvmStore {
         Ok(store)
     }
 
+    /// Makes `twin` equal to this image and starts a new sync interval.
+    /// With `incremental`, only the entries written since the last sync
+    /// are copied, which requires `twin` to have matched this image then
+    /// and to be unchanged since; otherwise every map is cloned.
+    pub fn snapshot_into(&mut self, twin: &mut NvmStore, incremental: bool) {
+        self.data_log.sync(&mut twin.data, &self.data, incremental);
+        self.counter_log
+            .sync(&mut twin.counters, &self.counters, incremental);
+        self.mac_log.sync(&mut twin.macs, &self.macs, incremental);
+        twin.bmt_root = self.bmt_root;
+    }
+
+    /// Makes this image equal to `twin` again, under the contract of
+    /// [`snapshot_into`](Self::snapshot_into): with `incremental`, only
+    /// the entries this image wrote since the last sync are copied back.
+    pub fn rewind_to(&mut self, twin: &NvmStore, incremental: bool) {
+        self.data_log.sync(&mut self.data, &twin.data, incremental);
+        self.counter_log
+            .sync(&mut self.counters, &twin.counters, incremental);
+        self.mac_log.sync(&mut self.macs, &twin.macs, incremental);
+        self.bmt_root = twin.bmt_root;
+    }
+
     // ---- Tamper injection (attack modelling for recovery tests) ----
 
     /// Flips one bit of a stored data block (tampering attack).  Returns
@@ -213,6 +224,7 @@ impl NvmStore {
     pub fn tamper_data(&mut self, block: BlockAddr, byte: usize, bit: u8) -> bool {
         if let Some(d) = self.data.get_mut(&block) {
             d[byte % 64] ^= 1 << (bit % 8);
+            self.data_log.note(block, self.data.len());
             true
         } else {
             false
@@ -228,6 +240,7 @@ impl NvmStore {
             let mut bytes = cb.to_bytes();
             bytes[byte % 64] ^= 1 << (bit % 8);
             *cb = CounterBlock::from_bytes(&bytes);
+            self.counter_log.note(page, self.counters.len());
             true
         } else {
             false
@@ -239,6 +252,7 @@ impl NvmStore {
     pub fn tamper_mac(&mut self, block: BlockAddr, bit: u8) -> bool {
         if let Some(m) = self.macs.get_mut(&block) {
             *m ^= 1u64 << (bit % 64);
+            self.mac_log.note(block, self.macs.len());
             true
         } else {
             false
@@ -259,14 +273,14 @@ impl NvmStore {
     /// Replaces a page's counter block with an older version (replay /
     /// rollback attack).
     pub fn rollback_counters(&mut self, page: u64, old: CounterBlock) {
-        self.counters.insert(page, old);
+        self.write_counters(page, old);
     }
 
     /// Replaces a data block and its MAC with older versions together
     /// (coordinated replay attack — only the BMT catches this).
     pub fn replay_tuple(&mut self, block: BlockAddr, old_data: [u8; 64], old_mac: u64) {
-        self.data.insert(block, old_data);
-        self.macs.insert(block, old_mac);
+        self.write_data(block, old_data);
+        self.write_mac(block, old_mac);
     }
 
     /// Moves a block's ciphertext+MAC to a different address (splicing
@@ -274,8 +288,8 @@ impl NvmStore {
     pub fn splice(&mut self, from: BlockAddr, to: BlockAddr) -> bool {
         match (self.data.get(&from).copied(), self.macs.get(&from).copied()) {
             (Some(d), Some(m)) => {
-                self.data.insert(to, d);
-                self.macs.insert(to, m);
+                self.write_data(to, d);
+                self.write_mac(to, m);
                 true
             }
             _ => false,
@@ -418,6 +432,40 @@ mod tests {
         s.replay_tuple(BlockAddr(0), old.0, old.1);
         assert_eq!(s.read_data(BlockAddr(0)), [1u8; 64]);
         assert_eq!(s.read_mac(BlockAddr(0)), 10);
+    }
+
+    #[test]
+    fn every_mutator_is_undone_by_an_incremental_rewind() {
+        let encode = |s: &NvmStore| {
+            let mut w = WireWriter::new();
+            s.encode_into(&mut w);
+            w.into_bytes()
+        };
+        let mut live = NvmStore::new();
+        for b in 0..8 {
+            live.write_data(BlockAddr(b), [b as u8; 64]);
+            live.write_mac(BlockAddr(b), b);
+            live.write_counters(b, CounterBlock::default());
+        }
+        let mut twin = NvmStore::new();
+        live.snapshot_into(&mut twin, false);
+        let synced = encode(&live);
+        let mutators: [fn(&mut NvmStore); 8] = [
+            |s| s.write_data(BlockAddr(1), [9; 64]),
+            |s| s.write_counters(9, CounterBlock::default()),
+            |s| s.write_mac(BlockAddr(2), 99),
+            |s| assert!(s.tamper_data(BlockAddr(3), 0, 0)),
+            |s| assert!(s.tamper_counters(4, 0, 0)),
+            |s| assert!(s.tamper_mac(BlockAddr(5), 0)),
+            |s| s.replay_tuple(BlockAddr(6), [0; 64], 0),
+            |s| assert!(s.splice(BlockAddr(0), BlockAddr(7))),
+        ];
+        for mutate in mutators {
+            mutate(&mut live);
+            assert_ne!(encode(&live), synced);
+            live.rewind_to(&twin, true);
+            assert_eq!(encode(&live), synced);
+        }
     }
 
     #[test]

@@ -43,13 +43,30 @@
 //! [`Snapshot`] is a twin of the system holding the same state a
 //! checkpoint captures, refreshed in place by
 //! [`SecureSystem::snapshot_into`] and applied by
-//! [`SecureSystem::rewind`]: the refresh copies hash tables and cache way
-//! arrays into the twin's existing allocations instead of sorting and
-//! encoding them.  Rewinding has the post-conditions of
-//! [`SecureSystem::restore_bytes`] and leaves the snapshot intact, so one
-//! rewind point serves any number of crashes.
+//! [`SecureSystem::rewind`].  Neither sorts or encodes anything.
+//!
+//! Where they can, both copy only what changed since the system last
+//! synced with that twin.  The golden image, the logical counters and
+//! the NVM maps log the keys they write ([`ChangeLog`]), and every cache
+//! flags the sets it writes; a sync visits just those entries and sets.
+//! Every sync draws a fresh process-wide token, held by the system and
+//! the snapshot alike.  The copy is incremental only when the two tokens
+//! match: a refresh of the slot the system last synced with, or a rewind
+//! to it.  Anything else copies the whole state, reusing the
+//! destination's allocations: the first snapshot, another slot, another
+//! system of the same build, or any sync after
+//! [`SecureSystem::restore_bytes`].  The integrity tree, the SecPB, the
+//! WPQ, the timing scalars and the statistics are always copied whole.
+//!
+//! Rewinding has the post-conditions of [`SecureSystem::restore_bytes`]
+//! and leaves the snapshot intact, so one rewind point serves any number
+//! of crashes.
+//!
+//! [`ChangeLog`]: secpb_sim::changelog::ChangeLog
 //!
 //! [`ShardOutcome`]: https://docs.rs/secpb-bench
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use secpb_crypto::sha512::{Digest, Sha512};
 use secpb_sim::config::{CacheConfig, SystemConfig};
@@ -289,6 +306,8 @@ impl SecureSystem {
         if r.u64()? != self.fingerprint() {
             return Err(CheckpointError::ConfigMismatch);
         }
+        // A wholesale overwrite: no rewind point matches this system now.
+        self.sync_token = None;
         // ---- timing scalars ----
         self.now = Cycle(r.u64()?);
         self.measure_from = Cycle(r.u64()?);
@@ -357,6 +376,18 @@ impl SecureSystem {
 pub struct Snapshot {
     twin: SecureSystem,
     fingerprint: u64,
+    /// The token of the twin's last sync: a system holding the same
+    /// token matches the twin up to its logged changes.
+    token: u64,
+}
+
+/// Draws a token no sync in this process has used before.  Zero is never
+/// drawn, so a snapshot not yet synced matches no system.  `Relaxed`
+/// suffices: the token publishes no other data, and `fetch_add` never
+/// hands out a value twice.
+fn next_sync_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl SecureSystem {
@@ -364,31 +395,50 @@ impl SecureSystem {
     ///
     /// An empty slot, or one holding a snapshot of a differently built
     /// system, gets a new twin; otherwise the twin is overwritten in
-    /// place, reusing its hash tables and cache way arrays.  The tracer
-    /// and the telemetry sink are not copied.
-    pub fn snapshot_into(&self, slot: &mut Option<Snapshot>) {
+    /// place, reusing its hash tables and cache way arrays.  If this
+    /// system last synced with this very snapshot, only the entries and
+    /// cache sets written since are copied; otherwise the whole state
+    /// is.  Takes `&mut self` because the sync starts this system's
+    /// change logs afresh.  The tracer and the telemetry sink are not
+    /// copied.
+    pub fn snapshot_into(&mut self, slot: &mut Option<Snapshot>) {
         let fingerprint = self.fingerprint();
-        match slot {
-            Some(snap) if snap.fingerprint == fingerprint => snap.twin.refresh_from(self),
+        let snap = match slot {
+            Some(snap) if snap.fingerprint == fingerprint => snap,
             _ => {
-                let mut twin = SecureSystem::build(
+                let twin = SecureSystem::build(
                     self.cfg.clone(),
                     self.scheme,
                     self.domain.tree_kind,
                     self.domain.seed,
                 )
                 .expect("a built system's parameters build again");
-                twin.refresh_from(self);
-                *slot = Some(Snapshot { twin, fingerprint });
+                slot.insert(Snapshot {
+                    twin,
+                    fingerprint,
+                    token: 0,
+                })
             }
-        }
+        };
+        let incremental = self.sync_token == Some(snap.token);
+        let twin = &mut snap.twin;
+        self.hierarchy
+            .snapshot_into(&mut twin.hierarchy, incremental);
+        self.metadata.snapshot_into(&mut twin.metadata, incremental);
+        self.domain.snapshot_into(&mut twin.domain, incremental);
+        twin.copy_untracked_from(self);
+        snap.token = next_sync_token();
+        self.sync_token = Some(snap.token);
     }
 
     /// Rewinds this system to `to`, leaving the snapshot intact.
     ///
-    /// The post-conditions are those of
-    /// [`restore_bytes`](Self::restore_bytes): the attached telemetry
-    /// sink survives and the tracer's span aggregates are reset.
+    /// If this system last synced with `to`, only the entries and cache
+    /// sets it wrote since are copied back; otherwise the whole state is.
+    /// Either way the system then counts as synced with `to`.  The
+    /// post-conditions are those of [`restore_bytes`](Self::restore_bytes):
+    /// the attached telemetry sink survives and the tracer's span
+    /// aggregates are reset.
     ///
     /// # Errors
     ///
@@ -399,32 +449,35 @@ impl SecureSystem {
         if to.fingerprint != self.fingerprint() {
             return Err(CheckpointError::ConfigMismatch);
         }
+        let incremental = self.sync_token == Some(to.token);
+        let twin = &to.twin;
+        self.hierarchy.rewind_to(&twin.hierarchy, incremental);
+        self.metadata.rewind_to(&twin.metadata, incremental);
+        self.domain.rewind_to(&twin.domain, incremental);
         let sink = self.stats.sink().cloned();
-        self.refresh_from(&to.twin);
+        self.copy_untracked_from(twin);
         self.stats.set_sink(sink);
         self.tracer.reset();
+        self.sync_token = Some(to.token);
         Ok(())
     }
 
-    /// Overwrites every field a checkpoint captures with `src`'s, by
-    /// `clone_from` so this system's allocations are reused.  Both
-    /// systems must be built from the same parameters; the tracer and
-    /// the crypto engines are left alone, and the statistics come
-    /// without a telemetry sink.
-    fn refresh_from(&mut self, src: &SecureSystem) {
+    /// Overwrites every field a checkpoint captures that no change log
+    /// covers with `src`'s, by `clone_from` so this system's allocations
+    /// are reused.  Both systems must be built from the same parameters;
+    /// the tracer is left alone, and the statistics come without a
+    /// telemetry sink.
+    fn copy_untracked_from(&mut self, src: &SecureSystem) {
         self.now = src.now;
         self.measure_from = src.measure_from;
         self.frac = src.frac;
         self.pb_busy_until = src.pb_busy_until;
         self.bmt_busy_until = src.bmt_busy_until;
         self.store_buffer.clone_from(&src.store_buffer);
-        self.hierarchy.clone_from(&src.hierarchy);
-        self.metadata.clone_from(&src.metadata);
         self.wpq.clone_from(&src.wpq);
         self.nvm_timing.clone_from(&src.nvm_timing);
         self.drain_engine.clone_from(&src.drain_engine);
         self.pb.clone_from(&src.pb);
-        self.domain.refresh_from(&src.domain);
         self.stats.clone_from(&src.stats);
         self.h = src.h;
         self.breakdown = src.breakdown;

@@ -34,8 +34,9 @@ use secpb_crypto::counter::{CounterBlock, IncrementOutcome, SplitCounter, MINOR_
 use secpb_crypto::mac::BlockMac;
 use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::{digest64_batch, Digest, Sha512};
-use secpb_mem::store::NvmStore;
+use secpb_mem::store::{NvmStore, BLOCKS_PER_PAGE};
 use secpb_sim::addr::BlockAddr;
+use secpb_sim::changelog::ChangeLog;
 use secpb_sim::config::CryptoBackendKind;
 use secpb_sim::fxhash::FxHashMap;
 use secpb_sim::trace::Access;
@@ -136,6 +137,10 @@ pub struct PersistDomain {
     pub(crate) policy: PersistencePolicy,
     /// Dynamic policy state: shadow root + write-amplification counters.
     pub(crate) policy_state: PolicyState,
+    /// The keys of `golden` and `counters` written since the last sync
+    /// with a twin (see [`snapshot_into`](Self::snapshot_into)).
+    pub(crate) golden_log: ChangeLog<BlockAddr>,
+    pub(crate) counter_log: ChangeLog<u64>,
 }
 
 impl std::fmt::Debug for PersistDomain {
@@ -186,6 +191,8 @@ impl PersistDomain {
             backend,
             policy,
             policy_state: PolicyState::default(),
+            golden_log: ChangeLog::default(),
+            counter_log: ChangeLog::default(),
         }
     }
 
@@ -213,6 +220,7 @@ impl PersistDomain {
         let off = access.addr.block_offset();
         let size = usize::from(access.size);
         entry[off..off + size].copy_from_slice(&access.value.to_le_bytes()[..size]);
+        self.golden_log.note(block, self.golden.len());
     }
 
     /// Models the root persist that follows every leaf update by
@@ -248,6 +256,7 @@ impl PersistDomain {
         } else {
             None
         };
+        self.counter_log.note(page, self.counters.len());
         (ctr, reencryption)
     }
 
@@ -269,10 +278,9 @@ impl PersistDomain {
     /// page's leaf.  In-flight entries are the front's to refresh.
     fn reencrypt_page(&mut self, page: u64, new_cb: CounterBlock) -> Reencryption {
         let old_cb = self.nvm.read_counters(page);
-        let blocks: Vec<BlockAddr> = self
-            .nvm
-            .data_blocks()
-            .filter(|b| NvmStore::page_of(*b) == page)
+        let blocks: Vec<BlockAddr> = (0..BLOCKS_PER_PAGE)
+            .map(|slot| BlockAddr(page * BLOCKS_PER_PAGE + slot))
+            .filter(|&block| self.nvm.contains_data(block))
             .collect();
         for &block in &blocks {
             let slot = NvmStore::page_slot_of(block);
@@ -472,20 +480,40 @@ impl PersistDomain {
         self.golden = golden;
         self.counters = counters;
         self.nvm = nvm;
+        self.golden_log.saturate();
+        self.counter_log.saturate();
         Ok(())
     }
 
-    /// Overwrites this domain's dynamic state — exactly what
+    /// Makes `twin`'s dynamic state — exactly what
     /// [`encode_into`](Self::encode_into) captures, plus the policy
-    /// state — with `src`'s, reusing this domain's hash tables.  Both
-    /// domains must be built from the same scalars; the crypto engines
-    /// are left alone.
-    pub(crate) fn refresh_from(&mut self, src: &PersistDomain) {
-        self.golden.clone_from(&src.golden);
-        self.counters.clone_from(&src.counters);
-        self.nvm.clone_from(&src.nvm);
-        self.tree.clone_from(&src.tree);
-        self.policy_state.clone_from(&src.policy_state);
+    /// state — equal to this domain's, and starts a new sync interval.
+    /// With `incremental`, the golden image, the logical counters and
+    /// the NVM image copy only the entries written since the last sync,
+    /// which requires `twin` to have matched this domain then and to be
+    /// unchanged since.  The tree and the policy state are copied whole.
+    /// Both domains must be built from the same scalars; the crypto
+    /// engines are left alone.
+    pub(crate) fn snapshot_into(&mut self, twin: &mut PersistDomain, incremental: bool) {
+        self.golden_log
+            .sync(&mut twin.golden, &self.golden, incremental);
+        self.counter_log
+            .sync(&mut twin.counters, &self.counters, incremental);
+        self.nvm.snapshot_into(&mut twin.nvm, incremental);
+        twin.tree.clone_from(&self.tree);
+        twin.policy_state.clone_from(&self.policy_state);
+    }
+
+    /// Makes this domain's dynamic state equal to `twin`'s again, under
+    /// the contract of [`snapshot_into`](Self::snapshot_into).
+    pub(crate) fn rewind_to(&mut self, twin: &PersistDomain, incremental: bool) {
+        self.golden_log
+            .sync(&mut self.golden, &twin.golden, incremental);
+        self.counter_log
+            .sync(&mut self.counters, &twin.counters, incremental);
+        self.nvm.rewind_to(&twin.nvm, incremental);
+        self.tree.clone_from(&twin.tree);
+        self.policy_state.clone_from(&twin.policy_state);
     }
 
     /// A fresh integrity tree keyed like this domain's, for the recovery
@@ -548,6 +576,36 @@ mod tests {
             ctr,
             d.nvm.read_mac(block)
         ));
+    }
+
+    #[test]
+    fn an_incremental_rewind_undoes_a_golden_resync() {
+        let build = || {
+            PersistDomain::new(
+                DomainKeys::SECPB,
+                TreeKind::Monolithic,
+                8,
+                CryptoBackendKind::Auto,
+                7,
+                PersistencePolicy::default(),
+            )
+        };
+        let (mut d, mut twin) = (build(), build());
+        for i in 0..8 {
+            d.apply_store_golden(Access::store(Address(0x10_0000 + i * 64), i));
+        }
+        let (persisted, lost) = (Address(0x1000), Address(0x2000));
+        d.apply_store_golden(Access::store(persisted, 5));
+        d.persist_block(persisted.block());
+        d.apply_store_golden(Access::store(persisted, 9));
+        d.apply_store_golden(Access::store(lost, 6));
+        d.snapshot_into(&mut twin, false);
+        // The persisted block reads back its durable value, the lost one
+        // leaves the golden map: both writes must reach the rewind.
+        d.resync_lost(&[persisted.block(), lost.block()], true);
+        assert_ne!(d.golden, twin.golden);
+        d.rewind_to(&twin, true);
+        assert_eq!(d.golden, twin.golden);
     }
 
     #[test]

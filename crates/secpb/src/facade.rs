@@ -122,10 +122,13 @@ pub trait PersistSystem {
     /// Refreshes `slot` into an in-memory rewind point of the current
     /// state (see [`Snapshot`]).  Cheaper than
     /// [`checkpoint`](Self::checkpoint) because nothing is encoded, but
-    /// the snapshot never leaves the process.  Only the single-core
-    /// front implements this; the others return
-    /// [`CheckpointError::Unsupported`] and leave `slot` untouched.
-    fn snapshot_into(&self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
+    /// the snapshot never leaves the process.  Takes `&mut self` because
+    /// a refresh copies only what the system changed since it last
+    /// synced with the snapshot, and then starts the system's change
+    /// logs afresh.  Only the single-core front implements this; the
+    /// others return [`CheckpointError::Unsupported`] and leave `slot`
+    /// untouched.
+    fn snapshot_into(&mut self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
         let _ = slot;
         Err(CheckpointError::Unsupported)
     }
@@ -276,7 +279,7 @@ impl PersistSystem for SecureSystem {
         self.restore_bytes(bytes)
     }
 
-    fn snapshot_into(&self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
+    fn snapshot_into(&mut self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
         SecureSystem::snapshot_into(self, slot);
         Ok(())
     }

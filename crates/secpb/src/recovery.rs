@@ -174,6 +174,7 @@ impl PersistDomain {
             if !self.nvm.contains_data(block) {
                 // Never persisted at all: the durable view is zeros.
                 self.golden.remove(&block);
+                self.golden_log.note(block, self.golden.len());
                 continue;
             }
             let pt = if secure {
@@ -186,6 +187,7 @@ impl PersistDomain {
                 self.nvm.read_data(block)
             };
             self.golden.insert(block, pt);
+            self.golden_log.note(block, self.golden.len());
         }
     }
 }

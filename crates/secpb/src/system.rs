@@ -167,6 +167,10 @@ pub struct SecureSystem {
     pub(crate) h: StatHandles,
     pub(crate) tracer: Tracer,
     pub(crate) breakdown: CycleBreakdown,
+    /// The token of the last sync with a rewind point, if this system
+    /// still matches that point up to its logged changes (see
+    /// [`snapshot_into`](Self::snapshot_into)).
+    pub(crate) sync_token: Option<u64>,
 }
 
 impl std::fmt::Debug for SecureSystem {
@@ -262,6 +266,7 @@ impl SecureSystem {
             pb_busy_until: Cycle::ZERO,
             bmt_busy_until: Cycle::ZERO,
             store_buffer: VecDeque::new(),
+            sync_token: None,
             scheme,
             cfg,
         })

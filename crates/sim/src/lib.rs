@@ -7,6 +7,8 @@
 //!   configurable core frequency,
 //! * [`addr`] — physical [`Address`]es and cache-block arithmetic
 //!   (64-byte blocks throughout, per the paper's Table I),
+//! * [`changelog`] — changed-key logs that let an in-memory rewind point
+//!   copy only the map entries written since its last sync,
 //! * [`config`] — the full system configuration from Table I of the paper
 //!   with a builder for sweeps,
 //! * [`stats`] — typed-handle counters and log-2 histograms used for
@@ -47,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod changelog;
 pub mod config;
 pub mod cycle;
 pub mod event;

@@ -15,6 +15,7 @@ use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::core::tree::TreeKind;
 use secpb::core::CheckpointError;
+use secpb::sim::addr::BlockAddr;
 use secpb::sim::config::SystemConfig;
 use secpb::sim::trace::TraceItem;
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
@@ -53,27 +54,51 @@ enum Resume {
 }
 
 /// Runs `epochs` straight through on a system from `make`, capturing
-/// epoch `n` both as checkpoint bytes and as a snapshot.  Then, for each
-/// [`Resume`], gets back to epoch `n` — the resumed state must encode to
-/// the captured bytes — and replays epochs `n+1..`, which must end
-/// byte-identical to the straight-through run, policy state included.
-/// The rewound system then rewinds and replays a second time from the
-/// same snapshot, as a shard crashing twice between checkpoints does.
-/// Returns the replayed systems for further checks.
+/// epoch `n` (at least 1) both as checkpoint bytes and as a snapshot.
+/// The snapshot refreshes a slot that already holds epoch `n-1`'s, so it
+/// copies only what changed, and an NVM write right after it must not
+/// survive a rewind.  Then, for each [`Resume`], gets back to
+/// epoch `n` — the resumed state must encode to the captured bytes — and
+/// replays epochs `n+1..`, which must end byte-identical to the
+/// straight-through run, policy state included.  The rewound system then
+/// rewinds and replays a second time from the same snapshot, as a shard
+/// crashing twice between checkpoints does.  The first rewind copies
+/// only what changed since the capture; the second follows a snapshot
+/// into another slot, so it copies the whole state.  Returns the
+/// replayed systems for further checks.
 fn check_resumes(
     label: &str,
     make: impl Fn() -> SecureSystem,
     epochs: &[Vec<TraceItem>],
     n: usize,
 ) -> Vec<(Resume, SecureSystem)> {
+    assert!(n >= 1, "epoch n must follow an earlier snapshot");
     let mut sys = make();
     let mut at_n = Vec::new();
     let mut snapshot: Option<Snapshot> = None;
     for (i, epoch) in epochs.iter().enumerate() {
         run_epoch(&mut sys, epoch);
+        if i + 1 == n {
+            sys.snapshot_into(&mut snapshot);
+        }
         if i == n {
             at_n = sys.checkpoint_bytes();
             sys.snapshot_into(&mut snapshot);
+            // A write through `nvm_store_mut()` must be logged like any
+            // other, or the incremental rewind would keep it.  Flip a
+            // ciphertext bit; with nothing persisted yet, write a block
+            // the rewind must remove.
+            match sys.nvm_store().data_blocks().min() {
+                Some(block) => assert!(sys.nvm_store_mut().tamper_data(block, 0, 0)),
+                None => sys.nvm_store_mut().write_data(BlockAddr(0), [1; 64]),
+            }
+            sys.rewind(snapshot.as_ref().expect("epoch n was captured"))
+                .unwrap();
+            assert_eq!(
+                sys.checkpoint_bytes(),
+                at_n,
+                "{label}: an NVM write survived the rewind to epoch {n}"
+            );
         }
     }
     let straight = sys.checkpoint_bytes();
@@ -88,6 +113,8 @@ fn check_resumes(
         let passes = if *how == Resume::Rewind { 2 } else { 1 };
         for pass in 1..=passes {
             if pass > 1 {
+                let mut other_slot = None;
+                resumed.snapshot_into(&mut other_slot);
                 resumed.rewind(&snapshot).unwrap();
             }
             assert_eq!(
@@ -300,6 +327,12 @@ fn rewind_rejects_a_snapshot_of_a_differently_built_system() {
     // replaces it with one this system can rewind to.
     seed2.snapshot_into(&mut slot);
     run_epoch(&mut seed2, &epochs[0]);
+    let later = seed2.checkpoint_bytes();
+    seed2.rewind(slot.as_ref().unwrap()).unwrap();
+    assert_eq!(seed2.checkpoint_bytes(), before);
+    // A restore overwrites the system wholesale; rewinding afterwards
+    // still lands on the snapshot.
+    seed2.restore_bytes(&later).unwrap();
     seed2.rewind(slot.as_ref().unwrap()).unwrap();
     assert_eq!(seed2.checkpoint_bytes(), before);
 }
