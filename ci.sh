@@ -67,6 +67,15 @@ echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.
 # check self-skips (with a notice) on hosts without its vector kernel.
 ./target/release/crypto_micro --check
 
+echo "==> analytic artifact pins (secpb repro table5/table6 == results/*.txt)"
+# Table V and Table VI come from the energy model alone, so they are
+# instant and exact: any drift from the checked-in text (the numbers
+# EXPERIMENTS.md quotes) fails the gate.
+for table in table5 table6; do
+  diff <(./target/release/secpb repro "$table") "results/$table.txt" \
+    || { echo "ci.sh: secpb repro $table diverged from results/$table.txt" >&2; exit 1; }
+done
+
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
 # secpb storm exits nonzero on any panic, silent corruption, accounting
 # mismatch, or undetected bit flip across all schemes, every front, and

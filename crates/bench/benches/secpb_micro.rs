@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use secpb_bench::micro::{bench, bench_measured, bench_once, black_box};
 use secpb_core::crash::{CrashKind, DrainPolicy};
+use secpb_core::facade::PersistSystem;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;

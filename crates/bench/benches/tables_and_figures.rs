@@ -1,7 +1,7 @@
 //! Wrapper over the table/figure regenerators at reduced scale: one
 //! benchmark per experiment so `cargo bench` exercises every
 //! reproduction path and reports its cost.  (The full-resolution runs
-//! are the `table4`/`fig6`/.../`fig9` binaries.)
+//! are `secpb repro table4`/`fig6`/.../`fig9`.)
 
 use secpb_bench::experiments::{fig6, fig7, fig8, fig9, table5, table6};
 use secpb_bench::micro::bench_once;

@@ -11,8 +11,8 @@
 //!
 //! (gamess: `1000 / (320 · 47.4/2.1 + 40 · 47.4) = 0.11`, against a
 //! measured `0.13`).  This module reproduces the estimate and compares it
-//! against the simulator's measured IPC, which is the `validate_ipc`
-//! binary's job.
+//! against the simulator's measured IPC, which `secpb repro
+//! validate-ipc` prints for every workload.
 
 use secpb_core::metrics::RunResult;
 

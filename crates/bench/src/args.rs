@@ -1,9 +1,10 @@
-//! Shared command-line parsing for the table/figure binaries.
+//! Shared command-line parsing for `secpb repro` and the `bench_grid`
+//! and `serve_bench` binaries.
 //!
 //! Every runner accepts the same surface:
 //!
 //! ```text
-//! <bin> [instructions] [--jobs N] [--json out.json]
+//! [instructions] [--jobs N] [--json out.json]
 //! ```
 //!
 //! * `instructions` — positional measurement budget per benchmark,
@@ -26,21 +27,13 @@ pub struct RunnerArgs {
 }
 
 impl RunnerArgs {
-    /// Parses `std::env::args()` with the given default instruction
-    /// budget, exiting with a usage message on malformed input.
-    pub fn from_env(default_instructions: u64) -> RunnerArgs {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match RunnerArgs::parse(&args, default_instructions) {
-            Ok(parsed) => parsed,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: <bin> [instructions] [--jobs N] [--json out.json]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an argument slice (testable core of [`RunnerArgs::from_env`]).
+    /// Parses an argument slice with the given default instruction
+    /// budget.
+    ///
+    /// # Errors
+    ///
+    /// A malformed count, a flag without its value, a second
+    /// positional, or an unknown flag.
     pub fn parse(args: &[String], default_instructions: u64) -> Result<RunnerArgs, String> {
         let mut parsed = RunnerArgs {
             instructions: default_instructions,
@@ -72,14 +65,6 @@ impl RunnerArgs {
             }
         }
         Ok(parsed)
-    }
-
-    /// Writes the `--json` payload if one was requested.
-    pub fn write_json(&self, payload: &secpb_sim::json::Json) {
-        if let Some(path) = &self.json {
-            std::fs::write(path, payload.to_pretty()).expect("write json");
-            eprintln!("wrote {path}");
-        }
     }
 }
 

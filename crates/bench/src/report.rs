@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for `secpb repro` and the bench binaries.
 //!
 //! Every regenerator prints rows shaped like the paper's tables; these
 //! helpers keep the columns aligned without pulling in a table crate.

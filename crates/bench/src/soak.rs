@@ -26,6 +26,7 @@
 
 use std::fmt::Write as _;
 
+use secpb_core::facade::PersistSystem;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;

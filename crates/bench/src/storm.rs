@@ -593,7 +593,9 @@ pub fn build_front(
         StormFront::SecPb => SecureSystem::build(sys_cfg, scheme, TreeKind::Monolithic, key_seed)
             .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
             .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::Eadr => Ok(Box::new(EadrSystem::new(sys_cfg, key_seed))),
+        StormFront::Eadr => EadrSystem::new(sys_cfg, key_seed)
+            .map(|e| Box::new(e) as Box<dyn PersistSystem + Send>)
+            .map_err(|e| format!("invalid configuration: {e}")),
         StormFront::MultiCore(cores) => MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed)
             .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>)
             .map_err(|e| format!("invalid configuration: {e}")),

@@ -292,6 +292,14 @@ mod tests {
             assert!(!outcome.snapshots.is_empty(), "{}", front.name());
             assert_eq!(outcome.anomalies, 0, "{}", front.name());
             assert!(outcome.consistent, "{}", front.name());
+            assert!(outcome.crashes > 0, "{}", front.name());
+            // Every crash and recovery reaches the stream as exactly one
+            // marker, unless the ring dropped events.
+            let last = outcome.snapshots.last().unwrap();
+            if !last.lossy {
+                assert_eq!(last.crashes, outcome.crashes, "{}", front.name());
+                assert_eq!(last.recoveries, outcome.crashes, "{}", front.name());
+            }
         }
     }
 

@@ -487,6 +487,7 @@ impl SecureSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::PersistSystem;
     use secpb_sim::addr::Address;
     use secpb_sim::trace::{Access, TraceItem};
 

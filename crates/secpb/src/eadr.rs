@@ -18,7 +18,6 @@
 
 use secpb_mem::cache::LineState;
 use secpb_mem::hierarchy::{Hierarchy, HitLevel};
-use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
@@ -26,8 +25,9 @@ use secpb_sim::stats::Stats;
 use secpb_sim::telemetry::TelemetrySink;
 use secpb_sim::trace::{Access, AccessKind, TraceItem};
 
-use crate::crash::{DrainWork, RecoveryReport};
+use crate::crash::{ConfigError, CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError};
 use crate::domain::{DomainKeys, PersistDomain};
+use crate::facade::PersistSystem;
 use crate::metrics::{counters, CycleBreakdown, RunResult};
 use crate::policy::PersistencePolicy;
 use crate::scheme::Scheme;
@@ -54,13 +54,14 @@ impl std::fmt::Debug for EadrSystem {
 impl EadrSystem {
     /// Creates a secure-eADR system.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the persistence-policy knobs in `cfg.security` are
-    /// inconsistent (e.g. a Triad depth deeper than the tree).
-    pub fn new(cfg: SystemConfig, key_seed: u64) -> Self {
-        let policy = PersistencePolicy::resolve(Scheme::NoGap, &cfg.security, TreeKind::Monolithic)
-            .expect("invalid persistence policy");
+    /// [`ConfigError::Policy`] if the persistence-policy knobs in
+    /// `cfg.security` are illegal (e.g. a Triad depth deeper than the
+    /// tree).
+    pub fn new(cfg: SystemConfig, key_seed: u64) -> Result<Self, ConfigError> {
+        let policy =
+            PersistencePolicy::resolve(Scheme::NoGap, &cfg.security, TreeKind::Monolithic)?;
         let domain = PersistDomain::new(
             DomainKeys::EADR,
             TreeKind::Monolithic,
@@ -69,69 +70,14 @@ impl EadrSystem {
             key_seed,
             policy,
         );
-        EadrSystem {
+        Ok(EadrSystem {
             hierarchy: Hierarchy::new(&cfg),
             domain,
             now: Cycle::ZERO,
             frac: 0.0,
             stats: Stats::new(),
             cfg,
-        }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Attaches (or with `None` detaches) a live telemetry sink; stat
-    /// deltas and crash/recovery markers are mirrored into the ring.
-    /// Events observe, never steer.
-    pub fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        self.stats.set_sink(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.stats.sink()
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Folds the integrity-tree work deferred by writeback persists and
-    /// persists the root register, as the crash drain does.  Returns
-    /// the analytic hash count (zero: the eADR tree is monolithic).
-    pub fn sync_metadata(&mut self) -> u64 {
-        self.domain.sync_root(true)
-    }
-
-    /// The core clock.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Number of dirty lines currently buffered in the cache hierarchy
-    /// (the persistence domain's exposure on a crash).
-    pub fn dirty_lines(&self) -> usize {
-        self.hierarchy.dirty_blocks().len()
-    }
-
-    /// The durable state (for tamper injection in tests).
-    pub fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        &mut self.domain.nvm
-    }
-
-    /// The durable state, read-only.
-    pub fn nvm_store(&self) -> &NvmStore {
-        &self.domain.nvm
-    }
-
-    /// The architecturally expected plaintext of a block.
-    pub fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        self.domain.expected_plaintext(block)
+        })
     }
 
     fn advance(&mut self, cycles: f64) {
@@ -142,47 +88,6 @@ impl EadrSystem {
         if whole >= 1 {
             self.now += whole;
             self.frac -= whole as f64;
-        }
-    }
-
-    /// Executes a single trace item.
-    pub fn step(&mut self, item: TraceItem) {
-        if item.non_mem_instrs > 0 {
-            self.stats
-                .bump_by(counters::INSTRUCTIONS, u64::from(item.non_mem_instrs));
-            self.advance(f64::from(item.non_mem_instrs) / f64::from(self.cfg.core.retire_width));
-        }
-        if let Some(access) = item.access {
-            self.stats.bump(counters::INSTRUCTIONS);
-            self.advance(1.0 / f64::from(self.cfg.core.retire_width));
-            match access.kind {
-                AccessKind::Load => self.do_load(access),
-                AccessKind::Store => self.do_store(access),
-            }
-        }
-    }
-
-    /// Replays a trace.  Stores persist at L1 speed; security work only
-    /// happens when dirty lines leave the LLC.
-    pub fn run_trace<I: IntoIterator<Item = TraceItem>>(&mut self, items: I) -> RunResult {
-        for item in items {
-            self.step(item);
-        }
-        self.run_result()
-    }
-
-    /// The run result so far (cycles, breakdown, statistics).
-    pub fn run_result(&self) -> RunResult {
-        RunResult {
-            scheme: Scheme::Bbb,
-            cycles: self.now.raw(),
-            // The eADR model has no persist path: everything the core does
-            // is plain retirement/exposure work.
-            breakdown: CycleBreakdown {
-                retire: self.now.raw(),
-                ..CycleBreakdown::default()
-            },
-            stats: self.stats.clone(),
         }
     }
 
@@ -223,24 +128,88 @@ impl EadrSystem {
         self.stats.bump(counters::OTPS);
         self.stats.bump(counters::BMT_ROOT_UPDATES);
     }
+}
 
-    /// Power loss: the battery drains **every dirty cache line** and
-    /// completes its memory tuple.  Returns the drain work for the energy
-    /// model — this is the measured counterpart of Table V's `s_eADR`
-    /// worst case.
-    pub fn crash(&mut self) -> DrainWork {
-        self.crash_with_budget(None).0
+impl PersistSystem for EadrSystem {
+    fn scheme(&self) -> Scheme {
+        Scheme::Bbb
     }
 
-    /// [`crash`](Self::crash) under a battery budget: at most
-    /// `max_drain_entries` dirty lines complete their tuples; the rest
-    /// are *lost* with the cache contents and returned for accounting.
-    /// The s_eADR worst case makes this the most brown-out-exposed
-    /// design: megabytes of dirty lines compete for the same joules.
-    pub fn crash_with_budget(
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn domain(&self) -> &PersistDomain {
+        &self.domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistDomain {
+        &mut self.domain
+    }
+
+    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
+        self.stats.set_sink(sink);
+    }
+
+    fn step(&mut self, item: TraceItem) {
+        if item.non_mem_instrs > 0 {
+            self.stats
+                .bump_by(counters::INSTRUCTIONS, u64::from(item.non_mem_instrs));
+            self.advance(f64::from(item.non_mem_instrs) / f64::from(self.cfg.core.retire_width));
+        }
+        if let Some(access) = item.access {
+            self.stats.bump(counters::INSTRUCTIONS);
+            self.advance(1.0 / f64::from(self.cfg.core.retire_width));
+            match access.kind {
+                AccessKind::Load => self.do_load(access),
+                AccessKind::Store => self.do_store(access),
+            }
+        }
+    }
+
+    /// Stores persist at L1 speed; security work only happens when dirty
+    /// lines leave the LLC.
+    fn run_result(&self) -> RunResult {
+        RunResult {
+            scheme: Scheme::Bbb,
+            cycles: self.now.raw(),
+            // The eADR model has no persist path: everything the core does
+            // is plain retirement/exposure work.
+            breakdown: CycleBreakdown {
+                retire: self.now.raw(),
+                ..CycleBreakdown::default()
+            },
+            stats: self.stats.clone(),
+        }
+    }
+
+    fn finish_time(&self) -> Cycle {
+        self.now
+    }
+
+    /// Dirty lines buffered in the cache hierarchy.
+    fn occupancy(&self) -> u64 {
+        self.hierarchy.dirty_blocks().len() as u64
+    }
+
+    /// Power loss: the battery drains **every dirty cache line** (in
+    /// block order) and completes its memory tuple — the measured
+    /// counterpart of Table V's `s_eADR` worst case.  Under a budget the
+    /// youngest lines are lost with the cache contents: megabytes of
+    /// dirty lines compete for the same joules, which makes this the
+    /// most brown-out-exposed design.  The drain is not cycle-modelled,
+    /// so the gaps close at the crash instant.
+    fn drain_on_battery(
         &mut self,
+        kind: CrashKind,
+        _policy: DrainPolicy,
         max_drain_entries: Option<u64>,
-    ) -> (DrainWork, Vec<BlockAddr>) {
+    ) -> Result<CrashReport, RecoveryError> {
+        let at = self.now;
         let mut dirty: Vec<BlockAddr> = self
             .hierarchy
             .dirty_blocks()
@@ -250,7 +219,7 @@ impl EadrSystem {
         // Deterministic drain (and therefore loss) order.
         dirty.sort_unstable();
         let budget = usize::try_from(max_drain_entries.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
-        let lost: Vec<BlockAddr> = if dirty.len() > budget {
+        let lost_blocks: Vec<BlockAddr> = if dirty.len() > budget {
             dirty.split_off(budget)
         } else {
             Vec::new()
@@ -264,7 +233,8 @@ impl EadrSystem {
         self.hierarchy.clear();
         let n = dirty.len() as u64;
         self.stats.bump_by("eadr.crash_lines", n);
-        self.stats.bump_by("eadr.lost_lines", lost.len() as u64);
+        self.stats
+            .bump_by("eadr.lost_lines", lost_blocks.len() as u64);
         let work = DrainWork {
             entries: n,
             bytes_pb_to_mc: n * 64,
@@ -276,34 +246,27 @@ impl EadrSystem {
             macs: n,
             ciphertexts: n,
         };
-        (work, lost)
+        Ok(CrashReport {
+            kind,
+            at,
+            drain_complete_at: at,
+            secsync_complete_at: at,
+            work,
+            lost_blocks,
+        })
     }
 
-    /// Post-crash recovery, identical in spirit to the SecPB systems'.
-    pub fn recover(&self) -> RecoveryReport {
-        self.recover_with(&[])
-    }
-
-    /// [`recover`](Self::recover) with lost-line accounting: blocks in
-    /// `lost` (from [`crash_with_budget`](Self::crash_with_budget)) read
-    /// back stale by construction and get
-    /// [`crate::crash::BlockVerdict::LostStale`].
-    pub fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        // eADR never leaves entries buffered across a crash: the whole
-        // hierarchy drains, so nothing is ever "in flight" at recovery.
-        self.domain.recover_report(lost, true, &|_| false)
-    }
-
-    /// Re-reads the durable image of brown-out-lost lines back into the
-    /// architectural expectation so a storm can continue past the crash.
-    pub fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        self.domain.resync_lost(lost, true);
+    /// eADR generates full tuples at writeback/crash, so the persisted
+    /// image is always encrypted and tree-protected.
+    fn secure(&self) -> bool {
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyError;
     use secpb_energy::runtime::{measured_energy, MeasuredWork};
     use secpb_sim::addr::Address;
     use secpb_sim::config::CacheConfig;
@@ -314,10 +277,19 @@ mod tests {
             .collect()
     }
 
+    fn eadr(key_seed: u64) -> EadrSystem {
+        EadrSystem::new(SystemConfig::default(), key_seed).unwrap()
+    }
+
+    fn power_loss(sys: &mut dyn PersistSystem) -> CrashReport {
+        sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap()
+    }
+
     #[test]
     fn stores_are_near_free_at_runtime() {
-        let mut sys = EadrSystem::new(SystemConfig::default(), 1);
-        let r = sys.run_trace(store_trace(2_000));
+        let mut sys = eadr(1);
+        let r = sys.run_trace(&store_trace(2_000));
         // Durable at L1: no persist-buffer serialization at all.
         assert_eq!(r.stats.get(counters::PERSISTS), 2_000);
         assert_eq!(
@@ -330,10 +302,10 @@ mod tests {
 
     #[test]
     fn crash_recovery_is_consistent() {
-        let mut sys = EadrSystem::new(SystemConfig::default(), 2);
-        sys.run_trace(store_trace(500));
-        let work = sys.crash();
-        assert_eq!(work.entries, 500);
+        let mut sys = eadr(2);
+        sys.run_trace(&store_trace(500));
+        let report = power_loss(&mut sys);
+        assert_eq!(report.work.entries, 500);
         let rec = sys.recover();
         assert!(rec.is_consistent());
         assert_eq!(rec.blocks_checked, 500);
@@ -345,18 +317,13 @@ mod tests {
         // s_eADR's battery-powered work is orders of magnitude larger
         // than a 32-entry SecPB's.
         let trace = store_trace(3_000);
-        let mut eadr = EadrSystem::new(SystemConfig::default(), 3);
-        eadr.run_trace(trace.clone());
-        let ew = eadr.crash();
+        let mut s_eadr = eadr(3);
+        s_eadr.run_trace(&trace);
+        let ew = power_loss(&mut s_eadr).work;
 
         let mut secpb = crate::system::SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 3);
         secpb.run_trace(trace);
-        let sr = secpb
-            .crash(
-                crate::crash::CrashKind::PowerLoss,
-                crate::crash::DrainPolicy::DrainAll,
-            )
-            .unwrap();
+        let sw = power_loss(&mut secpb).work;
 
         let convert = |w: DrainWork| MeasuredWork {
             entries: w.entries,
@@ -370,7 +337,7 @@ mod tests {
             ciphertexts: w.ciphertexts,
         };
         let e_eadr = measured_energy(&convert(ew));
-        let e_secpb = measured_energy(&convert(sr.work));
+        let e_secpb = measured_energy(&convert(sw));
         assert!(
             e_eadr > 20.0 * e_secpb,
             "eADR {e_eadr} J should dwarf SecPB {e_secpb} J"
@@ -379,23 +346,25 @@ mod tests {
 
     #[test]
     fn eadr_brown_out_loses_youngest_lines_with_accounting() {
-        let mut sys = EadrSystem::new(SystemConfig::default(), 9);
-        sys.run_trace(store_trace(200));
-        let (work, lost) = sys.crash_with_budget(Some(50));
-        assert_eq!(work.entries, 50);
-        assert_eq!(lost.len(), 150);
-        let rec = sys.recover_with(&lost);
+        let mut sys = eadr(9);
+        sys.run_trace(&store_trace(200));
+        let report = sys
+            .crash_with_budget(CrashKind::PowerLoss, DrainPolicy::DrainAll, Some(50))
+            .unwrap();
+        assert_eq!(report.work.entries, 50);
+        assert_eq!(report.lost_blocks.len(), 150);
+        let rec = sys.recover_with(&report.lost_blocks);
         assert!(rec.integrity_ok(), "partial eADR drain keeps tuples sound");
         assert!(rec.is_consistent(), "lost lines are accounted, not corrupt");
-        sys.resync_lost_golden(&lost);
+        sys.resync_lost_golden(&report.lost_blocks);
         assert!(sys.recover().is_consistent());
     }
 
     #[test]
     fn tamper_detected_after_eadr_crash() {
-        let mut sys = EadrSystem::new(SystemConfig::default(), 4);
-        sys.run_trace(store_trace(50));
-        sys.crash();
+        let mut sys = eadr(4);
+        sys.run_trace(&store_trace(50));
+        power_loss(&mut sys);
         let victim = Address(0x10_0000).block();
         sys.nvm_store_mut().tamper_data(victim, 3, 3);
         assert!(!sys.recover().integrity_ok());
@@ -412,7 +381,7 @@ mod tests {
             l3: CacheConfig::new(8 * 64, 2, 64, 30),
             ..SystemConfig::default()
         };
-        let mut sys = EadrSystem::new(cfg, 6);
+        let mut sys = EadrSystem::new(cfg, 6).unwrap();
         for round in 0..500u64 {
             sys.step(TraceItem::then(
                 0,
@@ -425,20 +394,37 @@ mod tests {
                 ));
             }
         }
-        sys.crash();
+        power_loss(&mut sys);
         assert!(sys.recover().is_consistent());
     }
 
     #[test]
     fn llc_eviction_persists_tuple_during_execution() {
         // Overflow the 4 MB LLC so dirty lines write back with tuples.
-        let mut sys = EadrSystem::new(SystemConfig::default(), 5);
+        let mut sys = eadr(5);
         let blocks = (4 << 20) / 64 * 2; // 2x LLC capacity
         let trace: Vec<TraceItem> = (0..blocks as u64)
             .map(|i| TraceItem::then(1, Access::store(Address(0x10_0000 + i * 64), i)))
             .collect();
-        let r = sys.run_trace(trace);
+        let r = sys.run_trace(&trace);
         assert!(r.stats.get("eadr.writebacks") > 0);
         assert!(sys.recover().blocks_checked > 0 || sys.nvm_store().data_block_count() > 0);
+    }
+
+    #[test]
+    fn illegal_policy_knobs_are_typed_errors() {
+        let cfg = SystemConfig::default().with_triad_levels(200);
+        let err = EadrSystem::new(cfg, 1).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::Policy(PolicyError::DepthOutOfRange {
+                depth: 200,
+                levels: 8,
+            })
+        );
+        assert_eq!(
+            err.to_string(),
+            "triad persistence depth 200 exceeds the 8-level tree"
+        );
     }
 }

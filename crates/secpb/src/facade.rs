@@ -1,35 +1,27 @@
 //! The unified persist-system facade.
 //!
-//! The three fronts — [`SecureSystem`] (single-core SecPB with the full
-//! timing pipeline), [`EadrSystem`] (whole-hierarchy persistence), and
-//! [`MultiCoreSystem`] (per-core SecPBs with directory coherence) —
-//! share one security/persistence kernel
-//! ([`PersistDomain`](crate::domain::PersistDomain)) but historically
-//! exposed three slightly different driving surfaces.  [`PersistSystem`]
-//! is the common surface, written once so benches, the fault-injection
-//! storm, and the CLI can drive *any* front through `&mut dyn
-//! PersistSystem`:
+//! The three fronts — [`SecureSystem`](crate::system::SecureSystem)
+//! (single-core SecPB with the full timing pipeline),
+//! [`EadrSystem`](crate::eadr::EadrSystem) (whole-hierarchy persistence),
+//! and [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) (per-core
+//! SecPBs with directory coherence) — share one security/persistence
+//! kernel, [`PersistDomain`].  They differ only in what they stage
+//! before the SPoP and how the battery drains it.  [`PersistSystem`] is
+//! their one driving surface, so benches, the fault-injection storm, and
+//! the CLI drive *any* front through `&mut dyn PersistSystem`.
 //!
-//! * replay — [`step`](PersistSystem::step) /
-//!   [`run_trace`](PersistSystem::run_trace) /
-//!   [`finish_time`](PersistSystem::finish_time),
-//! * exposure — [`occupancy`](PersistSystem::occupancy) /
-//!   [`drains_in_flight`](PersistSystem::drains_in_flight),
-//! * crash — [`crash`](PersistSystem::crash) /
-//!   [`crash_with_budget`](PersistSystem::crash_with_budget), normalised
-//!   to `Result<CrashReport, RecoveryError>` for every front,
-//! * recovery — [`recover`](PersistSystem::recover) /
-//!   [`recover_with`](PersistSystem::recover_with) /
-//!   [`resync_lost_golden`](PersistSystem::resync_lost_golden),
-//! * observation — [`stats`](PersistSystem::stats) /
-//!   [`expected_plaintext`](PersistSystem::expected_plaintext) /
-//!   [`nvm_store`](PersistSystem::nvm_store).
-//!
-//! The fronts' inherent methods keep their richer historical signatures
-//! (e.g. the eADR crash returns its [`DrainWork`] directly, the
-//! multi-core crash returns a drained-entry count); the trait impls
-//! translate those into the common [`CrashReport`] shape without losing
-//! the accounting a storm reconciles (drained + lost == occupancy).
+//! A front supplies only what it knows: its [`scheme`](PersistSystem::scheme),
+//! [`config`](PersistSystem::config), [`stats`](PersistSystem::stats) and
+//! telemetry attachment, its clocks ([`step`](PersistSystem::step),
+//! [`run_result`](PersistSystem::run_result),
+//! [`finish_time`](PersistSystem::finish_time)), its staging
+//! ([`occupancy`](PersistSystem::occupancy), and
+//! [`buffered`](PersistSystem::buffered) where blocks can stay staged),
+//! its battery drain ([`drain_on_battery`](PersistSystem::drain_on_battery)),
+//! and its [`domain`](PersistSystem::domain).  Everything the domain
+//! decides is written once here: the crash/drain/recovery telemetry
+//! markers, the recovery sweep and lost-block resync, the persistence
+//! policy and its recovery cost, and the durable-image accessors.
 
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
@@ -40,35 +32,37 @@ use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use secpb_sim::trace::TraceItem;
 
 use crate::checkpoint::{CheckpointError, Snapshot};
-use crate::crash::{CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport};
-use crate::eadr::EadrSystem;
+use crate::crash::{CrashKind, CrashReport, DrainPolicy, RecoveryError, RecoveryReport};
+use crate::domain::PersistDomain;
 use crate::metrics::{counters, RunResult};
-use crate::multicore::MultiCoreSystem;
 use crate::policy::{CounterLayout, PersistencePolicy, RecoveryCost};
 use crate::scheme::Scheme;
-use crate::system::SecureSystem;
 
 /// The common driving surface of every persist-system front.
 ///
 /// Dyn-compatible: storms, benches, and the CLI hold a
 /// `&mut dyn PersistSystem` and never know which front they drive.
 pub trait PersistSystem {
+    // ---- supplied by every front ----
+
     /// The metadata-persistence scheme the front runs.  The eADR front
     /// has no scheme spectrum (its metadata is always generated at
     /// writeback/crash time) and reports [`Scheme::Bbb`] as a
     /// placeholder, matching its [`RunResult`].
     fn scheme(&self) -> Scheme;
 
-    /// Whether the persisted image is encrypted/MAC'd/tree-protected.
-    /// Not derivable from [`scheme`](Self::scheme) alone: the eADR front
-    /// is secure despite its placeholder scheme.
-    fn secure(&self) -> bool;
-
     /// The machine configuration.
     fn config(&self) -> &SystemConfig;
 
     /// Accumulated statistics.
     fn stats(&self) -> &Stats;
+
+    /// The shared security/persistence kernel the front stages into.
+    fn domain(&self) -> &PersistDomain;
+
+    /// The kernel, mutably, for the provided methods below; its fields
+    /// and mutating operations stay crate-private.
+    fn domain_mut(&mut self) -> &mut PersistDomain;
 
     /// Attaches (or with `None` detaches) a live telemetry sink.
     ///
@@ -78,24 +72,80 @@ pub trait PersistSystem {
     /// is byte-identical to one without.
     fn set_telemetry(&mut self, sink: Option<TelemetrySink>);
 
-    /// The attached telemetry sink, if any.
-    fn telemetry(&self) -> Option<&TelemetrySink>;
+    /// Executes a single trace item.
+    fn step(&mut self, item: TraceItem);
+
+    /// The run result so far (cycles, breakdown, statistics).
+    fn run_result(&self) -> RunResult;
+
+    /// The execution time if the trace ended now (outstanding buffered
+    /// work included).
+    fn finish_time(&self) -> Cycle;
+
+    /// Entries (or dirty lines) currently inside the persistence
+    /// domain's volatile staging — the exposure a crash must drain.
+    fn occupancy(&self) -> u64;
+
+    /// The front's battery drain: empties (at most `max_drain_entries`
+    /// of) the staging into the domain, syncs the root register, and
+    /// reports the work and the lost blocks.  Fronts without ASID tags
+    /// (eADR, multi-core) treat every kind/policy as a whole-domain
+    /// drain.  Callers use [`crash_with_budget`](Self::crash_with_budget),
+    /// which adds the telemetry markers.
+    ///
+    /// # Errors
+    ///
+    /// A staged entry the front's bookkeeping cannot find.
+    fn drain_on_battery(
+        &mut self,
+        kind: CrashKind,
+        policy: DrainPolicy,
+        max_drain_entries: Option<u64>,
+    ) -> Result<CrashReport, RecoveryError>;
+
+    // ---- provided, overridden where a front differs ----
+
+    /// Whether the persisted image is encrypted/MAC'd/tree-protected.
+    /// Not derivable from [`scheme`](Self::scheme) alone on every front:
+    /// the eADR front is secure despite its placeholder scheme.
+    fn secure(&self) -> bool {
+        self.scheme().is_secure()
+    }
+
+    /// Whether `block` is still staged outside the durable image, so a
+    /// recovery sweep reads it back stale by construction.  Fronts that
+    /// drain their whole staging on a crash never leave one behind.
+    fn buffered(&self, block: BlockAddr) -> bool {
+        let _ = block;
+        false
+    }
+
+    /// Folds all deferred integrity-tree work and persists the root
+    /// register (secure fronts only), returning the analytic hash count
+    /// charged to the sync.  Every front defers its tree folds to
+    /// observation points, so until a sync (or a crash, which syncs) the
+    /// durable root lags the NVM counter image.  This is the
+    /// epoch-boundary observation point the service plane drains shards
+    /// at: a whole epoch's tree updates fold in sibling batches
+    /// (`compute_batch`), so the per-store metadata cost amortizes
+    /// across the batch.
+    fn sync_metadata(&mut self) -> u64 {
+        let secure = self.secure();
+        self.domain_mut().sync_root(secure)
+    }
+
+    /// Whether background drains are in flight (the mid-drain crash
+    /// trigger's observation point).  Only the single-core front has a
+    /// background drain engine.
+    fn drains_in_flight(&self) -> bool {
+        false
+    }
 
     /// Model-internal invariant violations observed so far (the storm
     /// fails a cell on any non-zero value).
     fn anomalies(&self) -> u64 {
         self.stats().get(counters::ANOMALIES)
     }
-
-    /// Folds all deferred integrity-tree work and persists the root
-    /// register, returning the analytic hash count charged to the sync.
-    /// Every front defers its tree folds to observation points, so
-    /// until a sync (or a crash, which syncs) the durable root lags the
-    /// NVM counter image.  This is the epoch-boundary observation point
-    /// the service plane drains shards at: a whole epoch's tree updates
-    /// fold in sibling batches (`compute_batch`), so the per-store
-    /// metadata cost amortizes across the batch.
-    fn sync_metadata(&mut self) -> u64;
 
     /// Serialises the complete system state into a versioned checkpoint
     /// (see [`checkpoint`](crate::checkpoint) for the wire format and
@@ -148,25 +198,19 @@ pub trait PersistSystem {
         Err(CheckpointError::Unsupported)
     }
 
-    /// Executes a single trace item.
-    fn step(&mut self, item: TraceItem);
+    // ---- written once for every front ----
+
+    /// The attached telemetry sink, if any.
+    fn telemetry(&self) -> Option<&TelemetrySink> {
+        self.stats().sink()
+    }
 
     /// Replays a trace slice to completion.
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult;
-
-    /// The execution time if the trace ended now (outstanding buffered
-    /// work included).
-    fn finish_time(&self) -> Cycle;
-
-    /// Entries (or dirty lines) currently inside the persistence
-    /// domain's volatile staging — the exposure a crash must drain.
-    fn occupancy(&self) -> u64;
-
-    /// Whether background drains are in flight (the mid-drain crash
-    /// trigger's observation point).  Only the single-core front has a
-    /// background drain engine.
-    fn drains_in_flight(&self) -> bool {
-        false
+    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
+        for &item in items {
+            self.step(item);
+        }
+        self.run_result()
     }
 
     /// Handles a crash with a fully provisioned battery.
@@ -179,37 +223,78 @@ pub trait PersistSystem {
     }
 
     /// Handles a crash under a battery budget of at most
-    /// `max_drain_entries` drained entries; the rest are lost and
-    /// reported in [`CrashReport::lost_blocks`].  Fronts without ASID
-    /// tags (eADR, multi-core) treat every kind/policy as a
-    /// whole-domain drain.
+    /// `max_drain_entries` drained entries, taken in the front's drain
+    /// order; the rest are lost and reported in
+    /// [`CrashReport::lost_blocks`], modelling a brown-out where the
+    /// provisioned energy runs out mid-drain.  `None` means a fully
+    /// provisioned battery.  An attached telemetry sink receives a crash
+    /// marker at the crash instant and a drain marker when the drain
+    /// completes.
     fn crash_with_budget(
         &mut self,
         kind: CrashKind,
         policy: DrainPolicy,
         max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError>;
+    ) -> Result<CrashReport, RecoveryError> {
+        let report = self.drain_on_battery(kind, policy, max_drain_entries)?;
+        if let Some(sink) = self.telemetry() {
+            sink.emit(&TelemetryEvent::CrashMarker {
+                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
+                cycle: report.at.raw(),
+            });
+            sink.emit(&TelemetryEvent::DrainMarker {
+                entries: report.work.entries,
+                cycle: report.drain_complete_at.raw(),
+            });
+        }
+        Ok(report)
+    }
 
-    /// Post-crash recovery over the persisted image.
+    /// Post-crash recovery over the persisted image: rebuilds the
+    /// integrity tree from the persisted counters, verifies the root
+    /// register, decrypts and MAC-verifies every data block, and checks
+    /// the plaintext against the architecturally expected state.
     fn recover(&self) -> RecoveryReport {
         self.recover_with(&[])
     }
 
-    /// [`recover`](Self::recover) with lost-block accounting.
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport;
+    /// [`recover`](Self::recover) with lost-block accounting: blocks
+    /// listed in `lost` (a brown-out crash report's
+    /// [`CrashReport::lost_blocks`]) and blocks still
+    /// [`buffered`](Self::buffered) are *expected* to read back stale —
+    /// they get [`LostStale`](crate::crash::BlockVerdict::LostStale) /
+    /// [`InFlightStale`](crate::crash::BlockVerdict::InFlightStale)
+    /// verdicts instead of counting as plaintext mismatches.  An
+    /// attached telemetry sink receives a recovery marker.
+    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
+        let report = self
+            .domain()
+            .recover_report(lost, self.secure(), &|block| self.buffered(block));
+        if let Some(sink) = self.telemetry() {
+            sink.emit(&TelemetryEvent::RecoveryMarker {
+                consistent: report.is_consistent(),
+                blocks: report.blocks_checked,
+                cycle: self.finish_time().raw(),
+            });
+        }
+        report
+    }
 
     /// Re-reads the durable image of brown-out-lost blocks back into the
     /// architectural expectation so replay can continue.
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]);
-
-    /// The persistence policy the front runs — early-step assignment
-    /// plus durable tree/counter layout.  Fronts without a policy knob
-    /// surface report their scheme's default resolution.
-    fn policy(&self) -> PersistencePolicy {
-        PersistencePolicy::for_scheme(self.scheme())
+    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
+        let secure = self.secure();
+        self.domain_mut().resync_lost(lost, secure);
     }
 
-    /// Exact post-crash recovery accounting under the front's
+    /// The persistence policy the domain runs — early-step assignment
+    /// plus durable tree/counter layout, resolved from the scheme and
+    /// the `triad_levels`/`shadow_counters` knobs.
+    fn policy(&self) -> PersistencePolicy {
+        self.domain().policy()
+    }
+
+    /// Exact post-crash recovery accounting under the domain's
     /// persistence policy: persisted counter pages and tree-frontier
     /// nodes fetched, node hashes folded to revalidate the root, data
     /// blocks fetched/decrypted/MAC-verified, and the total latency in
@@ -219,125 +304,15 @@ pub trait PersistSystem {
     /// This is the quantity recovery-time work like Anubis (Zubair &
     /// Awad, ISCA'19 — the paper's \[74\]) and the Triad-NVM /
     /// fast-recovery policies trade write traffic against; the
-    /// `recovery_sweep` bench promotes it to a swept grid metric.  The
-    /// default is the root-only rebuild, derived entirely from
-    /// [`config`](Self::config) and [`nvm_store`](Self::nvm_store);
-    /// policy-aware fronts override it.
+    /// `recovery_sweep` bench promotes it to a swept grid metric.
     fn recovery_cost(&self) -> RecoveryCost {
-        let nvm = self.nvm_store();
-        RecoveryCost::root_only(
-            self.config(),
-            nvm.counter_pages().count() as u64,
-            nvm.data_block_count() as u64,
-        )
-    }
-
-    /// The architecturally expected plaintext of a block.
-    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64];
-
-    /// The durable state, read-only.
-    fn nvm_store(&self) -> &NvmStore;
-
-    /// The durable state, for tamper injection.
-    fn nvm_store_mut(&mut self) -> &mut NvmStore;
-}
-
-impl PersistSystem for SecureSystem {
-    fn scheme(&self) -> Scheme {
-        SecureSystem::scheme(self)
-    }
-
-    fn secure(&self) -> bool {
-        SecureSystem::scheme(self).is_secure()
-    }
-
-    fn config(&self) -> &SystemConfig {
-        SecureSystem::config(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        SecureSystem::stats(self)
-    }
-
-    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        SecureSystem::set_telemetry(self, sink);
-    }
-
-    fn telemetry(&self) -> Option<&TelemetrySink> {
-        SecureSystem::telemetry(self)
-    }
-
-    fn sync_metadata(&mut self) -> u64 {
-        SecureSystem::sync_metadata(self)
-    }
-
-    fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
-        Ok(self.checkpoint_bytes())
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.restore_bytes(bytes)
-    }
-
-    fn snapshot_into(&mut self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
-        SecureSystem::snapshot_into(self, slot);
-        Ok(())
-    }
-
-    fn rewind(&mut self, to: &Snapshot) -> Result<(), CheckpointError> {
-        SecureSystem::rewind(self, to)
-    }
-
-    fn step(&mut self, item: TraceItem) {
-        SecureSystem::step(self, item);
-    }
-
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
-        SecureSystem::run_trace(self, items.iter().copied())
-    }
-
-    fn finish_time(&self) -> Cycle {
-        SecureSystem::finish_time(self)
-    }
-
-    fn occupancy(&self) -> u64 {
-        self.persist_buffer().occupancy() as u64
-    }
-
-    fn drains_in_flight(&self) -> bool {
-        SecureSystem::drains_in_flight(self)
-    }
-
-    fn crash_with_budget(
-        &mut self,
-        kind: CrashKind,
-        policy: DrainPolicy,
-        max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError> {
-        SecureSystem::crash_with_budget(self, kind, policy, max_drain_entries)
-    }
-
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        SecureSystem::recover_with(self, lost)
-    }
-
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        SecureSystem::resync_lost_golden(self, lost);
-    }
-
-    fn policy(&self) -> PersistencePolicy {
-        SecureSystem::policy(self)
-    }
-
-    fn recovery_cost(&self) -> RecoveryCost {
-        let cfg = SecureSystem::config(self);
-        let nvm = SecureSystem::nvm_store(self);
-        let pages = nvm.counter_pages().count() as u64;
-        let blocks = nvm.data_block_count() as u64;
-        let policy = SecureSystem::policy(self);
-        if policy.counters == CounterLayout::Shadow {
+        let cfg = self.config();
+        let domain = self.domain();
+        let pages = domain.nvm.counter_pages().count() as u64;
+        let blocks = domain.nvm.data_block_count() as u64;
+        if domain.policy().counters == CounterLayout::Shadow {
             RecoveryCost::fast_recovery(cfg, pages, blocks)
-        } else if let Some(frontier) = self.domain.persisted_frontier() {
+        } else if let Some(frontier) = domain.persisted_frontier() {
             RecoveryCost::selective(
                 cfg,
                 pages,
@@ -350,247 +325,29 @@ impl PersistSystem for SecureSystem {
         }
     }
 
+    /// The architecturally expected plaintext of a block (all stores
+    /// applied).
     fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        SecureSystem::expected_plaintext(self, block)
+        self.domain().expected_plaintext(block)
     }
 
+    /// The durable state, read-only.
     fn nvm_store(&self) -> &NvmStore {
-        SecureSystem::nvm_store(self)
+        &self.domain().nvm
     }
 
+    /// The durable state, for tamper injection.
     fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        SecureSystem::nvm_store_mut(self)
-    }
-}
-
-impl PersistSystem for EadrSystem {
-    fn scheme(&self) -> Scheme {
-        Scheme::Bbb
-    }
-
-    fn secure(&self) -> bool {
-        // eADR generates full tuples at writeback/crash; the persisted
-        // image is always encrypted and tree-protected.
-        true
-    }
-
-    fn config(&self) -> &SystemConfig {
-        EadrSystem::config(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        EadrSystem::stats(self)
-    }
-
-    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        EadrSystem::set_telemetry(self, sink);
-    }
-
-    fn telemetry(&self) -> Option<&TelemetrySink> {
-        EadrSystem::telemetry(self)
-    }
-
-    fn sync_metadata(&mut self) -> u64 {
-        EadrSystem::sync_metadata(self)
-    }
-
-    fn step(&mut self, item: TraceItem) {
-        EadrSystem::step(self, item);
-    }
-
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
-        EadrSystem::run_trace(self, items.iter().copied())
-    }
-
-    fn finish_time(&self) -> Cycle {
-        self.now()
-    }
-
-    fn occupancy(&self) -> u64 {
-        self.dirty_lines() as u64
-    }
-
-    fn crash_with_budget(
-        &mut self,
-        kind: CrashKind,
-        _policy: DrainPolicy,
-        max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError> {
-        let at = self.now();
-        let (work, lost_blocks) = EadrSystem::crash_with_budget(self, max_drain_entries);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::CrashMarker {
-                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
-                cycle: at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries: work.entries,
-                cycle: at.raw(),
-            });
-        }
-        // The eADR drain is not cycle-modelled (the whole hierarchy
-        // flushes on battery); the gaps close at the crash instant.
-        Ok(CrashReport {
-            kind,
-            at,
-            drain_complete_at: at,
-            secsync_complete_at: at,
-            work,
-            lost_blocks,
-        })
-    }
-
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        let report = EadrSystem::recover_with(self, lost);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::RecoveryMarker {
-                consistent: report.is_consistent(),
-                blocks: report.blocks_checked,
-                cycle: self.now().raw(),
-            });
-        }
-        report
-    }
-
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        EadrSystem::resync_lost_golden(self, lost);
-    }
-
-    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        EadrSystem::expected_plaintext(self, block)
-    }
-
-    fn nvm_store(&self) -> &NvmStore {
-        EadrSystem::nvm_store(self)
-    }
-
-    fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        EadrSystem::nvm_store_mut(self)
-    }
-}
-
-impl PersistSystem for MultiCoreSystem {
-    fn scheme(&self) -> Scheme {
-        MultiCoreSystem::scheme(self)
-    }
-
-    fn secure(&self) -> bool {
-        // Only SecPB schemes construct (bufferless `SP` is rejected, and
-        // `bbb` still runs the full tuple pipeline in this front).
-        true
-    }
-
-    fn config(&self) -> &SystemConfig {
-        MultiCoreSystem::config(self)
-    }
-
-    fn stats(&self) -> &Stats {
-        MultiCoreSystem::stats(self)
-    }
-
-    fn anomalies(&self) -> u64 {
-        self.stats().get("mc.anomalies")
-    }
-
-    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        MultiCoreSystem::set_telemetry(self, sink);
-    }
-
-    fn telemetry(&self) -> Option<&TelemetrySink> {
-        MultiCoreSystem::telemetry(self)
-    }
-
-    fn sync_metadata(&mut self) -> u64 {
-        MultiCoreSystem::sync_metadata(self)
-    }
-
-    fn step(&mut self, item: TraceItem) {
-        MultiCoreSystem::step(self, item);
-    }
-
-    fn run_trace(&mut self, items: &[TraceItem]) -> RunResult {
-        MultiCoreSystem::run_trace(self, items.iter().copied())
-    }
-
-    fn finish_time(&self) -> Cycle {
-        (0..self.cores())
-            .map(|c| self.core_time(c))
-            .max()
-            .unwrap_or(Cycle::ZERO)
-    }
-
-    fn occupancy(&self) -> u64 {
-        MultiCoreSystem::occupancy(self) as u64
-    }
-
-    fn crash_with_budget(
-        &mut self,
-        kind: CrashKind,
-        _policy: DrainPolicy,
-        max_drain_entries: Option<u64>,
-    ) -> Result<CrashReport, RecoveryError> {
-        let at = PersistSystem::finish_time(self);
-        let footprint = MultiCoreSystem::scheme(self).entry_footprint_bytes();
-        let (drained, lost_blocks) = MultiCoreSystem::crash_with_budget(self, max_drain_entries)?;
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::CrashMarker {
-                power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
-                cycle: at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries: drained,
-                cycle: at.raw(),
-            });
-        }
-        // The event-cost model tracks entry movement, not the per-phase
-        // crypto deltas; only the movement fields are populated.
-        let work = DrainWork {
-            entries: drained,
-            bytes_pb_to_mc: drained * footprint,
-            ..DrainWork::default()
-        };
-        Ok(CrashReport {
-            kind,
-            at,
-            drain_complete_at: at,
-            secsync_complete_at: at,
-            work,
-            lost_blocks,
-        })
-    }
-
-    fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        let report = MultiCoreSystem::recover_with(self, lost);
-        if let Some(sink) = self.telemetry() {
-            sink.emit(&TelemetryEvent::RecoveryMarker {
-                consistent: report.is_consistent(),
-                blocks: report.blocks_checked,
-                cycle: PersistSystem::finish_time(self).raw(),
-            });
-        }
-        report
-    }
-
-    fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        MultiCoreSystem::resync_lost_golden(self, lost);
-    }
-
-    fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        MultiCoreSystem::expected_plaintext(self, block)
-    }
-
-    fn nvm_store(&self) -> &NvmStore {
-        MultiCoreSystem::nvm_store(self)
-    }
-
-    fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        MultiCoreSystem::nvm_store_mut(self)
+        &mut self.domain_mut().nvm
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eadr::EadrSystem;
+    use crate::multicore::MultiCoreSystem;
+    use crate::system::SecureSystem;
     use secpb_sim::addr::Address;
     use secpb_sim::trace::Access;
 
@@ -607,7 +364,7 @@ mod tests {
                 Scheme::Cobcm,
                 11,
             )),
-            Box::new(EadrSystem::new(SystemConfig::default(), 11)),
+            Box::new(EadrSystem::new(SystemConfig::default(), 11).unwrap()),
             Box::new(MultiCoreSystem::new(SystemConfig::default(), Scheme::Cobcm, 2, 11).unwrap()),
         ]
     }

@@ -20,7 +20,6 @@
 //! clocks; the tuple pipeline, the durable image, and the recovery
 //! sweep are the domain's.
 
-use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
@@ -29,9 +28,10 @@ use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use secpb_sim::trace::{Access, AccessKind, TraceItem};
 
 use crate::coherence::{CoherenceAction, CoherenceController};
-use crate::crash::{ConfigError, RecoveryError, RecoveryReport};
+use crate::crash::{ConfigError, CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError};
 use crate::domain::{DomainKeys, PersistDomain};
 use crate::entry::Entry;
+use crate::facade::PersistSystem;
 use crate::metrics::{counters, CycleBreakdown, RunResult};
 use crate::policy::PersistencePolicy;
 use crate::scheme::Scheme;
@@ -110,44 +110,9 @@ impl MultiCoreSystem {
         self.core_now.len()
     }
 
-    /// The scheme the per-core SecPBs run.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
     /// A core's local clock.
     pub fn core_time(&self, core: usize) -> Cycle {
         self.core_now[core]
-    }
-
-    /// Folds the integrity-tree work deferred by drains and flushes and
-    /// persists the root register, as the crash drain does.  Entries
-    /// still buffered in the per-core SecPBs stay there.  Returns the
-    /// analytic hash count (zero: this front's tree is monolithic).
-    pub fn sync_metadata(&mut self) -> u64 {
-        self.domain.sync_root(true)
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    /// Attaches (or with `None` detaches) a live telemetry sink; stat
-    /// deltas, anomaly transitions, and crash/recovery markers are
-    /// mirrored into the ring.  Events observe, never steer.
-    pub fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        self.stats.set_sink(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.stats.sink()
     }
 
     /// Records a model-invariant violation: bumps `mc.anomalies` and,
@@ -156,10 +121,9 @@ impl MultiCoreSystem {
     fn note_anomaly(&mut self) {
         self.stats.bump("mc.anomalies");
         if let Some(sink) = self.stats.sink() {
-            let cycle = self.core_now.iter().map(|c| c.raw()).max().unwrap_or(0);
             sink.emit(&TelemetryEvent::AnomalyMarker {
                 count: self.stats.get("mc.anomalies"),
-                cycle,
+                cycle: self.finish_time().raw(),
             });
         }
     }
@@ -167,28 +131,6 @@ impl MultiCoreSystem {
     /// The coherence controller (for invariant checks in tests).
     pub fn coherence(&self) -> &CoherenceController {
         &self.coherence
-    }
-
-    /// Entries currently resident across every core's SecPB.
-    pub fn occupancy(&self) -> usize {
-        (0..self.cores())
-            .map(|c| self.coherence.pb(c).occupancy())
-            .sum()
-    }
-
-    /// The durable state (for tamper injection in tests).
-    pub fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        &mut self.domain.nvm
-    }
-
-    /// The durable state, read-only.
-    pub fn nvm_store(&self) -> &NvmStore {
-        &self.domain.nvm
-    }
-
-    /// The architecturally expected plaintext of a block.
-    pub fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        self.domain.expected_plaintext(block)
     }
 
     /// Executes one store from a core, handling coherence.
@@ -221,7 +163,7 @@ impl MultiCoreSystem {
             self.core_now[core] += 8;
         }
 
-        let base = self.expected_plaintext(block);
+        let base = self.domain.expected_plaintext(block);
         let action = self.coherence.write(core, block, store.access.asid, base);
         let latency = match action {
             CoherenceAction::LocalHit => self.cfg.secpb.access_latency,
@@ -279,7 +221,7 @@ impl MultiCoreSystem {
                 self.core_now[core] += self.cfg.l1.access_latency;
             }
         }
-        self.expected_plaintext(block)
+        self.domain.expected_plaintext(block)
     }
 
     /// Which core a trace access runs on: threads are identified by ASID
@@ -289,8 +231,47 @@ impl MultiCoreSystem {
         usize::from(access.asid.0) % self.cores()
     }
 
-    /// Executes a single trace item, routing by ASID.
-    pub fn step(&mut self, item: TraceItem) {
+    /// Flushes one entry through the domain's drain kernel as a
+    /// one-entry run, resolving its counter (overflow-aware), pad and
+    /// ciphertext first.
+    fn flush_entry(&mut self, mut entry: Entry) {
+        if !entry.valid.counter {
+            (entry.counter, _) = self.domain.increment_counter(entry.block);
+            entry.valid.counter = true;
+        }
+        self.domain.seal(&mut entry);
+        self.domain.flush_resolved(std::slice::from_ref(&entry));
+        self.stats.bump("mc.flushes");
+    }
+}
+
+impl PersistSystem for MultiCoreSystem {
+    fn scheme(&self) -> Scheme {
+        self.scheme
+    }
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn domain(&self) -> &PersistDomain {
+        &self.domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistDomain {
+        &mut self.domain
+    }
+
+    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
+        self.stats.set_sink(sink);
+    }
+
+    /// Routes each access to a core by ASID.
+    fn step(&mut self, item: TraceItem) {
         let core = item.access.map(|a| self.route(a)).unwrap_or(0);
         if item.non_mem_instrs > 0 {
             self.stats
@@ -309,23 +290,10 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Replays a trace, routing each access to a core by ASID.
-    pub fn run_trace<I: IntoIterator<Item = TraceItem>>(&mut self, items: I) -> RunResult {
-        for item in items {
-            self.step(item);
-        }
-        self.run_result()
-    }
-
-    /// The run result so far: cycles are the slowest core's clock (the
-    /// parallel-section critical path).
-    pub fn run_result(&self) -> RunResult {
-        let cycles = self
-            .core_now
-            .iter()
-            .map(|c| c.raw())
-            .max()
-            .unwrap_or_default();
+    /// Cycles are the slowest core's clock (the parallel-section
+    /// critical path).
+    fn run_result(&self) -> RunResult {
+        let cycles = self.finish_time().raw();
         RunResult {
             scheme: self.scheme,
             cycles,
@@ -339,24 +307,34 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Full crash: every core's SecPB drains and all metadata completes.
-    /// Returns the number of entries drained.
-    pub fn crash(&mut self) -> Result<u64, RecoveryError> {
-        self.crash_with_budget(None).map(|(drained, _)| drained)
+    fn finish_time(&self) -> Cycle {
+        self.core_now.iter().copied().max().unwrap_or(Cycle::ZERO)
     }
 
-    /// [`crash`](Self::crash) under a battery budget: at most
-    /// `max_drain_entries` entries drain across all cores (core 0 first,
-    /// oldest first within a core — the shared battery powers the drain
-    /// network serially); the rest are *lost* with the buffers and
-    /// returned for accounting.
-    pub fn crash_with_budget(
+    /// Entries resident across every core's SecPB.
+    fn occupancy(&self) -> u64 {
+        (0..self.cores())
+            .map(|c| self.coherence.pb(c).occupancy() as u64)
+            .sum()
+    }
+
+    /// Full crash: every core's SecPB drains and all metadata completes.
+    /// Under a budget at most `max_drain_entries` entries drain across
+    /// all cores (core 0 first, oldest first within a core — the shared
+    /// battery powers the drain network serially); the rest are *lost*
+    /// with the buffers.  The event-cost model tracks entry movement,
+    /// not the per-phase crypto deltas, and the gaps close at the crash
+    /// instant.
+    fn drain_on_battery(
         &mut self,
+        kind: CrashKind,
+        _policy: DrainPolicy,
         max_drain_entries: Option<u64>,
-    ) -> Result<(u64, Vec<BlockAddr>), RecoveryError> {
+    ) -> Result<CrashReport, RecoveryError> {
+        let at = self.finish_time();
         let budget = max_drain_entries.unwrap_or(u64::MAX);
         let mut drained = 0u64;
-        let mut lost = Vec::new();
+        let mut lost_blocks = Vec::new();
         for core in 0..self.cores() {
             while let Some(block) = self.coherence.pb(core).oldest() {
                 let entry = self
@@ -368,51 +346,43 @@ impl MultiCoreSystem {
                     drained += 1;
                 } else {
                     // Battery dead: the entry evaporates undrained.
-                    lost.push(block);
+                    lost_blocks.push(block);
                 }
             }
         }
         // Observation point: the root register catches up with the drain.
         self.sync_metadata();
         self.stats.bump_by("mc.crash_drains", drained);
-        self.stats.bump_by("mc.lost_entries", lost.len() as u64);
-        Ok((drained, lost))
-    }
-
-    /// Post-crash recovery over the shared persistent image.
-    pub fn recover(&self) -> RecoveryReport {
-        self.recover_with(&[])
-    }
-
-    /// [`recover`](Self::recover) with lost-entry accounting: blocks in
-    /// `lost` (from [`crash_with_budget`](Self::crash_with_budget)) read
-    /// back stale by construction and get
-    /// [`crate::crash::BlockVerdict::LostStale`]; blocks still resident
-    /// in *any* core's SecPB get
-    /// [`crate::crash::BlockVerdict::InFlightStale`].
-    pub fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        self.domain.recover_report(lost, true, &|b| {
-            (0..self.cores()).any(|c| self.coherence.pb(c).contains(b))
+        self.stats
+            .bump_by("mc.lost_entries", lost_blocks.len() as u64);
+        let work = DrainWork {
+            entries: drained,
+            bytes_pb_to_mc: drained * self.scheme.entry_footprint_bytes(),
+            ..DrainWork::default()
+        };
+        Ok(CrashReport {
+            kind,
+            at,
+            drain_complete_at: at,
+            secsync_complete_at: at,
+            work,
+            lost_blocks,
         })
     }
 
-    /// Re-reads the durable image of brown-out-lost entries back into
-    /// the architectural expectation so replay can continue.
-    pub fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        self.domain.resync_lost(lost, true);
+    /// Only SecPB schemes construct (bufferless `SP` is rejected), and
+    /// `bbb` still runs the full tuple pipeline in this front.
+    fn secure(&self) -> bool {
+        true
     }
 
-    /// Flushes one entry through the domain's drain kernel as a
-    /// one-entry run, resolving its counter (overflow-aware), pad and
-    /// ciphertext first.
-    fn flush_entry(&mut self, mut entry: Entry) {
-        if !entry.valid.counter {
-            (entry.counter, _) = self.domain.increment_counter(entry.block);
-            entry.valid.counter = true;
-        }
-        self.domain.seal(&mut entry);
-        self.domain.flush_resolved(std::slice::from_ref(&entry));
-        self.stats.bump("mc.flushes");
+    /// A block resident in *any* core's SecPB.
+    fn buffered(&self, block: BlockAddr) -> bool {
+        (0..self.cores()).any(|c| self.coherence.pb(c).contains(block))
+    }
+
+    fn anomalies(&self) -> u64 {
+        self.stats.get("mc.anomalies")
     }
 }
 
@@ -423,6 +393,11 @@ mod tests {
 
     fn sys(cores: usize) -> MultiCoreSystem {
         MultiCoreSystem::new(SystemConfig::default(), Scheme::Cobcm, cores, 1234).unwrap()
+    }
+
+    fn power_loss(m: &mut MultiCoreSystem) -> CrashReport {
+        m.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap()
     }
 
     fn st(core: usize, addr: u64, value: u64) -> CoreStore {
@@ -476,7 +451,7 @@ mod tests {
         // Some cross-core traffic too.
         m.store(st(0, 0x10_0000, 999));
         m.store(st(3, 0x10_0000, 1000));
-        let drained = m.crash().unwrap();
+        let drained = power_loss(&mut m).work.entries;
         assert!(drained > 0);
         let rec = m.recover();
         assert!(
@@ -505,7 +480,7 @@ mod tests {
             m.store(st(0, 0x10_0000 + i * 64, i));
         }
         assert!(m.stats().get("mc.capacity_drains") > 0);
-        m.crash().unwrap();
+        power_loss(&mut m);
         assert!(m.recover().is_consistent());
     }
 
@@ -515,13 +490,15 @@ mod tests {
         for i in 0..40u64 {
             m.store(st((i % 4) as usize, 0x10_0000 + i * 64, i));
         }
-        let (drained, lost) = m.crash_with_budget(Some(10)).unwrap();
-        assert_eq!(drained, 10);
-        assert_eq!(lost.len(), 30);
-        let rec = m.recover_with(&lost);
+        let report = m
+            .crash_with_budget(CrashKind::PowerLoss, DrainPolicy::DrainAll, Some(10))
+            .unwrap();
+        assert_eq!(report.work.entries, 10);
+        assert_eq!(report.lost_blocks.len(), 30);
+        let rec = m.recover_with(&report.lost_blocks);
         assert!(rec.integrity_ok());
         assert!(rec.is_consistent(), "lost entries are accounted");
-        m.resync_lost_golden(&lost);
+        m.resync_lost_golden(&report.lost_blocks);
         assert!(m.recover().is_consistent());
     }
 
@@ -530,7 +507,7 @@ mod tests {
         let mut m = sys(2);
         m.store(st(0, 0x10_0000, 1));
         m.store(st(1, 0x20_0000, 2));
-        m.crash().unwrap();
+        power_loss(&mut m);
         let victim = Address(0x10_0000).block();
         m.nvm_store_mut().tamper_data(victim, 0, 0);
         assert!(!m.recover().integrity_ok());
@@ -543,7 +520,7 @@ mod tests {
             m.store(st((i % 2) as usize, 0x10_0000, i));
         }
         assert_eq!(m.stats().get("mc.migrations"), 49);
-        m.crash().unwrap();
+        power_loss(&mut m);
         assert!(m.recover().is_consistent());
         assert_eq!(
             m.expected_plaintext(Address(0x10_0000).block())[..8],
@@ -563,7 +540,7 @@ mod tests {
             for i in 0..1_000u64 {
                 m.store(st(0, 0x40000 + (i % 6) * 64, i));
             }
-            m.crash().unwrap();
+            power_loss(&mut m);
             assert!(m.recover().is_consistent(), "mc{cores}");
         }
     }
@@ -608,11 +585,11 @@ mod tests {
                 )
             })
             .collect();
-        let r = m.run_trace(trace);
+        let r = m.run_trace(&trace);
         assert_eq!(r.stats.get("mc.stores"), 40);
         assert!(m.core_time(0) > Cycle::ZERO && m.core_time(1) > Cycle::ZERO);
         assert!(r.cycles > 0);
-        m.crash().unwrap();
+        power_loss(&mut m);
         assert!(m.recover().is_consistent());
     }
 }

@@ -14,12 +14,12 @@ use secpb_crypto::counter::SplitCounter;
 use secpb_crypto::sha512::digest64_batch;
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::telemetry::TelemetryEvent;
 
 use crate::crash::{
     BlockVerdict, CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport,
 };
 use crate::domain::PersistDomain;
+use crate::facade::PersistSystem;
 use crate::metrics::counters;
 use crate::policy::CounterLayout;
 use crate::system::SecureSystem;
@@ -193,24 +193,14 @@ impl PersistDomain {
 }
 
 impl SecureSystem {
-    /// Handles a crash: the battery drains the SecPB (per `policy` for
-    /// application crashes) and completes all security metadata, closing
-    /// the draining and sec-sync gaps.
-    pub fn crash(
-        &mut self,
-        kind: CrashKind,
-        policy: DrainPolicy,
-    ) -> Result<CrashReport, RecoveryError> {
-        self.crash_with_budget(kind, policy, None)
-    }
-
-    /// [`crash`](Self::crash) under a battery budget: at most
-    /// `max_drain_entries` entries drain (oldest first, the drain order);
+    /// The single-core battery drain behind
+    /// [`PersistSystem::crash_with_budget`]: the battery drains the SecPB
+    /// (per `policy` for application crashes, oldest first) and
+    /// completes all security metadata, closing the draining and
+    /// sec-sync gaps.  At most `max_drain_entries` entries drain;
     /// anything younger is *lost* — dropped undrained and reported in
-    /// [`CrashReport::lost_blocks`] — modelling a brown-out where the
-    /// provisioned energy runs out mid-drain.  `None` means a fully
-    /// provisioned battery.
-    pub fn crash_with_budget(
+    /// [`CrashReport::lost_blocks`].
+    pub(crate) fn battery_drain(
         &mut self,
         kind: CrashKind,
         policy: DrainPolicy,
@@ -280,17 +270,6 @@ impl SecureSystem {
             ciphertexts: delta(counters::CIPHERTEXTS),
         };
 
-        if let Some(sink) = self.stats.sink() {
-            sink.emit(&TelemetryEvent::CrashMarker {
-                power_loss: full_power_cycle,
-                cycle: at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries,
-                cycle: drain_complete_at.raw(),
-            });
-        }
-
         Ok(CrashReport {
             kind,
             at,
@@ -299,49 +278,5 @@ impl SecureSystem {
             work,
             lost_blocks,
         })
-    }
-
-    /// Whether background drains are currently in flight (issued but not
-    /// retired) — the [`secpb_sim::fault::CrashTrigger::MidDrain`]
-    /// observation point.
-    pub fn drains_in_flight(&self) -> bool {
-        self.drain_engine.next_completion().is_some()
-    }
-
-    /// Post-crash recovery: rebuilds the integrity tree from the persisted
-    /// counters, verifies the root register, decrypts and MAC-verifies
-    /// every data block, and checks the plaintext against the
-    /// architecturally expected post-crash state.
-    pub fn recover(&self) -> RecoveryReport {
-        self.recover_with(&[])
-    }
-
-    /// [`recover`](Self::recover) with lost-block accounting: blocks
-    /// listed in `lost` (a brown-out crash report's
-    /// [`CrashReport::lost_blocks`]) and blocks still SecPB-resident
-    /// (e.g. survivors of a [`DrainPolicy::DrainProcess`] drain) are
-    /// *expected* to read back stale — they get
-    /// [`BlockVerdict::LostStale`] / [`BlockVerdict::InFlightStale`]
-    /// verdicts instead of counting as plaintext mismatches.
-    pub fn recover_with(&self, lost: &[BlockAddr]) -> RecoveryReport {
-        let report = self
-            .domain
-            .recover_report(lost, self.scheme.is_secure(), &|b| self.pb.contains(b));
-        if let Some(sink) = self.stats.sink() {
-            sink.emit(&TelemetryEvent::RecoveryMarker {
-                consistent: report.is_consistent(),
-                blocks: report.blocks_checked,
-                cycle: self.finish_time().raw(),
-            });
-        }
-        report
-    }
-
-    /// Re-reads the durable image of brown-out-lost blocks back into the
-    /// architectural expectation (see
-    /// `PersistDomain::resync_lost`'s rationale).
-    pub fn resync_lost_golden(&mut self, lost: &[BlockAddr]) {
-        let secure = self.scheme.is_secure();
-        self.domain.resync_lost(lost, secure);
     }
 }

@@ -30,7 +30,6 @@ use std::collections::VecDeque;
 use secpb_mem::hierarchy::Hierarchy;
 use secpb_mem::metadata::MetadataCaches;
 use secpb_mem::nvm::NvmTiming;
-use secpb_mem::store::NvmStore;
 use secpb_mem::wpq::WritePendingQueue;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
@@ -41,8 +40,11 @@ use secpb_sim::trace::{AccessKind, TraceItem};
 use secpb_sim::tracer::Tracer;
 
 use crate::buffer::SecPb;
+use crate::checkpoint::{CheckpointError, Snapshot};
+use crate::crash::{CrashKind, CrashReport, DrainPolicy, RecoveryError};
 use crate::domain::{DomainKeys, PersistDomain};
 use crate::drain::DrainEngine;
+use crate::facade::PersistSystem;
 use crate::metrics::{counters, histograms, CycleBreakdown, RunResult};
 use crate::policy::{PersistencePolicy, PolicyState};
 use crate::scheme::Scheme;
@@ -272,24 +274,9 @@ impl SecureSystem {
         })
     }
 
-    /// The persistence policy driving this system.
-    pub fn policy(&self) -> PersistencePolicy {
-        self.domain.policy()
-    }
-
     /// Analytic write-amplification counters accumulated by the policy.
     pub fn policy_state(&self) -> &PolicyState {
         self.domain.policy_state()
-    }
-
-    /// The scheme under simulation.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// The integrity tree (for inspecting fold statistics).
@@ -302,22 +289,6 @@ impl SecureSystem {
     /// per-layer `crypto.memo_hit_ratio` keeps reading.
     pub fn memo_stats(&self) -> MemoStats {
         MemoStats::default()
-    }
-
-    /// Folds all deferred integrity-tree work and persists the root
-    /// register (secure schemes only) — the observation point after
-    /// which the durable root authenticates the NVM counter image.
-    /// Returns the analytic hash count charged to the sec-sync gap (BMF
-    /// root-cache folds; zero for a monolithic tree).
-    pub fn sync_metadata(&mut self) -> u64 {
-        let sync_hashes = self.domain.sync_root(self.scheme.is_secure());
-        self.stats.add(self.h.bmt_node_hashes, sync_hashes);
-        sync_hashes
-    }
-
-    /// Raw statistics accumulated so far.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
     }
 
     /// The cycle-attribution tracer (span aggregates, and captured events
@@ -336,20 +307,6 @@ impl SecureSystem {
         self.tracer.set_sink(sink);
     }
 
-    /// Attaches (or with `None` detaches) a live telemetry sink: every
-    /// stat delta, histogram sample, and span — plus crash/drain/recovery
-    /// markers — is mirrored into the ring.  Events observe, never steer:
-    /// a run with a sink attached is byte-identical to one without.
-    pub fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        self.stats.set_sink(sink.clone());
-        self.tracer.set_sink(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.stats.sink()
-    }
-
     /// Where the measured cycles have gone so far.  `drain_wait` is only
     /// computed when a run completes, so this in-progress view omits it.
     pub fn cycle_breakdown(&self) -> CycleBreakdown {
@@ -366,22 +323,6 @@ impl SecureSystem {
         &self.pb
     }
 
-    /// The durable state (for tamper injection in recovery tests).
-    pub fn nvm_store_mut(&mut self) -> &mut NvmStore {
-        &mut self.domain.nvm
-    }
-
-    /// The durable state, read-only.
-    pub fn nvm_store(&self) -> &NvmStore {
-        &self.domain.nvm
-    }
-
-    /// The architecturally-expected plaintext of a block (all stores
-    /// applied).
-    pub fn expected_plaintext(&self, block: BlockAddr) -> [u8; 64] {
-        self.domain.expected_plaintext(block)
-    }
-
     // ---------------------------------------------------------------
     // Trace replay
     // ---------------------------------------------------------------
@@ -393,15 +334,7 @@ impl SecureSystem {
         for item in items {
             self.step(item);
         }
-        let end = self.finish_time();
-        let mut breakdown = self.breakdown;
-        breakdown.drain_wait = end.since(self.now.max(self.measure_from));
-        RunResult {
-            scheme: self.scheme,
-            cycles: end.since(self.measure_from),
-            breakdown,
-            stats: self.stats.clone(),
-        }
+        self.run_result()
     }
 
     /// Ends the warm-up region: zeroes the statistics and restarts the
@@ -436,13 +369,6 @@ impl SecureSystem {
         }
     }
 
-    /// The execution time if the trace ended now: the core must wait for
-    /// outstanding store-buffer entries to persist.
-    pub fn finish_time(&self) -> Cycle {
-        let sb_tail = self.store_buffer.back().copied().unwrap_or(Cycle::ZERO);
-        self.now.max(self.pb_busy_until).max(sb_tail)
-    }
-
     pub(crate) fn advance(&mut self, cycles: f64, attr: Attr) {
         self.frac += cycles;
         // `frac` is a sum of non-negative latencies, so the truncating
@@ -475,6 +401,109 @@ impl SecureSystem {
             Attr::SbStall => self.breakdown.sb_stall += delta,
             Attr::NogapWait => self.breakdown.nogap_wait += delta,
         }
+    }
+}
+
+impl PersistSystem for SecureSystem {
+    fn scheme(&self) -> Scheme {
+        self.scheme
+    }
+
+    fn config(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    fn domain(&self) -> &PersistDomain {
+        &self.domain
+    }
+
+    fn domain_mut(&mut self) -> &mut PersistDomain {
+        &mut self.domain
+    }
+
+    fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
+        self.stats.set_sink(sink.clone());
+        self.tracer.set_sink(sink);
+    }
+
+    fn step(&mut self, item: TraceItem) {
+        SecureSystem::step(self, item);
+    }
+
+    /// Cycles counted since the last
+    /// [`reset_measurement`](SecureSystem::reset_measurement), or from
+    /// time zero; the wait for outstanding drains is `drain_wait`.
+    fn run_result(&self) -> RunResult {
+        let end = self.finish_time();
+        let mut breakdown = self.breakdown;
+        breakdown.drain_wait = end.since(self.now.max(self.measure_from));
+        RunResult {
+            scheme: self.scheme,
+            cycles: end.since(self.measure_from),
+            breakdown,
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// The core must wait for outstanding store-buffer entries to
+    /// persist.
+    fn finish_time(&self) -> Cycle {
+        let sb_tail = self.store_buffer.back().copied().unwrap_or(Cycle::ZERO);
+        self.now.max(self.pb_busy_until).max(sb_tail)
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.pb.occupancy() as u64
+    }
+
+    fn drain_on_battery(
+        &mut self,
+        kind: CrashKind,
+        policy: DrainPolicy,
+        max_drain_entries: Option<u64>,
+    ) -> Result<CrashReport, RecoveryError> {
+        self.battery_drain(kind, policy, max_drain_entries)
+    }
+
+    /// Survivors of a [`DrainPolicy::DrainProcess`] drain stay in the
+    /// SecPB across the crash.
+    fn buffered(&self, block: BlockAddr) -> bool {
+        self.pb.contains(block)
+    }
+
+    /// Charges the sync's analytic hashes (BMF root-cache folds; zero
+    /// for a monolithic tree) to `bmt_node_hashes`.
+    fn sync_metadata(&mut self) -> u64 {
+        let sync_hashes = self.domain.sync_root(self.scheme.is_secure());
+        self.stats.add(self.h.bmt_node_hashes, sync_hashes);
+        sync_hashes
+    }
+
+    /// Whether background drains are issued but not retired — the
+    /// [`secpb_sim::fault::CrashTrigger::MidDrain`] observation point.
+    fn drains_in_flight(&self) -> bool {
+        self.drain_engine.next_completion().is_some()
+    }
+
+    fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
+        Ok(self.checkpoint_bytes())
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.restore_bytes(bytes)
+    }
+
+    fn snapshot_into(&mut self, slot: &mut Option<Snapshot>) -> Result<(), CheckpointError> {
+        SecureSystem::snapshot_into(self, slot);
+        Ok(())
+    }
+
+    fn rewind(&mut self, to: &Snapshot) -> Result<(), CheckpointError> {
+        SecureSystem::rewind(self, to)
     }
 }
 

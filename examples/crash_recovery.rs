@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example crash_recovery`
 
 use secpb::core::crash::{CrashKind, DrainPolicy, ObserverPolicy, ObserverView};
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::sim::addr::{Address, Asid};

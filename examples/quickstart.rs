@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use secpb::core::crash::{CrashKind, DrainPolicy};
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::sim::config::SystemConfig;

@@ -5,10 +5,10 @@
 //! a usage error.
 //!
 //! ```text
-//! secpb run <bench> <scheme> [entries] [instructions] [--front F]   simulate + metrics
-//! secpb watch <bench> <scheme> [instructions] [--front F] [...]  stream health snapshots
-//! secpb grid [instructions] [--jobs N]                  scheme×workload grid (Table IV)
-//! secpb crash <bench> <scheme> [instructions] [--front F]  crash + verified recovery
+//! secpb run <bench> <scheme> [entries] [instructions] [--front FRONT]  simulate + metrics
+//! secpb watch <bench> <scheme> [instructions] [--front FRONT] [...]  stream health snapshots
+//! secpb crash <bench> <scheme> [instructions] [--front FRONT]  crash + verified recovery
+//! secpb repro <artifact> [instructions] [--jobs N] [--json FILE]  one paper table/figure
 //! secpb storm [--quick] [--seed N] [--brown-out F]      crash-storm fault injection
 //! secpb battery [entries]                               battery sizing table
 //! secpb trace gen <bench> <file> [instructions]         save a trace
@@ -26,11 +26,15 @@
 //! or `fastrec` for the Huang & Hua fast-recovery layout); every front
 //! is driven through the
 //! [`PersistSystem`](secpb_core::facade::PersistSystem) facade, so
-//! `run` and `crash` are written once.
+//! `run` and `crash` are written once.  `repro` regenerates one artifact
+//! of the paper's evaluation (`table4`, `table5`, `table6`, `fig6`–`fig9`,
+//! `ablations`, `characterize`, `validate-ipc`; see
+//! [`secpb_bench::repro`]).
 
 use std::fmt::Write as _;
 
-use secpb_bench::experiments;
+use secpb_bench::args::RunnerArgs;
+use secpb_bench::repro::Artifact;
 use secpb_bench::storm::{build_front, StormFront};
 use secpb_bench::watch::{run_watch, WatchConfig};
 use secpb_core::crash::{CrashKind, DrainPolicy};
@@ -46,11 +50,12 @@ use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
 /// Top-level usage text.
 pub const USAGE: &str = "usage:
-  secpb run <bench> <scheme> [entries] [instructions] [--front secpb|eadr|mc<N>]
-  secpb watch <bench> <scheme> [instructions] [--front secpb|eadr|mc<N>] [--interval N]
+  secpb run <bench> <scheme> [entries] [instructions] [--front FRONT]
+  secpb watch <bench> <scheme> [instructions] [--front FRONT] [--interval N]
               [--out FILE] [--trace-out FILE] [--crash-every N] [--quick]
-  secpb grid [instructions] [--jobs N]
-  secpb crash <bench> <scheme> [instructions] [--front secpb|eadr|mc<N>]
+  secpb crash <bench> <scheme> [instructions] [--front FRONT]
+  secpb repro <table4|table5|table6|fig6|fig7|fig8|fig9|ablations|characterize|validate-ipc>
+              [instructions] [--jobs N] [--json FILE]
   secpb storm [--quick] [--seed N] [--brown-out F]
   secpb battery [entries]
   secpb trace gen <bench> <file> [instructions]
@@ -63,7 +68,7 @@ pub const USAGE: &str = "usage:
   secpb schemes
   secpb list
 
-fronts: secpb, eadr, mc<N>, triad<N>, fastrec";
+fronts (FRONT): secpb, eadr, mc<N>, triad<N>, fastrec";
 
 /// Executes one CLI invocation (argv without the program name).
 ///
@@ -74,8 +79,8 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
-        Some("grid") => cmd_grid(&args[1..]),
         Some("crash") => cmd_crash(&args[1..]),
+        Some("repro") => cmd_repro(&args[1..]),
         Some("storm") => cmd_storm(&args[1..]),
         Some("battery") => cmd_battery(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
@@ -288,22 +293,6 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_grid(args: &[String]) -> Result<String, String> {
-    let parsed =
-        secpb_bench::args::RunnerArgs::parse(args, 100_000).map_err(|e| format!("{e}\n{USAGE}"))?;
-    let study = experiments::table4(parsed.instructions, parsed.jobs);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "scheme×workload grid @ {} instructions, {} jobs (slowdown vs bbb, geomean)",
-        parsed.instructions, parsed.jobs
-    );
-    for (scheme, v) in &study.averages {
-        let _ = writeln!(out, " {:<6} {v:.3}", scheme.name());
-    }
-    Ok(out)
-}
-
 fn cmd_crash(args: &[String]) -> Result<String, String> {
     let (front, args) = take_front(args)?;
     let bench = args.first().ok_or(USAGE)?;
@@ -342,6 +331,20 @@ fn cmd_crash(args: &[String]) -> Result<String, String> {
         return Err(format!("recovery failed:\n{out}"));
     }
     Ok(out)
+}
+
+fn cmd_repro(args: &[String]) -> Result<String, String> {
+    let artifact = Artifact::named(args.first().ok_or(USAGE)?)?;
+    let parsed = RunnerArgs::parse(&args[1..], artifact.default_instructions)
+        .map_err(|e| format!("{e}\n{USAGE}"))?;
+    if parsed.json.is_some() && !artifact.has_json {
+        return Err(format!("repro {} has no --json payload", artifact.name));
+    }
+    let out = artifact.reproduce(parsed.instructions, parsed.jobs);
+    if let (Some(path), Some(json)) = (&parsed.json, &out.json) {
+        std::fs::write(path, json.to_pretty()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    Ok(out.text)
 }
 
 fn cmd_storm(args: &[String]) -> Result<String, String> {
@@ -907,22 +910,38 @@ mod tests {
     }
 
     #[test]
-    fn grid_reports_all_schemes_and_ignores_job_count() {
-        let serial = run(&["grid", "20000", "--jobs", "1"]).unwrap();
-        let parallel = run(&["grid", "20000", "--jobs", "4"]).unwrap();
+    fn repro_table4_ignores_job_count() {
+        let serial = run(&["repro", "table4", "20000", "--jobs", "1"]).unwrap();
+        let parallel = run(&["repro", "table4", "20000", "--jobs", "4"]).unwrap();
         for name in ["cobcm", "nogap", "cm"] {
             assert!(serial.contains(name), "{serial}");
         }
-        // Byte-identical numbers regardless of worker count (only the
-        // header line reports the job count itself).
-        let rows = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(rows(&serial), rows(&parallel));
+        assert!(serial.starts_with("TABLE IV"), "{serial}");
+        // Byte-identical output regardless of worker count.
+        assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn grid_rejects_bad_arguments() {
-        assert!(run(&["grid", "--jobs"]).is_err());
-        assert!(run(&["grid", "notanumber"]).is_err());
+    fn repro_writes_json_and_rejects_bad_arguments() {
+        let dir = std::env::temp_dir().join("secpb_cli_repro_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("table6.json").to_string_lossy().into_owned();
+        let out = run(&["repro", "table6", "--json", &path]).unwrap();
+        assert!(out.starts_with("TABLE VI"), "{out}");
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let parsed = secpb_sim::json::Json::parse(&doc).expect("repro JSON parses");
+        assert!(!parsed.items().is_empty(), "{doc}");
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(run(&["repro"]).unwrap_err(), USAGE);
+        assert!(run(&["repro", "fig10"])
+            .unwrap_err()
+            .contains("unknown artifact"));
+        assert!(run(&["repro", "table4", "--jobs"]).is_err());
+        assert!(run(&["repro", "table4", "notanumber"]).is_err());
+        assert!(run(&["repro", "ablations", "--json", &path])
+            .unwrap_err()
+            .contains("no --json payload"));
     }
 
     #[test]

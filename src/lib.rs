@@ -27,6 +27,7 @@
 //! use secpb::core::scheme::Scheme;
 //! use secpb::core::system::SecureSystem;
 //! use secpb::core::crash::{CrashKind, DrainPolicy};
+//! use secpb::core::facade::PersistSystem;
 //! use secpb::sim::config::SystemConfig;
 //! use secpb::workloads::{TraceGenerator, WorkloadProfile};
 //!

@@ -21,6 +21,7 @@ use secpb::bench::experiments::GridCell;
 use secpb::core::arena::EntryArena;
 use secpb::core::crash::{CrashKind, DrainPolicy};
 use secpb::core::entry::Entry;
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::crypto::backend::{CryptoBackend, HashBackend};

@@ -271,10 +271,8 @@ fn facade_exposes_checkpoint_only_on_the_single_core_front() {
     let snapshot = slot.expect("a snapshot was taken");
     secure.rewind(&snapshot).expect("single-core front rewinds");
 
-    let mut eadr: Box<dyn PersistSystem> = Box::new(secpb::core::eadr::EadrSystem::new(
-        SystemConfig::default(),
-        1,
-    ));
+    let mut eadr: Box<dyn PersistSystem> =
+        Box::new(secpb::core::eadr::EadrSystem::new(SystemConfig::default(), 1).unwrap());
     assert_eq!(eadr.checkpoint(), Err(CheckpointError::Unsupported));
     assert_eq!(eadr.restore(&bytes), Err(CheckpointError::Unsupported));
     let mut slot = None;

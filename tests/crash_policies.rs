@@ -3,6 +3,7 @@
 //! exceed what the worst-case model provisions.
 
 use secpb::core::crash::{CrashKind, DrainPolicy, ObserverPolicy, ObserverView};
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::energy::drain::{secpb_drain_energy, SchemeKind};

@@ -121,17 +121,18 @@ fn dyn_facade_is_transparent_for_multicore_and_eadr() {
     let trace = fuzz_trace("gamess", 13, 15_000);
 
     let mut concrete = MultiCoreSystem::new(SystemConfig::default(), Scheme::Obcm, 3, 13).unwrap();
-    let concrete_result = concrete.run_trace(trace.iter().copied());
+    let concrete_result = PersistSystem::run_trace(&mut concrete, &trace);
     let mut boxed: Box<dyn PersistSystem> =
         Box::new(MultiCoreSystem::new(SystemConfig::default(), Scheme::Obcm, 3, 13).unwrap());
     let dyn_result = boxed.run_trace(&trace);
     assert_eq!(concrete_result.cycles, dyn_result.cycles);
-    assert_eq!(concrete.stats(), boxed.stats());
+    assert_eq!(PersistSystem::stats(&concrete), boxed.stats());
 
-    let mut concrete = EadrSystem::new(SystemConfig::default(), 13);
-    let concrete_result = concrete.run_trace(trace.iter().copied());
-    let mut boxed: Box<dyn PersistSystem> = Box::new(EadrSystem::new(SystemConfig::default(), 13));
+    let mut concrete = EadrSystem::new(SystemConfig::default(), 13).unwrap();
+    let concrete_result = PersistSystem::run_trace(&mut concrete, &trace);
+    let mut boxed: Box<dyn PersistSystem> =
+        Box::new(EadrSystem::new(SystemConfig::default(), 13).unwrap());
     let dyn_result = boxed.run_trace(&trace);
     assert_eq!(concrete_result.cycles, dyn_result.cycles);
-    assert_eq!(concrete.stats(), boxed.stats());
+    assert_eq!(PersistSystem::stats(&concrete), boxed.stats());
 }

@@ -5,6 +5,7 @@
 
 use secpb::bench::storm::{run_storm, StormConfig};
 use secpb::core::crash::{BlockVerdict, CrashKind, DrainPolicy, FaultOutcome};
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::sim::addr::{Address, Asid};

@@ -173,7 +173,7 @@ fn eadr_and_multicore_fronts_persist_the_oracle_root() {
     };
     let eadr = Case {
         label: format!("eadr/{workload}"),
-        sys: Box::new(EadrSystem::new(small_caches, key_seed)),
+        sys: Box::new(EadrSystem::new(small_caches, key_seed).expect("valid")),
         keys: DomainKeys::EADR,
         key_seed,
         kind,

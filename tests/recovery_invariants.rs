@@ -13,6 +13,7 @@
 //! index.
 
 use secpb::core::crash::{CrashKind, DrainPolicy};
+use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::sim::addr::Address;

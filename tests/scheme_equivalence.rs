@@ -3,13 +3,19 @@
 //! metadata is generated (Section IV), never in *what* recovery observes.
 
 use secpb::core::crash::{CrashKind, DrainPolicy};
+use secpb::core::eadr::EadrSystem;
 use secpb::core::facade::PersistSystem;
 use secpb::core::metrics::counters;
-use secpb::core::policy::{PersistencePolicy, PolicyError, RecoveryCost};
+use secpb::core::multicore::MultiCoreSystem;
+use secpb::core::policy::{
+    CounterLayout, PersistencePolicy, PolicyError, RecoveryCost, TreePersistence,
+};
 use secpb::core::scheme::{EarlyWork, Scheme};
 use secpb::core::system::SecureSystem;
 use secpb::core::tree::TreeKind;
+use secpb::sim::addr::Address;
 use secpb::sim::config::SystemConfig;
+use secpb::sim::trace::{Access, TraceItem};
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
 fn run_and_crash(scheme: Scheme, seed: u64) -> SecureSystem {
@@ -206,6 +212,82 @@ fn baseline_recovery_cost_is_the_root_only_formula() {
         let dyn_sys: &dyn PersistSystem = &sys;
         assert_eq!(dyn_sys.recovery_cost(), expect, "{scheme}");
         assert!(dyn_sys.policy().is_baseline());
+    }
+}
+
+#[test]
+fn every_front_reports_its_domain_policy_and_recovery_cost() {
+    // Stores to 3000 distinct counter pages, then a full-battery crash:
+    // each front's policy and recovery cost must follow the knobs its
+    // domain was built with, not a root-only default.
+    let trace: Vec<TraceItem> = (0..3_000u64)
+        .map(|i| TraceItem::then(9, Access::store(Address(0x100_0000 + i * 4096), i + 1)))
+        .collect();
+    let crashed = |mut sys: Box<dyn PersistSystem>| {
+        sys.run_trace(&trace);
+        sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap();
+        sys
+    };
+    let fronts = |cfg: &SystemConfig| -> Vec<(&str, Box<dyn PersistSystem>)> {
+        vec![
+            (
+                "secpb",
+                Box::new(
+                    SecureSystem::build(cfg.clone(), Scheme::Cobcm, TreeKind::Monolithic, 7)
+                        .unwrap(),
+                ),
+            ),
+            ("eadr", Box::new(EadrSystem::new(cfg.clone(), 7).unwrap())),
+            (
+                "mc2",
+                Box::new(MultiCoreSystem::new(cfg.clone(), Scheme::Cobcm, 2, 7).unwrap()),
+            ),
+        ]
+    };
+
+    // Triad depth 4: recovery reads the level-3 frontier.  Its shape
+    // depends only on which counter pages were written, so the
+    // single-core front's tree prices every front's fold.
+    let triad = SystemConfig::default().with_triad_levels(4);
+    let mut reference =
+        SecureSystem::build(triad.clone(), Scheme::Cobcm, TreeKind::Monolithic, 7).unwrap();
+    reference.run_trace(trace.iter().copied());
+    reference
+        .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+        .unwrap();
+    let tree = reference.integrity_tree();
+    let nodes = tree.level_nodes(3).expect("a monolithic tree has level 3");
+    let (_, fold_hashes) = tree.root_from_level(3, &nodes).expect("frontier folds");
+    for (front, sys) in fronts(&triad) {
+        let sys = crashed(sys);
+        assert!(sys.recover().is_consistent(), "{front}");
+        assert_eq!(sys.policy().tree, TreePersistence::Levels(4), "{front}");
+        assert_eq!(sys.policy().counters, CounterLayout::Plain, "{front}");
+        let nvm = sys.nvm_store();
+        let (pages, blocks) = (
+            nvm.counter_pages().count() as u64,
+            nvm.data_block_count() as u64,
+        );
+        assert_eq!((pages, blocks), (3_000, 3_000), "{front}");
+        let expect =
+            RecoveryCost::selective(sys.config(), pages, blocks, nodes.len() as u64, fold_hashes);
+        assert_eq!(sys.recovery_cost(), expect, "{front}");
+    }
+
+    let fastrec = SystemConfig::default().with_shadow_counters(true);
+    for (front, sys) in fronts(&fastrec) {
+        let sys = crashed(sys);
+        assert!(sys.recover().is_consistent(), "{front}");
+        assert_eq!(sys.policy().tree, TreePersistence::RootOnly, "{front}");
+        assert_eq!(sys.policy().counters, CounterLayout::Shadow, "{front}");
+        let nvm = sys.nvm_store();
+        let expect = RecoveryCost::fast_recovery(
+            sys.config(),
+            nvm.counter_pages().count() as u64,
+            nvm.data_block_count() as u64,
+        );
+        assert_eq!(sys.recovery_cost(), expect, "{front}");
     }
 }
 
