@@ -60,20 +60,24 @@ echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed traces
 # reference.
 cargo test -q --features hw-crypto --test backend_equivalence
 
-echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.75x 4-lane)"
+echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.75x 4-lane, batched pad <= 0.6x single)"
 # Fails if the multi-block batched HMAC fold is not at least 2x faster
-# than the scalar backend, or, where AVX-512F is detected, if an 8-lane
-# compress_batch costs more than 0.75x a 4-lane one per block; each
-# check self-skips (with a notice) on hosts without its vector kernel.
+# than the scalar backend, where AVX-512F is detected if an 8-lane
+# compress_batch costs more than 0.75x a 4-lane one per block, or where
+# AES-NI is detected if a pad generated in a 256-pad batch costs more
+# than 0.6x a single hw pad; each check self-skips (with a notice) on
+# hosts without its kernel.
 ./target/release/crypto_micro --check
 
-echo "==> analytic artifact pins (secpb repro table5/table6 == results/*.txt)"
+echo "==> artifact pins (secpb repro <table/figure> == results/*.txt)"
 # Table V and Table VI come from the energy model alone, so they are
-# instant and exact: any drift from the checked-in text (the numbers
-# EXPERIMENTS.md quotes) fails the gate.
-for table in table5 table6; do
-  diff <(./target/release/secpb repro "$table") "results/$table.txt" \
-    || { echo "ci.sh: secpb repro $table diverged from results/$table.txt" >&2; exit 1; }
+# instant and exact.  Table IV and Figures 6-9 replay the 18 workloads
+# at the default 1M-instruction budget (4-8 s each on 2 cores); the
+# simulation is deterministic, so they are exact too.  Any drift from
+# the checked-in text (the numbers EXPERIMENTS.md quotes) fails the gate.
+for artifact in table5 table6 table4 fig6 fig7 fig8 fig9; do
+  diff <(./target/release/secpb repro "$artifact") "results/$artifact.txt" \
+    || { echo "ci.sh: secpb repro $artifact diverged from results/$artifact.txt" >&2; exit 1; }
 done
 
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"

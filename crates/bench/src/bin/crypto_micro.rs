@@ -6,9 +6,12 @@
 //! `--check` is the CI regression guard: it exits non-zero unless the
 //! multi-block batched HMAC fold is at least 2x faster than the scalar
 //! backend on the BMT sibling-group shape (the speedup the batched fold
-//! rewrite exists to deliver) and, where AVX-512F is detected, unless an
+//! rewrite exists to deliver), where AVX-512F is detected, unless an
 //! eight-lane `compress_batch` costs at most 0.75x a four-lane one per
-//! block (the eight-lane kernel's reason to exist).
+//! block (the eight-lane kernel's reason to exist), and, where AES-NI is
+//! detected, unless a pad generated in a recovery-chunk batch costs at
+//! most 0.6x a single `otp_generate[hw]` (the interleaved AES-NI kernel's
+//! reason to exist).
 
 use std::time::Instant;
 
@@ -148,6 +151,7 @@ fn main() {
         }),
         "block",
     );
+    let mut pad_ns = std::collections::BTreeMap::new();
     for backend in CryptoBackend::ALL {
         let mut engine = OtpEngine::new(&[7u8; 24]);
         engine.set_backend(backend);
@@ -155,6 +159,29 @@ fn main() {
             std::hint::black_box(engine.generate(i, SplitCounter { major: 1, minor: 2 }));
         });
         row(&format!("otp_generate[{}]", backend.name()), ns, "pad");
+        pad_ns.insert(backend.name(), ns);
+    }
+    // A recovery-sweep chunk's worth of pads in one cipher dispatch.
+    const SWEEP_PADS: u64 = 256;
+    let pad_inputs: Vec<(u64, SplitCounter)> = (0..SWEEP_PADS)
+        .map(|i| (i * 3, SplitCounter { major: 1, minor: 2 }))
+        .collect();
+    let mut batch_pad_ns = std::collections::BTreeMap::new();
+    for backend in CryptoBackend::ALL {
+        let mut engine = OtpEngine::new(&[7u8; 24]);
+        engine.set_backend(backend);
+        let mut pads = Vec::with_capacity(pad_inputs.len());
+        let ns = bench(200, |_| {
+            pads.clear();
+            engine.generate_batch(&pad_inputs, &mut pads);
+            std::hint::black_box(&pads);
+        }) / SWEEP_PADS as f64;
+        row(
+            &format!("otp_generate_batch_{SWEEP_PADS}[{}]", backend.name()),
+            ns,
+            "pad",
+        );
+        batch_pad_ns.insert(backend.name(), ns);
     }
 
     // ---- block MAC: single vs recovery-sweep batch ----
@@ -189,9 +216,11 @@ fn main() {
     let batched = fold_ns[CryptoBackend::auto().name()].min(fold_ns["multiblock"]);
     let speedup = scalar / batched;
     let lane_ratio = eight_lane_ns / four_lane_ns;
+    let pad_ratio = batch_pad_ns["hw"] / pad_ns["hw"];
     println!();
     println!("batched fold speedup vs scalar: {speedup:.2}x");
     println!("8-lane vs 4-lane compress cost per block: {lane_ratio:.2}x");
+    println!("batched vs single hw pad cost: {pad_ratio:.2}x");
     if check {
         let mut failed = false;
         // Without the vectorized kernel (feature off, or no AVX2 on this
@@ -223,6 +252,21 @@ fn main() {
             failed = true;
         } else {
             println!("check ok: 8-lane compress <= 0.75x 4-lane per block");
+        }
+        // Without AES-NI the hw backend runs the scalar cipher, where a
+        // batch is a loop of single pads and the ratio is ~1.
+        if !CryptoBackend::hw_available() {
+            println!(
+                "pad check skipped: AES-NI unavailable \
+                 (build with --features hw-crypto on an AES-NI host)"
+            );
+        } else if pad_ratio > 0.6 {
+            eprintln!(
+                "FAIL: a batched hw pad must cost <= 0.6x a single one (got {pad_ratio:.2}x)"
+            );
+            failed = true;
+        } else {
+            println!("check ok: batched hw pad <= 0.6x single");
         }
         if failed {
             std::process::exit(1);

@@ -28,7 +28,10 @@ use secpb_core::multicore::MultiCoreSystem;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
-use secpb_energy::drain::{entries_within_budget, secpb_drain_energy, SchemeKind};
+use secpb_energy::drain::{
+    entries_within_budget, per_entry_drain_energy, secpb_drain_energy, secure_eadr_line_energy,
+    SchemeKind,
+};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::{Asid, BlockAddr};
 use secpb_sim::config::SystemConfig;
@@ -82,6 +85,27 @@ impl StormFront {
             StormFront::MultiCore(n) => 2 + n as u64,
             StormFront::Triad(n) => 0x100 + n as u64,
             StormFront::FastRec => 0x200,
+        }
+    }
+
+    /// The scheme label this front's reports carry: the scheme it was
+    /// built with, except on eADR, which runs the secure-eADR machine
+    /// (Table V's `s_eadr`) whatever scheme was asked for, and whose
+    /// [`PersistSystem::scheme`] is a `bbb` placeholder.
+    pub fn scheme_label(self, scheme: Scheme) -> &'static str {
+        match self {
+            StormFront::Eadr => "s_eadr",
+            _ => scheme.name(),
+        }
+    }
+
+    /// Worst-case battery energy (J) of one unit of
+    /// [`PersistSystem::occupancy`] on this front: a SecPB entry drained
+    /// under `scheme`, or on eADR one dirty line completing its tuple.
+    pub fn joules_per_entry(self, scheme: Scheme) -> f64 {
+        match self {
+            StormFront::Eadr => secure_eadr_line_energy(),
+            _ => per_entry_drain_energy(energy_scheme(scheme)),
         }
     }
 

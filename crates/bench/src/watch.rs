@@ -18,7 +18,6 @@ use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::facade::PersistSystem;
 use secpb_core::metrics::{counters, histograms};
 use secpb_core::scheme::Scheme;
-use secpb_energy::drain::secpb_drain_energy;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::telemetry::{
     self, ChromeTraceStream, HealthGauges, HealthMonitor, HealthSnapshot, TelemetryReader,
@@ -26,7 +25,7 @@ use secpb_sim::telemetry::{
 };
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
-use crate::storm::{build_front, energy_scheme, StormFront};
+use crate::storm::{build_front, StormFront};
 
 /// Configuration of one watch session.
 #[derive(Debug, Clone)]
@@ -120,7 +119,8 @@ pub fn run_watch<W: Write, T: Write>(
     sys.set_telemetry(Some(sink.clone()));
     let mut monitor = HealthMonitor::new();
     let front_name = cfg.front.name();
-    let scheme_name = sys.scheme().name();
+    let scheme_name = cfg.front.scheme_label(sys.scheme());
+    let joules_per_entry = cfg.front.joules_per_entry(sys.scheme());
 
     let mut generator = TraceGenerator::new(cfg.profile.clone(), cfg.seed);
     let interval = cfg.interval.max(1);
@@ -156,6 +156,7 @@ pub fn run_watch<W: Write, T: Write>(
                 sys.as_ref(),
                 &front_name,
                 scheme_name,
+                joules_per_entry,
                 next_at,
                 &mut snapshot_out,
                 &mut trace_out,
@@ -173,6 +174,7 @@ pub fn run_watch<W: Write, T: Write>(
         sys.as_ref(),
         &front_name,
         scheme_name,
+        joules_per_entry,
         final_cycle,
         &mut snapshot_out,
         &mut trace_out,
@@ -199,6 +201,7 @@ fn emit_snapshot<W: Write, T: Write>(
     sys: &dyn PersistSystem,
     front: &str,
     scheme: &str,
+    joules_per_entry: f64,
     cycle: u64,
     snapshot_out: &mut Option<&mut W>,
     trace_out: &mut Option<&mut ChromeTraceStream<T>>,
@@ -222,7 +225,7 @@ fn emit_snapshot<W: Write, T: Write>(
         occupancy,
         anomalies: sys.anomalies(),
         nwpe: sys.stats().ratio(counters::PERSISTS, counters::ALLOCATIONS),
-        battery_joules: secpb_drain_energy(energy_scheme(sys.scheme()), occupancy as usize),
+        battery_joules: joules_per_entry * occupancy as f64,
         recovery_cycles: sys.recovery_cost().cycles,
         ..HealthGauges::default()
     };
@@ -244,6 +247,8 @@ fn emit_snapshot<W: Write, T: Write>(
 
 #[cfg(test)]
 mod tests {
+    use secpb_energy::drain::{per_entry_drain_energy, secure_eadr_line_energy, SchemeKind};
+
     use super::*;
 
     fn quick_cfg(front: StormFront) -> WatchConfig {
@@ -299,6 +304,27 @@ mod tests {
             if !last.lossy {
                 assert_eq!(last.crashes, outcome.crashes, "{}", front.name());
                 assert_eq!(last.recoveries, outcome.crashes, "{}", front.name());
+            }
+            assert_eq!(last.scheme, front.scheme_label(Scheme::Cobcm));
+            if front == StormFront::Eadr {
+                // eADR's gauge prices every dirty line at its share of
+                // Table V's secure-eADR worst case, far above a bbb
+                // entry's plain write.
+                let line = secure_eadr_line_energy();
+                assert!(line > 70.0 * per_entry_drain_energy(SchemeKind::Bbb));
+                let dirty: Vec<_> = outcome
+                    .snapshots
+                    .iter()
+                    .filter(|s| s.occupancy > 0)
+                    .collect();
+                assert!(!dirty.is_empty(), "eADR holds dirty lines between crashes");
+                for snap in dirty {
+                    let per_line = snap.battery_joules / snap.occupancy as f64;
+                    assert!(
+                        (per_line - line).abs() < 1e-12 * line,
+                        "{per_line} vs {line}"
+                    );
+                }
             }
         }
     }

@@ -349,6 +349,15 @@ impl FromStr for CryptoBackend {
 /// The `std::arch` AES-NI kernels — the only unsafe code in the crate,
 /// compiled in exclusively under the `hw-crypto` feature and entered only
 /// behind a runtime `is_x86_feature_detected!("aes")` check.
+///
+/// An `aesenc` has a latency of several cycles but a throughput of one or
+/// two per cycle, so a loop that runs one block's rounds before starting
+/// the next leaves the AES unit mostly idle.  Encryption therefore
+/// interleaves independent blocks: each round key is applied to eight
+/// blocks (then four, then one at a time for the tail) before the next,
+/// which keeps as many rounds in flight as the unit can issue.  Batches
+/// of one or two pads (4 or 8 blocks) and a recovery chunk's 1,024 blocks
+/// all take the wide path.
 #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod aesni {
@@ -396,8 +405,8 @@ mod aesni {
         (keys, round_keys.len() - 1)
     }
 
-    /// Encrypts each block in place: `AddRoundKey`, `nr - 1` full
-    /// `aesenc` rounds, one `aesenclast`.
+    /// Encrypts each block in place: groups of eight, then of four, then
+    /// single blocks, each group through [`encrypt_group`].
     ///
     /// # Safety
     ///
@@ -405,14 +414,47 @@ mod aesni {
     #[target_feature(enable = "aes,sse2")]
     pub(super) unsafe fn encrypt_batch(round_keys: &[[u8; 16]], blocks: &mut [[u8; 16]]) {
         let (keys, nr) = load_keys(round_keys);
-        for block in blocks {
-            let mut state = _mm_loadu_si128(block.as_ptr().cast());
-            state = _mm_xor_si128(state, keys[0]);
-            for key in &keys[1..nr] {
-                state = _mm_aesenc_si128(state, *key);
+        let (eights, rest) = blocks.as_chunks_mut::<8>();
+        for group in eights {
+            encrypt_group(&keys, nr, group);
+        }
+        let (fours, singles) = rest.as_chunks_mut::<4>();
+        for group in fours {
+            encrypt_group(&keys, nr, group);
+        }
+        for block in singles {
+            encrypt_group(&keys, nr, std::array::from_mut(block));
+        }
+    }
+
+    /// Encrypts `N` independent blocks round by round — `AddRoundKey`,
+    /// `nr - 1` full `aesenc` rounds, one `aesenclast` — applying each
+    /// round key to every block before moving on.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified the `aes` target feature.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn encrypt_group<const N: usize>(
+        keys: &[__m128i; 15],
+        nr: usize,
+        group: &mut [[u8; 16]; N],
+    ) {
+        let mut states = [_mm_setzero_si128(); N];
+        for (state, block) in states.iter_mut().zip(group.iter()) {
+            *state = _mm_xor_si128(_mm_loadu_si128(block.as_ptr().cast()), keys[0]);
+        }
+        for key in &keys[1..nr] {
+            for state in &mut states {
+                *state = _mm_aesenc_si128(*state, *key);
             }
-            state = _mm_aesenclast_si128(state, keys[nr]);
-            _mm_storeu_si128(block.as_mut_ptr().cast(), state);
+        }
+        for (state, block) in states.iter().zip(group.iter_mut()) {
+            _mm_storeu_si128(
+                block.as_mut_ptr().cast(),
+                _mm_aesenclast_si128(*state, keys[nr]),
+            );
         }
     }
 

@@ -279,15 +279,10 @@ impl BonsaiMerkleForest {
             self.cache.push_back(subtree_id);
         }
 
-        let arity = self.arity;
-        let sub_levels = self.sub_levels;
-        let lazy = self.lazy;
-        let backend = self.backend;
-        let key = self.key.clone();
         let subtree = self.subtrees.entry(subtree_id).or_insert_with(|| {
-            let mut t = BonsaiMerkleTree::new(&key, arity, sub_levels);
-            t.set_lazy(lazy);
-            t.set_backend(backend);
+            let mut t = BonsaiMerkleTree::new(&self.key, self.arity, self.sub_levels);
+            t.set_lazy(self.lazy);
+            t.set_backend(self.backend);
             t
         });
         hashes += u64::from(subtree.update_leaf(local_index, leaf_digest));

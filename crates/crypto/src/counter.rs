@@ -137,20 +137,19 @@ impl CounterBlock {
 
     /// Serializes to the 64-byte storage format: 8-byte little-endian
     /// major followed by sixty-four 7-bit minors packed into 56 bytes.
+    ///
+    /// The minors pack as a little-endian bit stream, so each group of
+    /// eight (56 bits) fills exactly seven bytes: group `g` is bytes
+    /// `8 + 7g ..= 14 + 7g`, one 64-bit word per group.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&self.major.to_le_bytes());
-        // Pack 64 x 7 bits = 448 bits into out[8..64].
-        let mut bit_pos = 0usize;
-        for &m in &self.minors {
-            let byte = bit_pos / 8;
-            let off = bit_pos % 8;
-            let v = u16::from(m & MINOR_MAX) << off;
-            out[8 + byte] |= (v & 0xFF) as u8;
-            if off > 1 {
-                out[8 + byte + 1] |= (v >> 8) as u8;
-            }
-            bit_pos += 7;
+        for (group, minors) in self.minors.chunks_exact(8).enumerate() {
+            let word = minors
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &m)| w | u64::from(m & MINOR_MAX) << (7 * i));
+            out[8 + 7 * group..15 + 7 * group].copy_from_slice(&word.to_le_bytes()[..7]);
         }
         out
     }
@@ -159,16 +158,13 @@ impl CounterBlock {
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
         let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         let mut minors = [0u8; BLOCKS_PER_PAGE];
-        let mut bit_pos = 0usize;
-        for m in &mut minors {
-            let byte = bit_pos / 8;
-            let off = bit_pos % 8;
-            let mut v = u16::from(bytes[8 + byte]) >> off;
-            if off > 1 {
-                v |= u16::from(bytes[8 + byte + 1]) << (8 - off);
+        for (group, minors) in minors.chunks_exact_mut(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..7].copy_from_slice(&bytes[8 + 7 * group..15 + 7 * group]);
+            let word = u64::from_le_bytes(word);
+            for (i, m) in minors.iter_mut().enumerate() {
+                *m = (word >> (7 * i)) as u8 & MINOR_MAX;
             }
-            *m = (v as u8) & MINOR_MAX;
-            bit_pos += 7;
         }
         CounterBlock { major, minors }
     }
@@ -223,6 +219,78 @@ mod tests {
                 seen.insert(cb.counter_of(2)),
                 "counter repeated: {:?}",
                 cb.counter_of(2)
+            );
+        }
+    }
+
+    /// The storage format packed one bit-stream minor at a time: the
+    /// reference the word-per-group codec must match byte for byte.
+    fn to_bytes_bitwise(cb: &CounterBlock) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&cb.major.to_le_bytes());
+        let mut bit_pos = 0usize;
+        for &m in &cb.minors {
+            let byte = bit_pos / 8;
+            let off = bit_pos % 8;
+            let v = u16::from(m & MINOR_MAX) << off;
+            out[8 + byte] |= (v & 0xFF) as u8;
+            if off > 1 {
+                out[8 + byte + 1] |= (v >> 8) as u8;
+            }
+            bit_pos += 7;
+        }
+        out
+    }
+
+    /// The bit-stream unpacking reference.
+    fn from_bytes_bitwise(bytes: &[u8; 64]) -> CounterBlock {
+        let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let mut minors = [0u8; BLOCKS_PER_PAGE];
+        let mut bit_pos = 0usize;
+        for m in &mut minors {
+            let byte = bit_pos / 8;
+            let off = bit_pos % 8;
+            let mut v = u16::from(bytes[8 + byte]) >> off;
+            if off > 1 {
+                v |= u16::from(bytes[8 + byte + 1]) << (8 - off);
+            }
+            *m = (v as u8) & MINOR_MAX;
+            bit_pos += 7;
+        }
+        CounterBlock { major, minors }
+    }
+
+    #[test]
+    fn word_codec_matches_the_bitwise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..500 {
+            let mut cb = CounterBlock::new();
+            cb.major = next();
+            for m in &mut cb.minors {
+                *m = match case % 3 {
+                    0 => (next() % 128) as u8,
+                    1 => MINOR_MAX,
+                    _ => (next() % 2) as u8 * MINOR_MAX,
+                };
+            }
+            let bytes = cb.to_bytes();
+            assert_eq!(bytes, to_bytes_bitwise(&cb), "case {case}");
+            assert_eq!(CounterBlock::from_bytes(&bytes), cb, "case {case}");
+            // Arbitrary bytes (e.g. a tampered image) decode alike.
+            let mut raw = [0u8; 64];
+            for chunk in raw.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes());
+            }
+            assert_eq!(
+                CounterBlock::from_bytes(&raw),
+                from_bytes_bitwise(&raw),
+                "case {case}"
             );
         }
     }

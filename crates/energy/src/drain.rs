@@ -165,13 +165,24 @@ pub fn eadr_energy() -> f64 {
         + (cache_bytes::L2 + cache_bytes::L3) as f64 * MOVE_MC_TO_PM_PER_BYTE
 }
 
+/// Cache lines (s_)eADR drains: every line of the L1, L2 and L3.
+fn eadr_lines() -> u64 {
+    (cache_bytes::L1 + cache_bytes::L2 + cache_bytes::L3) / BLOCK_BYTES
+}
+
 /// Drain energy (J) of *secure* eADR: every dirty line additionally needs
 /// its full memory tuple generated under the worst-case assumptions.
 pub fn secure_eadr_energy() -> f64 {
-    let lines = (cache_bytes::L1 + cache_bytes::L2 + cache_bytes::L3) / BLOCK_BYTES;
     let per_line_security =
         counter_fetch_energy() + otp_energy() + bmt_update_energy() + mac_energy();
-    eadr_energy() + lines as f64 * per_line_security
+    eadr_energy() + eadr_lines() as f64 * per_line_security
+}
+
+/// Drain energy (J) of one dirty line under secure eADR: an equal share
+/// of [`secure_eadr_energy`], so a hierarchy whose every line is dirty
+/// prices at exactly that worst case.
+pub fn secure_eadr_line_energy() -> f64 {
+    secure_eadr_energy() / eadr_lines() as f64
 }
 
 #[cfg(test)]
@@ -188,6 +199,12 @@ mod tests {
         assert!((counter_fetch_energy() - 0.7186 * UJ).abs() < 0.001 * UJ);
         // 8 levels x (fetch + hash) ≈ 46.35 µJ.
         assert!((bmt_update_energy() - 46.35 * UJ).abs() < 0.1 * UJ);
+    }
+
+    #[test]
+    fn secure_eadr_lines_share_the_worst_case() {
+        let whole = secure_eadr_line_energy() * eadr_lines() as f64;
+        assert!((whole - secure_eadr_energy()).abs() < 1e-9 * secure_eadr_energy());
     }
 
     #[test]

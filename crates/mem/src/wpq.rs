@@ -53,6 +53,10 @@ pub struct WritePendingQueue {
     /// Pending completion per block, for write coalescing: a second write
     /// to a block still queued merges into the existing entry.
     pending: FxHashMap<BlockAddr, Cycle>,
+    /// `pending`'s entries ordered by completion (min-heap, one entry
+    /// per pending block), so retiring pops only what completed instead
+    /// of scanning the map.
+    pending_by_completion: BinaryHeap<Reverse<(Cycle, BlockAddr)>>,
     stats: WpqStats,
 }
 
@@ -68,6 +72,7 @@ impl WritePendingQueue {
             capacity,
             inflight: BinaryHeap::new(),
             pending: FxHashMap::default(),
+            pending_by_completion: BinaryHeap::new(),
             stats: WpqStats::default(),
         }
     }
@@ -87,7 +92,13 @@ impl WritePendingQueue {
         while self.inflight.peek().is_some_and(|Reverse(c)| *c <= now) {
             self.inflight.pop();
         }
-        self.pending.retain(|_, &mut c| c > now);
+        while let Some(&Reverse((c, block))) = self.pending_by_completion.peek() {
+            if c > now {
+                break;
+            }
+            self.pending_by_completion.pop();
+            self.pending.remove(&block);
+        }
     }
 
     /// Enqueues a block write at `now`, stalling if the queue is full.
@@ -112,6 +123,8 @@ impl WritePendingQueue {
         let completion = nvm.write(block, accept_at);
         self.inflight.push(Reverse(completion));
         self.pending.insert(block, completion);
+        self.pending_by_completion
+            .push(Reverse((completion, block)));
         self.stats.accepted += 1;
         accept_at
     }
@@ -169,6 +182,7 @@ impl WritePendingQueue {
             pending.insert(block, Cycle(r.u64()?));
         }
         self.inflight = inflight;
+        self.pending_by_completion = pending.iter().map(|(&b, &c)| Reverse((c, b))).collect();
         self.pending = pending;
         self.stats = WpqStats {
             accepted: r.u64()?,
@@ -245,6 +259,76 @@ mod tests {
         // After the write completes, a new write is issued again.
         wpq.enqueue(BlockAddr(0), Cycle(700), &mut nvm);
         assert_eq!(nvm.stats().writes, 2);
+    }
+
+    /// The coalescing semantics the completion heap replaced: retire by
+    /// scanning the whole pending map.
+    struct RetainModel {
+        pending: FxHashMap<BlockAddr, Cycle>,
+        inflight: BinaryHeap<Reverse<Cycle>>,
+        capacity: usize,
+    }
+
+    impl RetainModel {
+        fn enqueue(&mut self, block: BlockAddr, now: Cycle, nvm: &mut NvmTiming) -> Cycle {
+            while self.inflight.peek().is_some_and(|Reverse(c)| *c <= now) {
+                self.inflight.pop();
+            }
+            self.pending.retain(|_, &mut c| c > now);
+            if self.pending.contains_key(&block) {
+                return now;
+            }
+            let accept_at = if self.inflight.len() < self.capacity {
+                now
+            } else {
+                self.inflight.pop().expect("full queue").0
+            };
+            let completion = nvm.write(block, accept_at);
+            self.inflight.push(Reverse(completion));
+            self.pending.insert(block, completion);
+            accept_at
+        }
+    }
+
+    #[test]
+    fn completion_heap_retires_like_a_full_scan() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for capacity in [1, 4, 32] {
+            let mut wpq = WritePendingQueue::new(capacity);
+            let mut model = RetainModel {
+                pending: FxHashMap::default(),
+                inflight: BinaryHeap::new(),
+                capacity,
+            };
+            let mut nvm = NvmTiming::new(NvmConfig::default());
+            let mut model_nvm = nvm.clone();
+            let mut now = 0u64;
+            for step in 0..5_000 {
+                // Mostly forward time with occasional stalls and
+                // re-reads of the past; a small block pool coalesces.
+                now = match next(10) {
+                    0 => now.saturating_sub(next(400)),
+                    1..=6 => now + next(150),
+                    _ => now,
+                };
+                let block = BlockAddr(next(48));
+                let got = wpq.enqueue(block, Cycle(now), &mut nvm);
+                let want = model.enqueue(block, Cycle(now), &mut model_nvm);
+                assert_eq!(got, want, "capacity {capacity} step {step}");
+                assert_eq!(
+                    wpq.pending, model.pending,
+                    "capacity {capacity} step {step}"
+                );
+                assert_eq!(wpq.pending_by_completion.len(), wpq.pending.len());
+            }
+            assert_eq!(nvm.stats(), model_nvm.stats());
+        }
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! *accounted* (brown-out loss or an entry still buffered at the crash)
 //! or it is a plaintext mismatch — the dangerous case a storm fails on.
 
-use secpb_crypto::counter::SplitCounter;
+use secpb_crypto::counter::{CounterBlock, SplitCounter};
+use secpb_crypto::otp::{Otp, OtpEngine};
 use secpb_crypto::sha512::digest64_batch;
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
+use secpb_sim::pool;
 
 use crate::crash::{
     BlockVerdict, CrashKind, CrashReport, DrainPolicy, DrainWork, RecoveryError, RecoveryReport,
@@ -25,9 +27,59 @@ use crate::policy::CounterLayout;
 use crate::system::SecureSystem;
 
 /// Items per multi-lane dispatch in the recovery sweep: counter pages
-/// per digest batch in the tree rebuild, blocks per MAC batch in the
-/// verify loop.
+/// per digest batch in the tree rebuild, blocks per MAC batch and per
+/// pad batch in the verify loop.
 const SWEEP_CHUNK: usize = 256;
+
+/// Sweep chunks each worker must get before the secure sweep fans out
+/// over the cores: 16 × 256 blocks a worker, so 8,192 blocks on a
+/// 2-core host.  Smaller sweeps stay on the caller's thread, because
+/// starting the scoped workers costs about 0.2 ms per recovery on a
+/// 2-vCPU host: fanning out every sweep took hostbench's grid_loads
+/// `recover_s` (CM cells sweeping 1,580 and 2,180 blocks, 7 and 9
+/// chunks) from 2.44 to 2.82 ms, while the store-heavy cells' 67- and
+/// 118-chunk sweeps gain.
+const MIN_CHUNKS_PER_WORKER: usize = 16;
+
+/// Workers for a secure sweep of `blocks` blocks: the core count, capped
+/// so every worker gets [`MIN_CHUNKS_PER_WORKER`] chunks, or 1 (inline)
+/// when fewer than two workers would.  The chunk count is checked before
+/// the core count is probed: a storm recovers thousands of small systems.
+fn sweep_jobs(blocks: usize) -> usize {
+    let max_workers = blocks.div_ceil(SWEEP_CHUNK) / MIN_CHUNKS_PER_WORKER;
+    if max_workers < 2 {
+        1
+    } else {
+        pool::default_jobs().min(max_workers)
+    }
+}
+
+/// One worker's sweep buffers, reused across the chunks it verifies.
+#[derive(Default)]
+struct SweepScratch {
+    ciphertexts: Vec<[u8; 64]>,
+    /// `(block index, counter)` per block: the pad inputs, and with the
+    /// ciphertext the MAC inputs.
+    counters: Vec<(u64, SplitCounter)>,
+    tags: Vec<u64>,
+    pads: Vec<Otp>,
+}
+
+impl RecoveryReport {
+    /// Counts a checked block and files its verdict; the caller visits
+    /// blocks in address order.
+    fn record(&mut self, block: BlockAddr, verdict: BlockVerdict) {
+        self.blocks_checked += 1;
+        match verdict {
+            BlockVerdict::Verified => {}
+            BlockVerdict::MacMismatch => self.mac_failures.push(block),
+            BlockVerdict::PlaintextMismatch => self.plaintext_mismatches.push(block),
+            BlockVerdict::LostStale => self.lost_stale.push(block),
+            BlockVerdict::InFlightStale => self.in_flight_stale.push(block),
+        }
+        self.verdicts.push((block, verdict));
+    }
+}
 
 impl PersistDomain {
     /// The recovery sweep.  `secure` selects the full decrypt/MAC/tree
@@ -35,8 +87,32 @@ impl PersistDomain {
     /// `in_flight` reports whether a block was still buffered at the
     /// crash (always `false` for the whole-hierarchy fronts, which never
     /// leave entries behind).
+    ///
+    /// The secure sweep verifies 256-block chunks, each with one batched
+    /// MAC dispatch and one batched pad dispatch, and fans the chunks out
+    /// over the cores once the sweep is large enough to pay for the
+    /// workers (see [`MIN_CHUNKS_PER_WORKER`]).  Verdicts are assigned
+    /// serially in block order, so the report is identical for any
+    /// worker count.
     pub(crate) fn recover_report(
         &self,
+        lost: &[BlockAddr],
+        secure: bool,
+        in_flight: &dyn Fn(BlockAddr) -> bool,
+    ) -> RecoveryReport {
+        let jobs = if secure {
+            sweep_jobs(self.nvm.data_block_count())
+        } else {
+            1
+        };
+        self.recover_report_on(jobs, lost, secure, in_flight)
+    }
+
+    /// [`recover_report`](Self::recover_report) with the secure sweep's
+    /// worker count given: 1 runs it inline on the caller's thread.
+    pub(crate) fn recover_report_on(
+        &self,
+        jobs: usize,
         lost: &[BlockAddr],
         secure: bool,
         in_flight: &dyn Fn(BlockAddr) -> bool,
@@ -57,20 +133,12 @@ impl PersistDomain {
         if !secure {
             report.root_ok = true;
             for block in blocks {
-                report.blocks_checked += 1;
-                let pt = self.nvm.read_data(block);
-                let verdict = if pt == self.expected_plaintext(block) {
+                let verdict = if self.nvm.read_data(block) == self.expected_plaintext(block) {
                     BlockVerdict::Verified
                 } else {
                     stale_verdict(block)
                 };
-                match verdict {
-                    BlockVerdict::PlaintextMismatch => report.plaintext_mismatches.push(block),
-                    BlockVerdict::LostStale => report.lost_stale.push(block),
-                    BlockVerdict::InFlightStale => report.in_flight_stale.push(block),
-                    _ => {}
-                }
-                report.verdicts.push((block, verdict));
+                report.record(block, verdict);
             }
             return report;
         }
@@ -116,52 +184,94 @@ impl PersistDomain {
         };
         report.root_ok = rebuilt_ok && layout_ok;
 
-        // The sweep MACs every persisted block; verifying a chunk at a
-        // time turns the hot loop into a few multi-lane HMAC dispatches
-        // per chunk instead of one full HMAC per block.
-        let mut cts: Vec<([u8; 64], SplitCounter)> = Vec::with_capacity(SWEEP_CHUNK);
-        let mut tags: Vec<u64> = Vec::with_capacity(SWEEP_CHUNK);
-        for chunk in blocks.chunks(SWEEP_CHUNK) {
-            cts.clear();
-            cts.extend(chunk.iter().map(|&block| {
-                let page = NvmStore::page_of(block);
-                let slot = NvmStore::page_slot_of(block);
-                let ctr = self.nvm.read_counters(page).counter_of(slot);
-                (self.nvm.read_data(block), ctr)
-            }));
-            let msgs: Vec<(&[u8; 64], u64, SplitCounter)> = chunk
-                .iter()
-                .zip(&cts)
-                .map(|(&block, (ct, ctr))| (ct, block.index(), *ctr))
-                .collect();
-            tags.clear();
-            self.mac_engine.compute_truncated_batch(&msgs, &mut tags);
-            for ((&block, (ct, ctr)), &tag) in chunk.iter().zip(&cts).zip(&tags) {
-                report.blocks_checked += 1;
-                let verdict = if tag != self.nvm.read_mac(block) {
-                    report.mac_failures.push(block);
-                    BlockVerdict::MacMismatch
-                } else {
-                    let pt = self.otp_engine.decrypt(ct, block.index(), *ctr);
-                    if pt == self.expected_plaintext(block) {
-                        BlockVerdict::Verified
-                    } else {
-                        let v = stale_verdict(block);
-                        match v {
-                            BlockVerdict::PlaintextMismatch => {
-                                report.plaintext_mismatches.push(block)
-                            }
-                            BlockVerdict::LostStale => report.lost_stale.push(block),
-                            BlockVerdict::InFlightStale => report.in_flight_stale.push(block),
-                            _ => {}
-                        }
-                        v
-                    }
-                };
-                report.verdicts.push((block, verdict));
-            }
+        // The checks are pure per block, so the workers may run in any
+        // order; staleness is classified here, on the caller's thread,
+        // which is why `in_flight` needs no `Sync`.
+        for (&block, (mac_ok, plaintext_matches)) in
+            blocks.iter().zip(self.sweep_checks(&blocks, jobs))
+        {
+            let verdict = if !mac_ok {
+                BlockVerdict::MacMismatch
+            } else if plaintext_matches {
+                BlockVerdict::Verified
+            } else {
+                stale_verdict(block)
+            };
+            report.record(block, verdict);
         }
         report
+    }
+
+    /// The secure sweep's per-block `(mac_ok, plaintext_matches)` checks
+    /// of the sorted `blocks`, in block order.  The chunks split into
+    /// `jobs` contiguous runs, one per worker, so each worker keeps one
+    /// set of buffers.
+    fn sweep_checks(
+        &self,
+        blocks: &[BlockAddr],
+        jobs: usize,
+    ) -> impl Iterator<Item = (bool, bool)> {
+        let chunks = blocks.len().div_ceil(SWEEP_CHUNK);
+        let jobs = jobs.clamp(1, chunks.max(1));
+        let runs = pool::run_indexed(jobs, jobs, |worker| {
+            let first = chunks * worker / jobs * SWEEP_CHUNK;
+            let end = (chunks * (worker + 1) / jobs * SWEEP_CHUNK).min(blocks.len());
+            let mut scratch = SweepScratch::default();
+            let mut checks = Vec::with_capacity(end - first);
+            for chunk in blocks[first..end].chunks(SWEEP_CHUNK) {
+                self.verify_chunk(chunk, &mut scratch, &mut checks);
+            }
+            checks
+        });
+        runs.into_iter().flatten()
+    }
+
+    /// Verifies one chunk of sorted blocks: reads each block's
+    /// ciphertext and counter (a page's counter block once per run of
+    /// its blocks), computes the chunk's MACs in one multi-lane dispatch
+    /// and its pads in one cipher dispatch, then decrypts each block and
+    /// compares it with the golden image.  Appends `(mac_ok,
+    /// plaintext_matches)` per block; a block whose MAC fails is not
+    /// compared.
+    fn verify_chunk(
+        &self,
+        chunk: &[BlockAddr],
+        scratch: &mut SweepScratch,
+        checks: &mut Vec<(bool, bool)>,
+    ) {
+        scratch.ciphertexts.clear();
+        scratch.counters.clear();
+        let mut page = None;
+        let mut counter_block = CounterBlock::default();
+        for &block in chunk {
+            let block_page = NvmStore::page_of(block);
+            if page != Some(block_page) {
+                counter_block = self.nvm.read_counters(block_page);
+                page = Some(block_page);
+            }
+            let ctr = counter_block.counter_of(NvmStore::page_slot_of(block));
+            scratch.ciphertexts.push(self.nvm.read_data(block));
+            scratch.counters.push((block.index(), ctr));
+        }
+        let msgs: Vec<(&[u8; 64], u64, SplitCounter)> = scratch
+            .ciphertexts
+            .iter()
+            .zip(&scratch.counters)
+            .map(|(ct, &(addr, ctr))| (ct, addr, ctr))
+            .collect();
+        scratch.tags.clear();
+        self.mac_engine
+            .compute_truncated_batch(&msgs, &mut scratch.tags);
+        scratch.pads.clear();
+        self.otp_engine
+            .generate_batch(&scratch.counters, &mut scratch.pads);
+        for (i, &block) in chunk.iter().enumerate() {
+            let mac_ok = scratch.tags[i] == self.nvm.read_mac(block);
+            let plaintext_matches = mac_ok
+                && OtpEngine::apply_pad(&scratch.ciphertexts[i], &scratch.pads[i])
+                    == self.expected_plaintext(block);
+            checks.push((mac_ok, plaintext_matches));
+        }
     }
 
     /// Re-reads the durable image of brown-out-lost blocks back into the
@@ -278,5 +388,222 @@ impl SecureSystem {
             work,
             lost_blocks,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use secpb_sim::addr::{Address, Asid};
+    use secpb_sim::config::SystemConfig;
+    use secpb_sim::trace::{Access, TraceItem};
+
+    use super::*;
+    use crate::scheme::Scheme;
+
+    /// Distinct blocks each round stores: twelve full sweep chunks and a
+    /// partial one.
+    const BLOCKS: u64 = 3_100;
+
+    /// One store to each of [`BLOCKS`] blocks (three of every four blocks
+    /// of each page, so page runs break inside chunks), alternating
+    /// between ASIDs 1 and 2; `round` changes every value.
+    fn stores(round: u64) -> impl Iterator<Item = TraceItem> {
+        (0..BLOCKS).map(move |i| {
+            let block = i / 3 * 4 + i % 3;
+            let asid = Asid(1 + (i % 2) as u16);
+            let store = Access::store(Address(0x40_0000 + block * 64), round << 32 | i);
+            TraceItem::then(3, store.with_asid(asid))
+        })
+    }
+
+    /// A system whose every block persisted once (the blocks of every
+    /// other page twice, so neighbouring pages' counters differ), then
+    /// was rewritten.
+    fn rewritten_system() -> SecureSystem {
+        let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
+        sys.run_trace(stores(1));
+        sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap();
+        sys.run_trace(stores(1).filter(|item| {
+            item.access
+                .is_some_and(|a| NvmStore::page_of(a.addr.block()).is_multiple_of(2))
+        }));
+        sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+            .unwrap();
+        sys.run_trace(stores(2));
+        sys
+    }
+
+    /// The secure sweep one block at a time: verify the stored MAC,
+    /// decrypt, compare with the golden image, classify staleness.
+    /// `root_ok` is taken as given (the tree check is not the sweep's).
+    fn per_block_reference(
+        sys: &SecureSystem,
+        lost: &[BlockAddr],
+        root_ok: bool,
+    ) -> RecoveryReport {
+        let domain = sys.domain();
+        let mut blocks: Vec<BlockAddr> = domain.nvm.data_blocks().collect();
+        blocks.sort_unstable();
+        let mut report = RecoveryReport {
+            root_ok,
+            ..RecoveryReport::default()
+        };
+        for block in blocks {
+            let ct = domain.nvm.read_data(block);
+            let ctr = domain
+                .nvm
+                .read_counters(NvmStore::page_of(block))
+                .counter_of(NvmStore::page_slot_of(block));
+            let tag = domain.nvm.read_mac(block);
+            let verdict = if !domain
+                .mac_engine
+                .verify_truncated(&ct, block.index(), ctr, tag)
+            {
+                report.mac_failures.push(block);
+                BlockVerdict::MacMismatch
+            } else if domain.otp_engine.decrypt(&ct, block.index(), ctr)
+                == domain.expected_plaintext(block)
+            {
+                BlockVerdict::Verified
+            } else if lost.contains(&block) {
+                report.lost_stale.push(block);
+                BlockVerdict::LostStale
+            } else if sys.buffered(block) {
+                report.in_flight_stale.push(block);
+                BlockVerdict::InFlightStale
+            } else {
+                report.plaintext_mismatches.push(block);
+                BlockVerdict::PlaintextMismatch
+            };
+            report.blocks_checked += 1;
+            report.verdicts.push((block, verdict));
+        }
+        report
+    }
+
+    /// Asserts that the sweep at 1, 2 and 3 workers and the public
+    /// `recover_with` all equal the per-block reference, field for field,
+    /// and returns it.
+    fn assert_sweeps_agree(sys: &SecureSystem, lost: &[BlockAddr]) -> RecoveryReport {
+        let in_flight = |block| sys.buffered(block);
+        let inline = sys.domain().recover_report_on(1, lost, true, &in_flight);
+        let reference = per_block_reference(sys, lost, inline.root_ok);
+        let summary = |r: &RecoveryReport| {
+            format!(
+                "checked={} macs={} mismatches={} lost={} in_flight={}",
+                r.blocks_checked,
+                r.mac_failures.len(),
+                r.plaintext_mismatches.len(),
+                r.lost_stale.len(),
+                r.in_flight_stale.len()
+            )
+        };
+        assert!(
+            inline == reference,
+            "inline sweep {} vs reference {}",
+            summary(&inline),
+            summary(&reference)
+        );
+        for jobs in [2, 3] {
+            let fanned = sys.domain().recover_report_on(jobs, lost, true, &in_flight);
+            assert!(
+                fanned == reference,
+                "{jobs}-worker sweep {} vs reference {}",
+                summary(&fanned),
+                summary(&reference)
+            );
+        }
+        let public = sys.recover_with(lost);
+        assert!(
+            public == reference,
+            "recover_with {} vs reference {}",
+            summary(&public),
+            summary(&reference)
+        );
+        reference
+    }
+
+    #[test]
+    fn sweep_matches_per_block_reference_under_in_flight_blocks_and_tampering() {
+        let mut sys = rewritten_system();
+        let first_page = NvmStore::page_of(Address(0x40_0000).block());
+        // An application crash drains ASID 1 only: ASID 2's entries stay
+        // buffered, so their blocks read back stale but accounted.
+        sys.crash(
+            CrashKind::ApplicationCrash(Asid(1)),
+            DrainPolicy::DrainProcess,
+        )
+        .unwrap();
+        let clean = assert_sweeps_agree(&sys, &[]);
+        assert!(clean.blocks_checked >= BLOCKS);
+        assert_ne!(
+            clean.blocks_checked % SWEEP_CHUNK as u64,
+            0,
+            "partial last chunk"
+        );
+        assert!(clean.root_ok);
+        assert!(clean.mac_failures.is_empty() && clean.plaintext_mismatches.is_empty());
+        assert!(
+            !clean.in_flight_stale.is_empty(),
+            "ASID 2 left entries buffered"
+        );
+
+        // Data and MAC bit flips across every chunk, and a rollback of
+        // the first page's counter block to its round-1 image.
+        let mut blocks: Vec<BlockAddr> = sys.nvm_store().data_blocks().collect();
+        blocks.sort_unstable();
+        let old_counters = {
+            let mut probe = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 42);
+            probe.run_trace(stores(1));
+            probe
+                .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+                .unwrap();
+            probe.nvm_store().read_counters(first_page)
+        };
+        let nvm = sys.nvm_store_mut();
+        for (i, &block) in blocks.iter().enumerate().step_by(97) {
+            assert!(nvm.tamper_data(block, i % 64, (i % 8) as u8));
+        }
+        for &block in blocks.iter().skip(40).step_by(131) {
+            assert!(nvm.tamper_mac(block, 5));
+        }
+        assert_ne!(nvm.read_counters(first_page), old_counters);
+        nvm.rollback_counters(first_page, old_counters);
+        let tampered = assert_sweeps_agree(&sys, &[]);
+        assert!(!tampered.root_ok, "a counter rollback breaks the root");
+        assert!(tampered.mac_failures.len() > blocks.len() / 97 + blocks.len() / 131);
+        assert!(!tampered.in_flight_stale.is_empty());
+    }
+
+    #[test]
+    fn sweep_matches_per_block_reference_under_brown_out_losses() {
+        let mut sys = rewritten_system();
+        let crash = sys
+            .crash_with_budget(CrashKind::PowerLoss, DrainPolicy::DrainAll, Some(4))
+            .unwrap();
+        assert!(!crash.lost_blocks.is_empty());
+        let accounted = assert_sweeps_agree(&sys, &crash.lost_blocks);
+        assert!(accounted.is_consistent());
+        assert_eq!(accounted.lost_stale.len(), crash.lost_blocks.len());
+        // Without the crash report's accounting the same blocks are
+        // plaintext mismatches.
+        let unaccounted = assert_sweeps_agree(&sys, &[]);
+        assert_eq!(unaccounted.plaintext_mismatches, accounted.lost_stale);
+    }
+
+    #[test]
+    fn sweeps_fan_out_only_with_sixteen_chunks_per_worker() {
+        let two_workers = 2 * MIN_CHUNKS_PER_WORKER * SWEEP_CHUNK;
+        assert_eq!(sweep_jobs(0), 1);
+        // 31 chunks, the last one partial.
+        assert_eq!(sweep_jobs(two_workers - SWEEP_CHUNK), 1);
+        assert_eq!(
+            sweep_jobs(two_workers - SWEEP_CHUNK + 1),
+            pool::default_jobs().min(2)
+        );
+        assert_eq!(sweep_jobs(two_workers), pool::default_jobs().min(2));
+        // A grid_stores gamess cell: 118 chunks, at most 7 workers.
+        assert_eq!(sweep_jobs(30_024), pool::default_jobs().min(7));
     }
 }

@@ -151,7 +151,7 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
         out,
         "bench={bench} front={} scheme={} entries={entries}",
         front.name(),
-        sys.scheme()
+        front.scheme_label(sys.scheme())
     );
     let _ = writeln!(out, "cycles       {}", r.cycles);
     let _ = writeln!(out, "ipc          {:.3}", r.ipc());
@@ -257,8 +257,9 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "watch bench={bench} front={} scheme={scheme} instructions={} interval={}",
+        "watch bench={bench} front={} scheme={} instructions={} interval={}",
         front.name(),
+        front.scheme_label(scheme),
         cfg.instructions,
         cfg.interval
     );

@@ -6,8 +6,9 @@
 //! lanes: the eight-lane AVX-512 and four-lane AVX2 kernels when the
 //! `hw-crypto` feature is compiled in and the ISA is detected, the
 //! portable four-lane schedule otherwise) and HwCrypto (AES-NI plus the
-//! same hash kernels; graceful scalar fallback) must agree with it on digests, grid JSON
-//! reports, crash/recovery verdicts, and telemetry-on/off parity.  The
+//! same hash kernels; graceful scalar fallback) must agree with it on digests, batched
+//! pads, grid JSON reports, crash/recovery verdicts, and telemetry-on/off
+//! parity.  The
 //! sweep always runs all three — on hosts without the feature or the
 //! ISA the hw backend exercises its fallback path, which is exactly the
 //! behaviour the fallback must get right.
@@ -25,6 +26,8 @@ use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
 use secpb::crypto::backend::{CryptoBackend, HashBackend};
+use secpb::crypto::counter::SplitCounter;
+use secpb::crypto::otp::OtpEngine;
 use secpb::crypto::sha512::{digest64_batch, Sha512};
 use secpb::sim::addr::{Asid, BlockAddr};
 use secpb::sim::config::{CryptoBackendKind, SystemConfig};
@@ -83,6 +86,44 @@ fn fuzzed_digest_batches_agree_across_backends() {
                 got,
                 expected,
                 "{} backend diverged on a {batch_len}-message batch",
+                HashBackend::name(&backend)
+            );
+        }
+    }
+}
+
+#[test]
+fn fuzzed_pad_batches_agree_across_backends() {
+    // Batched pads at every size from 1 to 17 — on an AES-NI host that
+    // covers the kernel's eight-block groups, its four-block groups and
+    // its single-block tail — must equal the scalar engine's pads one
+    // pair at a time.
+    let mut fuzz = Fuzz(0x0A7D_B47C);
+    let mut reference = OtpEngine::new(&[0x5Cu8; 24]);
+    reference.set_backend(CryptoBackend::Scalar);
+    for batch_len in 1..=17usize {
+        let inputs: Vec<(u64, SplitCounter)> = (0..batch_len)
+            .map(|_| {
+                let ctr = SplitCounter {
+                    major: fuzz.next() >> (fuzz.next() % 64),
+                    minor: (fuzz.next() % 128) as u8,
+                };
+                (fuzz.next(), ctr)
+            })
+            .collect();
+        let expected: Vec<[u8; 64]> = inputs
+            .iter()
+            .map(|&(addr, ctr)| reference.generate(addr, ctr))
+            .collect();
+        for backend in CryptoBackend::ALL {
+            let mut engine = reference.clone();
+            engine.set_backend(backend);
+            let mut got = Vec::new();
+            engine.generate_batch(&inputs, &mut got);
+            assert_eq!(
+                got,
+                expected,
+                "{} backend diverged on a {batch_len}-pad batch",
                 HashBackend::name(&backend)
             );
         }
