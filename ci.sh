@@ -209,6 +209,16 @@ WATCH_OUT=$(./target/release/secpb watch gamess cobcm --quick)
 echo "$WATCH_OUT" | grep -q '"seq":1' || { echo "ci.sh: watch streamed no snapshots" >&2; exit 1; }
 echo "$WATCH_OUT" | grep -q '^anomalies    0$' || { echo "ci.sh: watch reported anomalies" >&2; exit 1; }
 
+echo "==> observability export smoke (debug_one --trace-out / --stats-json)"
+# debug_one streams every scheme's measured-region spans into one Chrome
+# trace through a telemetry ring drained after each trace item; a ring
+# that dropped spans would leave the trace short of the tracer's
+# aggregates, so the document must record zero losses.
+./target/release/debug_one povray 20000 --trace-out "$CI_TMP/trace.json" \
+  --stats-json "$CI_TMP/stats.json" > "$CI_TMP/debug_one.txt"
+grep -q '"dropped_spans": 0}' "$CI_TMP/trace.json" \
+  || { echo "ci.sh: debug_one trace dropped spans" >&2; exit 1; }
+
 if [ "$UPDATE_BASELINE" = 1 ]; then
   echo "==> regenerate BENCH_grid.json (full grid wall-clock baseline)"
   ./target/release/bench_grid 200000 --jobs 4 --update-baseline

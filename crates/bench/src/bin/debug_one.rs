@@ -9,22 +9,25 @@
 //!     [bench] [instructions] [--trace-out trace.json] [--stats-json stats.json]
 //! ```
 //!
-//! `--trace-out` writes a Chrome trace-event document (load it at
-//! `chrome://tracing` or in Perfetto); one trace process per scheme, one
-//! thread per span phase.  `--stats-json` writes every scheme's cycles,
-//! cycle breakdown, counters, and histograms as one JSON document.
+//! `--trace-out` streams the measured region's spans into a Chrome
+//! trace-event document (load it at `chrome://tracing` or in Perfetto);
+//! one trace process per scheme, one thread per span phase, and the
+//! telemetry ring's losses in `otherData.dropped_spans`.  `--stats-json`
+//! writes every scheme's cycles, cycle breakdown, counters, and
+//! histograms as one JSON document.
 
-use secpb_bench::experiments::{run_benchmark_instrumented, SEED};
+use std::fs::File;
+use std::io::BufWriter;
+
+use secpb_bench::experiments::{run_benchmark_instrumented, run_benchmark_traced};
 use secpb_bench::report::render_table;
 use secpb_core::scheme::Scheme;
 use secpb_core::tree::TreeKind;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::json::Json;
-use secpb_sim::tracer::{merge_chrome_traces, Phase};
+use secpb_sim::telemetry::ChromeTraceStream;
+use secpb_sim::tracer::Phase;
 use secpb_workloads::WorkloadProfile;
-
-/// Span-capture buffer per scheme; plenty for the default trace length.
-const CAPTURE: usize = 1 << 20;
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -52,19 +55,26 @@ fn main() {
     let trace_out = flag_value(&args, "--trace-out");
     let stats_json = flag_value(&args, "--stats-json");
     let profile = WorkloadProfile::named(&name).expect("known benchmark");
-    let _ = SEED;
 
-    let mut traces = Vec::new();
+    let mut trace = trace_out.as_ref().map(|path| {
+        let file = File::create(path).expect("create trace");
+        ChromeTraceStream::new(BufWriter::new(file)).expect("write trace")
+    });
+    let mut dropped = 0;
     let mut scheme_dumps = Vec::new();
     for (pid, scheme) in Scheme::ALL.into_iter().enumerate() {
-        let (r, sys) = run_benchmark_instrumented(
-            &profile,
-            scheme,
-            SystemConfig::default(),
-            TreeKind::Monolithic,
-            instructions,
-            CAPTURE,
-        );
+        let (cfg, tree) = (SystemConfig::default(), TreeKind::Monolithic);
+        let (r, sys) = match trace.as_mut() {
+            Some(stream) => {
+                let pid = pid as u32 + 1;
+                let (r, sys, lost) =
+                    run_benchmark_traced(&profile, scheme, cfg, tree, instructions, stream, pid)
+                        .expect("write trace");
+                dropped += lost;
+                (r, sys)
+            }
+            None => run_benchmark_instrumented(&profile, scheme, cfg, tree, instructions),
+        };
         println!(
             "{:>6}: cycles={:>9} ipc={:.3} ppti={:.1} nwpe={:.1} allocs={} macs={} full_stall={} sb_stall={} ctr_miss={}",
             scheme.name(),
@@ -110,23 +120,13 @@ fn main() {
         if !rows.is_empty() {
             println!("{}", render_table(&["phase", "spans", "cycles"], &rows));
         }
-        if tracer.dropped() > 0 {
-            eprintln!(
-                "  ({} spans dropped from the capture buffer)",
-                tracer.dropped()
-            );
-        }
-
-        if trace_out.is_some() {
-            traces.push(tracer.chrome_trace(scheme.name(), pid as u32 + 1));
-        }
         if stats_json.is_some() {
             scheme_dumps.push(r.to_json());
         }
     }
 
-    if let Some(path) = trace_out {
-        std::fs::write(&path, merge_chrome_traces(traces).to_pretty()).expect("write trace");
+    if let (Some(mut stream), Some(path)) = (trace, trace_out) {
+        stream.finish(dropped).expect("write trace");
         eprintln!("wrote {path}");
     }
     if let Some(path) = stats_json {

@@ -9,9 +9,11 @@
 //! only way the paper's per-benchmark outliers (e.g. gamess at 18× under
 //! CM) are consistent with its reported averages.
 
+use std::io::{self, Write};
+
 use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::facade::PersistSystem;
-use secpb_core::metrics::{counters, RunResult};
+use secpb_core::metrics::RunResult;
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
@@ -21,7 +23,9 @@ use secpb_sim::config::SystemConfig;
 use secpb_sim::fxhash::derive_seed;
 use secpb_sim::json::Json;
 use secpb_sim::pool;
-use secpb_sim::telemetry::{self, TelemetrySink};
+use secpb_sim::telemetry::{
+    self, ChromeTraceStream, HealthMonitor, TelemetrySink, DEFAULT_RING_CAPACITY,
+};
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
 
 /// Default per-benchmark instruction budget.
@@ -95,31 +99,77 @@ pub fn run_benchmark(
     tree: TreeKind,
     instructions: u64,
 ) -> RunResult {
-    let mut generator = TraceGenerator::new(profile.clone(), trace_seed(&profile.name));
-    let mut sys = SecureSystem::with_tree(cfg, scheme, tree, cell_seed(scheme, &profile.name));
-    sys.run_trace(generator.stream(warmup_for(instructions)));
-    sys.reset_measurement();
-    sys.run_trace(generator.stream(instructions))
+    run_benchmark_instrumented(profile, scheme, cfg, tree, instructions).0
 }
 
-/// Like [`run_benchmark`] but enables span capture for the measurement
-/// region and hands back the system so callers can export its tracer,
-/// cycle breakdown, and hierarchy statistics (the `debug_one` flow).
+/// Like [`run_benchmark`] but hands back the system so callers can read
+/// its tracer aggregates, cycle breakdown, and hierarchy statistics (the
+/// `debug_one` flow).
 pub fn run_benchmark_instrumented(
     profile: &WorkloadProfile,
     scheme: Scheme,
     cfg: SystemConfig,
     tree: TreeKind,
     instructions: u64,
-    capture: usize,
 ) -> (RunResult, SecureSystem) {
+    let (mut sys, mut generator) = warmed_up(profile, scheme, cfg, tree, instructions);
+    let r = sys.run_trace(generator.stream(instructions));
+    (r, sys)
+}
+
+/// [`run_benchmark_instrumented`] that also streams the measured region's
+/// spans into `trace` as process `pid`, labelled with the scheme's name.
+///
+/// A telemetry ring is attached after warm-up and drained after every
+/// trace item, so it only ever holds one item's events.  The third value
+/// is the ring's drop count, which belongs in the document's
+/// `otherData.dropped_spans`.
+///
+/// # Errors
+///
+/// Propagates write failures from `trace`.
+pub fn run_benchmark_traced<W: Write>(
+    profile: &WorkloadProfile,
+    scheme: Scheme,
+    cfg: SystemConfig,
+    tree: TreeKind,
+    instructions: u64,
+    trace: &mut ChromeTraceStream<W>,
+    pid: u32,
+) -> io::Result<(RunResult, SecureSystem, u64)> {
+    let (mut sys, mut generator) = warmed_up(profile, scheme, cfg, tree, instructions);
+    let (sink, mut reader) = telemetry::channel(DEFAULT_RING_CAPACITY);
+    sys.set_telemetry(Some(sink.clone()));
+    trace.process(scheme.name(), pid)?;
+    let mut monitor = HealthMonitor::new();
+    generator.stream(instructions).try_for_each(|item| {
+        sys.step(item);
+        let mut written = Ok(());
+        monitor.absorb(&mut reader, |phase, begin, duration| {
+            if written.is_ok() {
+                written = trace.span(phase, begin, duration);
+            }
+        });
+        written
+    })?;
+    sys.set_telemetry(None);
+    Ok((sys.run_result(), sys, sink.dropped()))
+}
+
+/// A system replayed through the warm-up region with its measurement
+/// reset, and the generator positioned at the measured region.
+fn warmed_up(
+    profile: &WorkloadProfile,
+    scheme: Scheme,
+    cfg: SystemConfig,
+    tree: TreeKind,
+    instructions: u64,
+) -> (SecureSystem, TraceGenerator) {
     let mut generator = TraceGenerator::new(profile.clone(), trace_seed(&profile.name));
     let mut sys = SecureSystem::with_tree(cfg, scheme, tree, cell_seed(scheme, &profile.name));
     sys.run_trace(generator.stream(warmup_for(instructions)));
     sys.reset_measurement();
-    sys.enable_trace_capture(capture);
-    let r = sys.run_trace(generator.stream(instructions));
-    (r, sys)
+    (sys, generator)
 }
 
 // ------------------------------------------------------------------
@@ -865,19 +915,6 @@ pub fn ablation_watermarks(
             ((h, l), s.averages[0].1)
         })
         .collect()
-}
-
-/// Quick sanity accessor used by tests: stores seen by the bbb baseline.
-pub fn baseline_store_count(profile: &WorkloadProfile, instructions: u64) -> u64 {
-    run_benchmark(
-        profile,
-        Scheme::Bbb,
-        SystemConfig::default(),
-        TreeKind::Monolithic,
-        instructions,
-    )
-    .stats
-    .get(counters::STORES)
 }
 
 #[cfg(test)]

@@ -501,12 +501,6 @@ impl ServeConfig {
         cfg
     }
 
-    /// Adds a tenant (with the default QoS class).
-    pub fn with_tenant(mut self, tenant: TenantSpec) -> Self {
-        self.tenants.push(tenant);
-        self
-    }
-
     /// Sets a tenant's QoS class — the privileged path.  The required
     /// [`PrivilegeToken`] keeps this off the data plane: a running
     /// service exposes no equivalent, and tenant-supplied input never
@@ -1016,7 +1010,7 @@ impl ShardState {
         let Some(reader) = self.reader.as_mut() else {
             return;
         };
-        self.monitor.absorb(reader);
+        self.monitor.absorb(reader, |_, _, _| {});
         let occupancy = self.sys.occupancy();
         let gauges = HealthGauges {
             occupancy,

@@ -29,8 +29,8 @@ use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
 use secpb_energy::drain::{
-    entries_within_budget, per_entry_drain_energy, secpb_drain_energy, secure_eadr_line_energy,
-    SchemeKind,
+    entries_within_budget, per_entry_drain_energy, secpb_drain_energy, secure_eadr_energy,
+    secure_eadr_line_energy, SchemeKind,
 };
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::{Asid, BlockAddr};
@@ -107,6 +107,23 @@ impl StormFront {
             StormFront::Eadr => secure_eadr_line_energy(),
             _ => per_entry_drain_energy(energy_scheme(scheme)),
         }
+    }
+
+    /// Entries a battery holding `fraction` of this front's provisioned
+    /// worst case drains before it browns out, at
+    /// [`joules_per_entry`](Self::joules_per_entry) each.  The worst
+    /// case is Table V's secure-eADR energy on eADR, `N` full SecPBs of
+    /// `entries` on `mc<N>` (whose battery drain spends one budget across
+    /// every core's buffer), and one full SecPB elsewhere.
+    pub fn brown_out_entries(self, scheme: Scheme, entries: usize, fraction: f64) -> u64 {
+        let worst_case = match self {
+            StormFront::Eadr => secure_eadr_energy(),
+            StormFront::MultiCore(cores) => {
+                secpb_drain_energy(energy_scheme(scheme), cores * entries)
+            }
+            _ => secpb_drain_energy(energy_scheme(scheme), entries),
+        };
+        entries_within_budget(self.joules_per_entry(scheme), worst_case * fraction)
     }
 
     /// The stable front label used by the CLI and every report
@@ -675,11 +692,9 @@ pub fn run_cell(
         }
     };
     let mut clock = FaultClock::new(trigger);
-    let budget_entries = cfg.brown_out_fraction.map(|fraction| {
-        let kind = energy_scheme(scheme);
-        let provisioned = secpb_drain_energy(kind, sys.config().secpb.entries);
-        entries_within_budget(kind, provisioned * fraction)
-    });
+    let budget_entries = cfg
+        .brown_out_fraction
+        .map(|fraction| front.brown_out_entries(scheme, sys.config().secpb.entries, fraction));
     // The multi-core front fans the single-threaded trace out across its
     // cores round-robin, so migrations and remote flushes actually fire.
     let fan_out = match front {
@@ -794,6 +809,18 @@ mod tests {
         assert!(cell.crashes > 1, "storm should fire repeatedly");
         assert!(cell.flips_injected > 0);
         assert_eq!(cell.flips_detected, cell.flips_injected);
+    }
+
+    #[test]
+    fn brown_out_budgets_cover_a_fraction_of_each_fronts_worst_case() {
+        use secpb_energy::constants::cache_bytes;
+        let lines = (cache_bytes::L1 + cache_bytes::L2 + cache_bytes::L3) / 64;
+        for scheme in [Scheme::Bbb, Scheme::Cobcm, Scheme::NoGap] {
+            let budget = |front: StormFront| front.brown_out_entries(scheme, 32, 0.25);
+            assert_eq!(budget(StormFront::SecPb), 8, "{scheme}");
+            assert_eq!(budget(StormFront::Eadr), lines / 4, "{scheme}");
+            assert_eq!(budget(StormFront::MultiCore(4)), 4 * 32 / 4, "{scheme}");
+        }
     }
 
     #[test]

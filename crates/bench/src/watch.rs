@@ -208,7 +208,7 @@ fn emit_snapshot<W: Write, T: Write>(
     snapshots: &mut Vec<HealthSnapshot>,
 ) -> Result<(), String> {
     let mut io_err: Option<std::io::Error> = None;
-    monitor.absorb_with(reader, |phase, begin, duration| {
+    monitor.absorb(reader, |phase, begin, duration| {
         if io_err.is_none() {
             if let Some(stream) = trace_out.as_deref_mut() {
                 if let Err(e) = stream.span(phase, begin, duration) {
@@ -354,7 +354,8 @@ mod tests {
     #[test]
     fn chrome_stream_receives_spans_from_the_ring() {
         let mut trace_buf: Vec<u8> = Vec::new();
-        let mut stream = ChromeTraceStream::new(&mut trace_buf, "watch", 0).unwrap();
+        let mut stream = ChromeTraceStream::new(&mut trace_buf).unwrap();
+        stream.process("watch", 0).unwrap();
         let outcome =
             run_watch::<Vec<u8>, _>(&quick_cfg(StormFront::SecPb), None, Some(&mut stream))
                 .unwrap();

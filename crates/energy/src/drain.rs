@@ -138,15 +138,14 @@ pub fn secpb_drain_energy(scheme: SchemeKind, entries: usize) -> f64 {
     per_entry_drain_energy(scheme) * entries as f64
 }
 
-/// How many SecPB entries a battery holding `budget_joules` can drain
-/// under `scheme`'s worst-case per-entry energy — the truncation point of
-/// a brown-out (a battery that browns out mid-drain completes exactly
-/// this many oldest-first entries).
+/// How many entries (SecPB entries, or dirty lines on eADR) a battery
+/// holding `budget_joules` can drain at a worst case of `per` joules per
+/// entry — the truncation point of a brown-out (a battery that browns
+/// out mid-drain completes exactly this many oldest-first entries).
 ///
 /// Saturating: a non-positive or non-finite budget drains nothing, and a
 /// budget covering more than `u64::MAX` entries clamps.
-pub fn entries_within_budget(scheme: SchemeKind, budget_joules: f64) -> u64 {
-    let per = per_entry_drain_energy(scheme);
+pub fn entries_within_budget(per: f64, budget_joules: f64) -> u64 {
     if !budget_joules.is_finite() || budget_joules <= 0.0 || per <= 0.0 {
         return 0;
     }
@@ -288,22 +287,23 @@ mod tests {
             let per = per_entry_drain_energy(s);
             // A budget of exactly 7 entries (with float headroom) drains 7;
             // a hair under 7 drains 6.
-            assert_eq!(entries_within_budget(s, per * 7.0 * (1.0 + 1e-12)), 7);
-            assert_eq!(entries_within_budget(s, per * 6.999), 6);
-            assert_eq!(entries_within_budget(s, 0.0), 0);
-            assert_eq!(entries_within_budget(s, -1.0), 0);
-            assert_eq!(entries_within_budget(s, f64::NAN), 0);
+            assert_eq!(entries_within_budget(per, per * 7.0 * (1.0 + 1e-12)), 7);
+            assert_eq!(entries_within_budget(per, per * 6.999), 6);
+            assert_eq!(entries_within_budget(per, 0.0), 0);
+            assert_eq!(entries_within_budget(per, -1.0), 0);
+            assert_eq!(entries_within_budget(per, f64::NAN), 0);
         }
+        let bbb = per_entry_drain_energy(SchemeKind::Bbb);
         assert_eq!(
-            entries_within_budget(SchemeKind::Bbb, f64::INFINITY),
+            entries_within_budget(bbb, f64::INFINITY),
             0,
             "non-finite budgets are rejected, not treated as unlimited"
         );
         // Lazier schemes drain fewer entries from the same battery.
         let budget = secpb_drain_energy(SchemeKind::Cobcm, 32);
         assert!(
-            entries_within_budget(SchemeKind::NoGap, budget)
-                > entries_within_budget(SchemeKind::Cobcm, budget)
+            entries_within_budget(per_entry_drain_energy(SchemeKind::NoGap), budget)
+                > entries_within_budget(per_entry_drain_energy(SchemeKind::Cobcm), budget)
         );
     }
 

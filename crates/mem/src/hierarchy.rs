@@ -439,14 +439,22 @@ mod tests {
     #[test]
     fn load_traced_emits_mem_read_span() {
         let mut h = Hierarchy::new(&SystemConfig::default());
-        let mut t = Tracer::with_capture(16);
+        let (sink, mut reader) = secpb_sim::telemetry::channel(4);
+        let mut t = Tracer::new();
+        t.set_sink(Some(sink));
         let out = h.load_traced(BlockAddr(3), Cycle(100), &mut t);
         assert_eq!(out.hit_level, HitLevel::Memory);
         assert_eq!(t.count(Phase::MemRead), 1);
         assert_eq!(t.cycles(Phase::MemRead), out.latency);
-        let ev = &t.events()[0];
-        assert_eq!(ev.begin, 100);
-        assert_eq!(ev.duration, out.latency);
+        assert_eq!(
+            reader.pop(),
+            Some(secpb_sim::TelemetryEvent::Span {
+                phase: Phase::MemRead,
+                begin: 100,
+                duration: out.latency
+            })
+        );
+        assert!(reader.is_empty());
     }
 
     #[test]

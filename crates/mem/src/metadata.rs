@@ -15,7 +15,6 @@
 //! the extra traffic to the policy's analytic write-amp counters.
 
 use secpb_sim::addr::BlockAddr;
-use secpb_sim::config::CacheConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
 
@@ -81,15 +80,6 @@ impl MetadataCaches {
             counter: Cache::new(cfg.counter_cache),
             mac: Cache::new(cfg.mac_cache),
             bmt: Cache::new(cfg.bmt_cache),
-        }
-    }
-
-    /// Creates the caches from explicit geometries (for sweeps).
-    pub fn with_configs(counter: CacheConfig, mac: CacheConfig, bmt: CacheConfig) -> Self {
-        MetadataCaches {
-            counter: Cache::new(counter),
-            mac: Cache::new(mac),
-            bmt: Cache::new(bmt),
         }
     }
 

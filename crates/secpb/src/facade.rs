@@ -66,8 +66,8 @@ pub trait PersistSystem {
 
     /// Attaches (or with `None` detaches) a live telemetry sink.
     ///
-    /// While attached, the front mirrors stat deltas, histogram samples,
-    /// spans, and crash/drain/recovery markers into the sink's ring.
+    /// While attached, the front mirrors histogram samples, spans, and
+    /// crash/recovery markers into the sink's ring.
     /// Telemetry observes and never steers: a run with a sink attached
     /// is byte-identical to one without.
     fn set_telemetry(&mut self, sink: Option<TelemetrySink>);
@@ -91,7 +91,7 @@ pub trait PersistSystem {
     /// reports the work and the lost blocks.  Fronts without ASID tags
     /// (eADR, multi-core) treat every kind/policy as a whole-domain
     /// drain.  Callers use [`crash_with_budget`](Self::crash_with_budget),
-    /// which adds the telemetry markers.
+    /// which adds the telemetry crash marker.
     ///
     /// # Errors
     ///
@@ -228,8 +228,7 @@ pub trait PersistSystem {
     /// [`CrashReport::lost_blocks`], modelling a brown-out where the
     /// provisioned energy runs out mid-drain.  `None` means a fully
     /// provisioned battery.  An attached telemetry sink receives a crash
-    /// marker at the crash instant and a drain marker when the drain
-    /// completes.
+    /// marker at the crash instant.
     fn crash_with_budget(
         &mut self,
         kind: CrashKind,
@@ -241,10 +240,6 @@ pub trait PersistSystem {
             sink.emit(&TelemetryEvent::CrashMarker {
                 power_loss: !matches!(kind, CrashKind::ApplicationCrash(_)),
                 cycle: report.at.raw(),
-            });
-            sink.emit(&TelemetryEvent::DrainMarker {
-                entries: report.work.entries,
-                cycle: report.drain_complete_at.raw(),
             });
         }
         Ok(report)

@@ -24,7 +24,7 @@ use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::cycle::Cycle;
 use secpb_sim::stats::Stats;
-use secpb_sim::telemetry::{TelemetryEvent, TelemetrySink};
+use secpb_sim::telemetry::TelemetrySink;
 use secpb_sim::trace::{Access, AccessKind, TraceItem};
 
 use crate::coherence::{CoherenceAction, CoherenceController};
@@ -115,19 +115,6 @@ impl MultiCoreSystem {
         self.core_now[core]
     }
 
-    /// Records a model-invariant violation: bumps `mc.anomalies` and,
-    /// when a telemetry sink is attached, emits an anomaly-transition
-    /// marker carrying the new cumulative count.
-    fn note_anomaly(&mut self) {
-        self.stats.bump("mc.anomalies");
-        if let Some(sink) = self.stats.sink() {
-            sink.emit(&TelemetryEvent::AnomalyMarker {
-                count: self.stats.get("mc.anomalies"),
-                cycle: self.finish_time().raw(),
-            });
-        }
-    }
-
     /// The coherence controller (for invariant checks in tests).
     pub fn coherence(&self) -> &CoherenceController {
         &self.coherence
@@ -151,11 +138,11 @@ impl MultiCoreSystem {
             let Some(victim) = self.coherence.pb(core).oldest() else {
                 // A full PB with no oldest entry is a broken invariant;
                 // survive it and let the storm see the anomaly counter.
-                self.note_anomaly();
+                self.stats.bump("mc.anomalies");
                 break;
             };
             let Some(entry) = self.coherence.drain(victim) else {
-                self.note_anomaly();
+                self.stats.bump("mc.anomalies");
                 break;
             };
             self.flush_entry(entry);
@@ -178,7 +165,7 @@ impl MultiCoreSystem {
             CoherenceAction::FlushedFrom { .. } => {
                 // Writes never flush under the protocol; tolerate a
                 // misbehaving controller instead of aborting.
-                self.note_anomaly();
+                self.stats.bump("mc.anomalies");
                 self.cfg.secpb.access_latency
             }
         };
@@ -197,7 +184,7 @@ impl MultiCoreSystem {
             })
             .is_some();
         if !applied {
-            self.note_anomaly();
+            self.stats.bump("mc.anomalies");
         }
         self.core_now[core] += latency;
     }

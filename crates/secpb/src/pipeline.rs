@@ -22,7 +22,6 @@ use secpb_mem::metadata::{MetadataCaches, MetadataKind};
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::cycle::Cycle;
-use secpb_sim::telemetry::TelemetryEvent;
 use secpb_sim::trace::Access;
 use secpb_sim::tracer::Phase;
 
@@ -251,12 +250,6 @@ impl SecureSystem {
                         // buffer cannot make progress — accept the store
                         // rather than deadlock, and flag the anomaly.
                         self.stats.inc(self.h.anomalies);
-                        if let Some(sink) = self.stats.sink() {
-                            sink.emit(&TelemetryEvent::AnomalyMarker {
-                                count: self.stats.value(self.h.anomalies),
-                                cycle: release.raw(),
-                            });
-                        }
                         return release;
                     }
                 }

@@ -291,26 +291,9 @@ impl SecureSystem {
         MemoStats::default()
     }
 
-    /// The cycle-attribution tracer (span aggregates, and captured events
-    /// when capture is enabled).
+    /// The cycle-attribution tracer's per-phase span aggregates.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Enables span-event capture (for Chrome-trace export) with the given
-    /// buffer capacity; aggregates are always maintained regardless.
-    /// Discards anything traced so far (but keeps an attached telemetry
-    /// sink).
-    pub fn enable_trace_capture(&mut self, capacity: usize) {
-        let sink = self.tracer.sink().cloned();
-        self.tracer = Tracer::with_capture(capacity);
-        self.tracer.set_sink(sink);
-    }
-
-    /// Where the measured cycles have gone so far.  `drain_wait` is only
-    /// computed when a run completes, so this in-progress view omits it.
-    pub fn cycle_breakdown(&self) -> CycleBreakdown {
-        self.breakdown
     }
 
     /// Per-level hit counts from the data-cache hierarchy.

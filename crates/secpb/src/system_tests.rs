@@ -4,6 +4,7 @@
 use secpb_sim::addr::{Address, Asid};
 use secpb_sim::config::SystemConfig;
 use secpb_sim::fxhash::FxHashMap;
+use secpb_sim::telemetry::TelemetryEvent;
 use secpb_sim::trace::{Access, TraceItem};
 use secpb_sim::tracer::Phase;
 
@@ -431,7 +432,8 @@ fn breakdown_sums_after_measurement_reset() {
 #[test]
 fn histograms_and_spans_populate() {
     let mut sys = system(Scheme::Cobcm);
-    sys.enable_trace_capture(1 << 16);
+    let (sink, mut reader) = secpb_sim::telemetry::channel(1 << 16);
+    sys.set_telemetry(Some(sink));
     let r = sys.run_trace(store_trace(500, 64));
     let occ = r
         .stats
@@ -451,7 +453,23 @@ fn histograms_and_spans_populate() {
     assert_eq!(sys.tracer().count(Phase::StorePersist), 500);
     assert!(sys.tracer().count(Phase::Drain) > 0);
     assert!(sys.tracer().cycles(Phase::Drain) > 0);
-    assert!(!sys.tracer().events().is_empty(), "capture was enabled");
+    // The ring carries every nonzero span: per phase its durations sum
+    // to the tracer's aggregate, and each span begins within the run
+    // (drains may still be in flight when it ends).
+    let mut streamed = [0u64; Phase::ALL.len()];
+    while let Some(event) = reader.pop() {
+        if let TelemetryEvent::Span {
+            phase,
+            begin,
+            duration,
+        } = event
+        {
+            assert!(duration > 0 && begin < r.cycles, "{event:?}");
+            streamed[phase.index()] += duration;
+        }
+    }
+    assert_eq!(reader.dropped(), 0);
+    assert_eq!(streamed, Phase::ALL.map(|phase| sys.tracer().cycles(phase)));
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //!   with a builder for sweeps,
 //! * [`stats`] — typed-handle counters and log-2 histograms used for
 //!   PPTI/NWPE style measurements,
-//! * [`tracer`] — cycle-attribution spans with Chrome trace-event export,
+//! * [`tracer`] — exact per-phase cycle attribution; individual spans
+//!   leave only through an attached telemetry ring,
 //! * [`json`] — the dependency-free JSON value used by every exporter,
 //! * [`event`] — a small deterministic event wheel used by the drain engine,
 //! * [`fault`] — deterministic fault-injection plans (crash triggers,
@@ -25,10 +26,11 @@
 //!   fans index spaces out and reassembles results in canonical order,
 //! * [`rng`] — a seedable SplitMix64/xoshiro256** generator so simulations
 //!   are reproducible without pulling `rand` into the model crates,
-//! * [`telemetry`] — the live telemetry plane: a lock-free SPSC event
-//!   ring attachable to [`stats`]/[`tracer`] as a pure observer, plus the
-//!   [`telemetry::HealthSnapshot`] aggregation layer and incremental
-//!   Chrome-trace streaming,
+//! * [`telemetry`] — the live telemetry plane: a lock-free SPSC ring of
+//!   histogram samples, spans and crash/recovery markers attachable to
+//!   [`stats`]/[`tracer`] as a pure observer, plus the
+//!   [`telemetry::HealthSnapshot`] fold and
+//!   [`telemetry::ChromeTraceStream`], the one Chrome trace-event writer,
 //! * [`trace`] — the trace record types produced by `secpb-workloads` and
 //!   consumed by `secpb-core`,
 //! * [`wire`] — the little-endian offset-tracking codec checkpoint

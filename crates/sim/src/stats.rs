@@ -50,20 +50,13 @@ use crate::wire::{WireError, WireReader, WireWriter};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatId(u32);
 
-impl StatId {
-    /// The dense slot index behind the handle, for id-keyed side tables
-    /// (the telemetry plane ships this index over the wire).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A dense handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistId(u32);
 
 impl HistId {
-    /// The dense slot index behind the handle.
+    /// The dense slot index behind the handle, for id-keyed side tables
+    /// (the telemetry plane ships this index over the wire).
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -342,9 +335,10 @@ impl Log2Histogram {
 /// a name→id map kept for registration, merging, and reporting.
 ///
 /// An optional [`TelemetrySink`] may be attached with [`Stats::set_sink`];
-/// while attached, every counter increment and histogram sample is
-/// mirrored into the sink's ring as a [`TelemetryEvent`] *after* the
-/// registry mutation.  The sink is a pure observer: it never influences
+/// while attached, every histogram sample is mirrored into the sink's
+/// ring as a [`TelemetryEvent::HistSample`] *after* the registry
+/// mutation.  Counters are not streamed: a consumer that wants one reads
+/// the registry.  The sink is a pure observer: it never influences
 /// any value, it is ignored by `PartialEq`, and it survives
 /// [`Stats::reset`] (but is deliberately **not** carried by [`Clone`] —
 /// a cloned registry, e.g. inside a `RunResult`, must not keep feeding a
@@ -422,20 +416,12 @@ impl Stats {
     #[inline]
     pub fn inc(&mut self, id: StatId) {
         self.values[id.0 as usize] += 1;
-        if let Some(sink) = &self.sink {
-            sink.emit(&TelemetryEvent::StatDelta { id: id.0, delta: 1 });
-        }
     }
 
     /// Increments a registered counter by `n`.
     #[inline]
     pub fn add(&mut self, id: StatId, n: u64) {
         self.values[id.0 as usize] += n;
-        if n > 0 {
-            if let Some(sink) = &self.sink {
-                sink.emit(&TelemetryEvent::StatDelta { id: id.0, delta: n });
-            }
-        }
     }
 
     /// A registered counter's current value.
@@ -503,10 +489,10 @@ impl Stats {
 
     /// Attaches (or with `None` detaches) a live telemetry sink.
     ///
-    /// While attached, every [`Self::inc`]/[`Self::add`]/[`Self::record`]
-    /// mirrors its delta into the ring.  The sink observes and never
-    /// steers: no registry value depends on it, and a full ring drops
-    /// events (counted) rather than stalling the caller.
+    /// While attached, every [`Self::record`] mirrors its sample into the
+    /// ring.  The sink observes and never steers: no registry value
+    /// depends on it, and a full ring drops events (counted) rather than
+    /// stalling the caller.
     pub fn set_sink(&mut self, sink: Option<TelemetrySink>) {
         self.sink = sink;
     }
@@ -516,16 +502,8 @@ impl Stats {
         self.sink.as_ref()
     }
 
-    /// Iterates over `(name, id)` for all registered counters in name
-    /// order — the mapping telemetry consumers use to resolve wire ids.
-    pub fn counter_entries(&self) -> impl Iterator<Item = (&str, StatId)> {
-        self.counter_ids
-            .iter()
-            .map(|(k, &id)| (k.as_str(), StatId(id)))
-    }
-
     /// Iterates over `(name, id)` for all registered histograms in name
-    /// order.
+    /// order — the mapping telemetry consumers use to resolve wire ids.
     pub fn histogram_entries(&self) -> impl Iterator<Item = (&str, HistId)> {
         self.hist_ids
             .iter()
@@ -901,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_mirrors_mutations_but_never_alters_values() {
+    fn sink_receives_histogram_samples_and_no_counter_bumps() {
         use crate::telemetry::{channel, TelemetryEvent};
         let mut with_sink = Stats::new();
         let mut without = Stats::new();
@@ -911,18 +889,18 @@ mod tests {
             let c = s.counter("n");
             let h = s.histogram_id("lat");
             s.inc(c);
-            s.add(c, 4);
-            s.add(c, 0); // zero deltas are not emitted
             s.record(h, 9);
+            s.add(c, 4);
+            s.bump("m");
+            s.record(h, 2);
         }
         assert_eq!(with_sink, without, "sink must not steer any value");
         let events: Vec<_> = std::iter::from_fn(|| reader.pop()).collect();
         assert_eq!(
             events,
-            vec![
-                TelemetryEvent::StatDelta { id: 0, delta: 1 },
-                TelemetryEvent::StatDelta { id: 0, delta: 4 },
+            [
                 TelemetryEvent::HistSample { id: 0, value: 9 },
+                TelemetryEvent::HistSample { id: 0, value: 2 },
             ]
         );
         // reset/merge keep the sink but merge is silent.

@@ -12,14 +12,19 @@
 //!    producer **drops the event and counts it** — telemetry observes the
 //!    simulation, it never back-pressures it, and losses are never silent.
 //! 2. **Events** — [`TelemetryEvent`] is a closed set of fixed-size
-//!    records (stat deltas, histogram samples, spans, drain/crash/recovery
-//!    markers, anomaly transitions) that encode into exactly three `u64`
-//!    words, so the ring never fragments and a slot is always one event.
-//! 3. **Aggregation** — [`HealthMonitor`] folds the stream into shadow
-//!    counters/histograms and, combined with authoritative gauges sampled
-//!    from the live system, produces [`HealthSnapshot`]s with a stable
-//!    JSON wire form. [`ChromeTraceStream`] incrementally renders span
-//!    events into the `chrome://tracing` JSON format as they drain.
+//!    records that encode into exactly three `u64` words, so the ring
+//!    never fragments and a slot is always one event. The set holds only
+//!    what some fold reads: histogram samples, spans, and crash/recovery
+//!    markers. Counters are not streamed; a snapshot reads them off the
+//!    live [`Stats`] registry.
+//! 3. **Aggregation** — [`HealthMonitor`] folds the stream into per-id
+//!    histograms, the span count and the crash/recovery counts and,
+//!    combined with authoritative gauges sampled from the
+//!    live system, produces [`HealthSnapshot`]s with a stable JSON wire
+//!    form. Its [`absorb`](HealthMonitor::absorb) hands every span to a
+//!    callback, which is how [`ChromeTraceStream`], the only Chrome-trace
+//!    writer, renders spans into the `chrome://tracing` JSON format as
+//!    they drain.
 //!
 //! Determinism contract: sinks are attached to [`Stats`]/tracer instances
 //! as pure observers. Emission happens *after* the state change it
@@ -48,14 +53,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// slots and never fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryEvent {
-    /// A counter moved: stat `id` (a [`crate::stats::StatId`] index)
-    /// increased by `delta`.
-    StatDelta {
-        /// Registry index of the counter (see `StatId::index`).
-        id: u32,
-        /// Amount added to the counter.
-        delta: u64,
-    },
     /// A histogram absorbed one sample.
     HistSample {
         /// Registry index of the histogram (see `HistId::index`).
@@ -71,14 +68,6 @@ pub enum TelemetryEvent {
         begin: u64,
         /// Length of the span in cycles (always nonzero).
         duration: u64,
-    },
-    /// A battery-backed drain finished flushing `entries` persist-buffer
-    /// entries at `cycle`.
-    DrainMarker {
-        /// Entries flushed by the drain.
-        entries: u64,
-        /// Cycle at which the drain completed.
-        cycle: u64,
     },
     /// A crash was injected at `cycle`.
     CrashMarker {
@@ -97,34 +86,22 @@ pub enum TelemetryEvent {
         /// Cycle at which recovery ran.
         cycle: u64,
     },
-    /// The model-invariant anomaly counter (`fault.anomalies` /
-    /// `mc.anomalies`) transitioned to `count`.
-    AnomalyMarker {
-        /// New cumulative anomaly count.
-        count: u64,
-        /// Cycle at which the anomaly was observed.
-        cycle: u64,
-    },
 }
 
-const TAG_STAT: u64 = 1;
-const TAG_HIST: u64 = 2;
-const TAG_SPAN: u64 = 3;
-const TAG_DRAIN: u64 = 4;
-const TAG_CRASH: u64 = 5;
-const TAG_RECOVERY: u64 = 6;
-const TAG_ANOMALY: u64 = 7;
+const TAG_HIST: u64 = 1;
+const TAG_SPAN: u64 = 2;
+const TAG_CRASH: u64 = 3;
+const TAG_RECOVERY: u64 = 4;
 
 impl TelemetryEvent {
     /// Packs the event into its three-word wire form.
     ///
     /// Word 0 layout: bits 0..8 = variant tag, bits 8..16 = small
-    /// auxiliary payload (phase index or boolean), bits 32..64 = stat or
+    /// auxiliary payload (phase index or boolean), bits 32..64 =
     /// histogram id. Words 1 and 2 carry the wide payloads.
     #[must_use]
     pub fn encode(&self) -> [u64; EVENT_WORDS] {
         match *self {
-            TelemetryEvent::StatDelta { id, delta } => [TAG_STAT | (u64::from(id) << 32), delta, 0],
             TelemetryEvent::HistSample { id, value } => {
                 [TAG_HIST | (u64::from(id) << 32), value, 0]
             }
@@ -133,7 +110,6 @@ impl TelemetryEvent {
                 begin,
                 duration,
             } => [TAG_SPAN | ((phase.index() as u64) << 8), begin, duration],
-            TelemetryEvent::DrainMarker { entries, cycle } => [TAG_DRAIN, entries, cycle],
             TelemetryEvent::CrashMarker { power_loss, cycle } => {
                 [TAG_CRASH | (u64::from(power_loss) << 8), cycle, 0]
             }
@@ -142,7 +118,6 @@ impl TelemetryEvent {
                 blocks,
                 cycle,
             } => [TAG_RECOVERY | (u64::from(consistent) << 8), blocks, cycle],
-            TelemetryEvent::AnomalyMarker { count, cycle } => [TAG_ANOMALY, count, cycle],
         }
     }
 
@@ -158,10 +133,6 @@ impl TelemetryEvent {
         let aux = (words[0] >> 8) & 0xFF;
         let id = (words[0] >> 32) as u32;
         match tag {
-            TAG_STAT => Some(TelemetryEvent::StatDelta {
-                id,
-                delta: words[1],
-            }),
             TAG_HIST => Some(TelemetryEvent::HistSample {
                 id,
                 value: words[1],
@@ -171,10 +142,6 @@ impl TelemetryEvent {
                 begin: words[1],
                 duration: words[2],
             }),
-            TAG_DRAIN => Some(TelemetryEvent::DrainMarker {
-                entries: words[1],
-                cycle: words[2],
-            }),
             TAG_CRASH => Some(TelemetryEvent::CrashMarker {
                 power_loss: aux != 0,
                 cycle: words[1],
@@ -182,10 +149,6 @@ impl TelemetryEvent {
             TAG_RECOVERY => Some(TelemetryEvent::RecoveryMarker {
                 consistent: aux != 0,
                 blocks: words[1],
-                cycle: words[2],
-            }),
-            TAG_ANOMALY => Some(TelemetryEvent::AnomalyMarker {
-                count: words[1],
                 cycle: words[2],
             }),
             _ => None,
@@ -246,8 +209,8 @@ pub fn channel(capacity: usize) -> (TelemetrySink, TelemetryReader) {
 /// Producer handle for a telemetry ring.
 ///
 /// Cheap to clone (an [`Arc`] bump); all clones feed the same ring.
-/// Attached to a [`Stats`] registry or tracer it turns every counter
-/// bump, histogram sample, and span into a ring event. When detached
+/// Attached to a [`Stats`] registry or tracer it turns every histogram
+/// sample and nonzero span into a ring event. When detached
 /// (`Option::None` everywhere) the emission paths compile down to a
 /// skipped branch, so telemetry-off overhead is effectively zero.
 #[derive(Clone)]
@@ -388,17 +351,14 @@ pub struct HealthGauges {
     pub restored_shards: u64,
 }
 
-/// Folds the event stream into shadow state and produces periodic
-/// [`HealthSnapshot`]s.
+/// Folds the event stream into histograms and span/crash/recovery counts
+/// and produces periodic [`HealthSnapshot`]s.
 #[derive(Debug, Default)]
 pub struct HealthMonitor {
-    /// Shadow counter values keyed by stat id.
-    counters: Vec<u64>,
-    /// Shadow histograms keyed by histogram id.
+    /// Histograms rebuilt from the stream, keyed by histogram id.
     hists: Vec<Log2Histogram>,
     events: u64,
     spans: u64,
-    drains: u64,
     crashes: u64,
     recoveries: u64,
     seq: u64,
@@ -411,18 +371,11 @@ impl HealthMonitor {
         Self::default()
     }
 
-    /// Drains the reader, folding every event into the shadow state.
-    /// Returns the number of events absorbed.
-    pub fn absorb(&mut self, reader: &mut TelemetryReader) -> u64 {
-        self.absorb_with(reader, |_, _, _| {})
-    }
-
-    /// Like [`absorb`], additionally invoking `on_span(phase, begin,
-    /// duration)` for every span event — the hook live Chrome-trace
-    /// emission hangs off.
-    ///
-    /// [`absorb`]: HealthMonitor::absorb
-    pub fn absorb_with(
+    /// Drains the reader, folding every event into the monitor and
+    /// handing each span to `on_span(phase, begin, duration)` — the hook
+    /// live Chrome-trace emission hangs off (pass `|_, _, _| {}` to only
+    /// fold). Returns the number of events absorbed.
+    pub fn absorb(
         &mut self,
         reader: &mut TelemetryReader,
         mut on_span: impl FnMut(Phase, u64, u64),
@@ -431,13 +384,6 @@ impl HealthMonitor {
         while let Some(event) = reader.pop() {
             absorbed += 1;
             match event {
-                TelemetryEvent::StatDelta { id, delta } => {
-                    let slot = id as usize;
-                    if self.counters.len() <= slot {
-                        self.counters.resize(slot + 1, 0);
-                    }
-                    self.counters[slot] += delta;
-                }
                 TelemetryEvent::HistSample { id, value } => {
                     let slot = id as usize;
                     if self.hists.len() <= slot {
@@ -453,10 +399,8 @@ impl HealthMonitor {
                     self.spans += 1;
                     on_span(phase, begin, duration);
                 }
-                TelemetryEvent::DrainMarker { .. } => self.drains += 1,
                 TelemetryEvent::CrashMarker { .. } => self.crashes += 1,
                 TelemetryEvent::RecoveryMarker { .. } => self.recoveries += 1,
-                TelemetryEvent::AnomalyMarker { .. } => {}
             }
         }
         self.events += absorbed;
@@ -469,19 +413,12 @@ impl HealthMonitor {
         self.events
     }
 
-    /// Shadow histogram for a registry histogram id, if any samples for
-    /// it have flowed through the ring.
-    #[must_use]
-    pub fn shadow_histogram(&self, index: usize) -> Option<&Log2Histogram> {
-        self.hists.get(index)
-    }
-
     /// Builds a snapshot combining stream-derived latency distributions
     /// with authoritative `gauges` sampled from the live system.
     ///
     /// `source` is the registry the sink is attached to; it resolves
-    /// `drain_hist` (e.g. `"secpb.drain_latency"`) to the shadow
-    /// histogram fed by the stream. `dropped` is the ring's cumulative
+    /// `drain_hist` (e.g. `"secpb.drain_latency"`) to the histogram
+    /// rebuilt from the stream. `dropped` is the ring's cumulative
     /// drop count — when nonzero the snapshot is marked `lossy` and
     /// stream-derived fields are best-effort.
     #[allow(clippy::too_many_arguments)]
@@ -686,74 +623,88 @@ impl HealthSnapshot {
     }
 }
 
-/// Incremental `chrome://tracing` JSON emitter fed from ring span events.
+/// Incremental `chrome://tracing` JSON emitter fed from ring span events
+/// — the one Chrome-trace writer.
 ///
-/// Produces the same event shapes as the post-mortem
-/// [`crate::tracer::Tracer::chrome_trace`] dump (one `ph:"X"` complete
-/// event per span, phase index + 1 as the tid, metadata events up front)
-/// but writes them as the ring drains, so a long watch session streams
-/// its trace instead of buffering it. Call [`finish`] exactly once to
-/// close the JSON document.
+/// Writes one `ph:"X"` complete event per span, with the phase index + 1
+/// as the tid, as the ring drains, so a long run streams its trace
+/// instead of buffering it. A document holds one or more process tracks
+/// (one per scheme in `debug_one`, one in `secpb watch`): each
+/// [`process`] call writes that process's metadata events, and the spans
+/// after it land on its track. Timestamps are simulated cycles (the
+/// viewer labels them µs; the unit is nominal). Call [`finish`] exactly
+/// once to close the JSON document.
 ///
+/// [`process`]: ChromeTraceStream::process
 /// [`finish`]: ChromeTraceStream::finish
 #[derive(Debug)]
 pub struct ChromeTraceStream<W: Write> {
     out: W,
+    /// Process track the next span lands on.
     pid: u32,
-    spans: u64,
+    /// Events written so far, metadata included.
+    events: u64,
     finished: bool,
 }
 
 impl<W: Write> ChromeTraceStream<W> {
-    /// Starts a trace document: opens `traceEvents` and writes the
-    /// process/thread metadata events.
+    /// Starts a trace document by opening its `traceEvents` array.
     ///
     /// # Errors
     ///
     /// Propagates write failures from `out`.
-    pub fn new(mut out: W, process: &str, pid: u32) -> io::Result<Self> {
-        write!(
-            out,
-            "{{\"traceEvents\": [\n  {}",
-            metadata_event("process_name", pid, 0, process)
-        )?;
-        for phase in Phase::ALL {
-            write!(
-                out,
-                ",\n  {}",
-                metadata_event("thread_name", pid, phase.index() as u32 + 1, phase.name())
-            )?;
-        }
+    pub fn new(mut out: W) -> io::Result<Self> {
+        write!(out, "{{\"traceEvents\": [")?;
         Ok(ChromeTraceStream {
             out,
-            pid,
-            spans: 0,
+            pid: 0,
+            events: 0,
             finished: false,
         })
     }
 
-    /// Appends one complete (`ph:"X"`) span event.
+    /// Opens the process track `pid`, labelled `name`, with one thread
+    /// per phase; spans written after this call land on it.  Call it
+    /// before the first span.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures from `out`.
+    pub fn process(&mut self, name: &str, pid: u32) -> io::Result<()> {
+        self.pid = pid;
+        self.metadata("process_name", 0, name)?;
+        for phase in Phase::ALL {
+            self.metadata("thread_name", phase.index() as u32 + 1, phase.name())?;
+        }
+        Ok(())
+    }
+
+    fn metadata(&mut self, kind: &str, tid: u32, name: &str) -> io::Result<()> {
+        let pid = self.pid;
+        self.event(format_args!(
+            "{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{name}\"}}}}"
+        ))
+    }
+
+    /// Appends one complete (`ph:"X"`) span event to the current process
+    /// track.
     ///
     /// # Errors
     ///
     /// Propagates write failures from `out`.
     pub fn span(&mut self, phase: Phase, begin: u64, duration: u64) -> io::Result<()> {
-        self.spans += 1;
-        write!(
-            self.out,
-            ",\n  {{\"name\": \"{}\", \"cat\": \"secpb\", \"ph\": \"X\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
+        let pid = self.pid;
+        self.event(format_args!(
+            "{{\"name\": \"{}\", \"cat\": \"secpb\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"ts\": {begin}, \"dur\": {duration}}}",
             phase.name(),
-            self.pid,
             phase.index() + 1,
-            begin,
-            duration
-        )
+        ))
     }
 
-    /// Span events written so far.
-    #[must_use]
-    pub fn spans(&self) -> u64 {
-        self.spans
+    fn event(&mut self, event: fmt::Arguments<'_>) -> io::Result<()> {
+        let sep = if self.events == 0 { "" } else { "," };
+        self.events += 1;
+        write!(self.out, "{sep}\n  {event}")
     }
 
     /// Closes the JSON document, recording `dropped` ring losses in
@@ -775,28 +726,17 @@ impl<W: Write> ChromeTraceStream<W> {
     }
 }
 
-fn metadata_event(kind: &str, pid: u32, tid: u32, name: &str) -> String {
-    format!(
-        "{{\"name\": \"{kind}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"{name}\"}}}}"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn all_variants() -> Vec<TelemetryEvent> {
         vec![
-            TelemetryEvent::StatDelta { id: 7, delta: 3 },
             TelemetryEvent::HistSample { id: 2, value: 129 },
             TelemetryEvent::Span {
                 phase: Phase::Drain,
                 begin: 1_000,
                 duration: 42,
-            },
-            TelemetryEvent::DrainMarker {
-                entries: 12,
-                cycle: 5_000,
             },
             TelemetryEvent::CrashMarker {
                 power_loss: true,
@@ -806,10 +746,6 @@ mod tests {
                 consistent: true,
                 blocks: 99,
                 cycle: 7_000,
-            },
-            TelemetryEvent::AnomalyMarker {
-                count: 1,
-                cycle: 8_000,
             },
         ]
     }
@@ -835,7 +771,7 @@ mod tests {
     #[test]
     fn overflow_drops_and_counts_instead_of_blocking() {
         let (sink, mut reader) = channel(4);
-        let event = TelemetryEvent::StatDelta { id: 0, delta: 1 };
+        let event = TelemetryEvent::HistSample { id: 0, value: 1 };
         for _ in 0..4 {
             assert!(sink.emit(&event));
         }
@@ -858,16 +794,16 @@ mod tests {
                 // Spin until there is room so every event survives; the
                 // simulation never does this (it drops instead), but it
                 // makes the ordering assertion below exact.
-                while !sink.emit(&TelemetryEvent::StatDelta { id: 1, delta: i }) {
+                while !sink.emit(&TelemetryEvent::HistSample { id: 1, value: i }) {
                     std::hint::spin_loop();
                 }
             }
         });
         let mut expect = 0u64;
         while expect < 10_000 {
-            if let Some(TelemetryEvent::StatDelta { id, delta }) = reader.pop() {
+            if let Some(TelemetryEvent::HistSample { id, value }) = reader.pop() {
                 assert_eq!(id, 1);
-                assert_eq!(delta, expect, "events must arrive in emission order");
+                assert_eq!(value, expect, "events must arrive in emission order");
                 expect += 1;
             } else {
                 std::hint::spin_loop();
@@ -880,7 +816,8 @@ mod tests {
     #[test]
     fn chrome_trace_stream_emits_valid_json() {
         let mut buf = Vec::new();
-        let mut stream = ChromeTraceStream::new(&mut buf, "watch", 1).unwrap();
+        let mut stream = ChromeTraceStream::new(&mut buf).unwrap();
+        stream.process("watch", 1).unwrap();
         stream.span(Phase::Drain, 10, 5).unwrap();
         stream.span(Phase::StorePersist, 20, 7).unwrap();
         stream.finish(3).unwrap();
@@ -897,5 +834,35 @@ mod tests {
                 .as_u64(),
             Some(3)
         );
+    }
+
+    #[test]
+    fn chrome_trace_stream_puts_each_process_on_its_own_track() {
+        let mut buf = Vec::new();
+        let mut stream = ChromeTraceStream::new(&mut buf).unwrap();
+        stream.process("bbb", 1).unwrap();
+        stream.span(Phase::Mac, 0, 2).unwrap();
+        stream.process("cobcm", 2).unwrap();
+        stream.span(Phase::Drain, 4, 3).unwrap();
+        stream.finish(0).unwrap();
+        let json = Json::parse(&String::from_utf8(buf).unwrap()).unwrap();
+        let events = json.get("traceEvents").unwrap().items();
+        // Each process's metadata precedes its span, and both carry its
+        // pid.
+        let per_process = 1 + Phase::ALL.len() + 1;
+        assert_eq!(events.len(), 2 * per_process);
+        for (i, event) in events.iter().enumerate() {
+            let ph = if i % per_process == per_process - 1 {
+                "X"
+            } else {
+                "M"
+            };
+            assert_eq!(event.get("ph").and_then(Json::as_str), Some(ph));
+            let pid = 1 + (i / per_process) as u64;
+            assert_eq!(event.get("pid").and_then(Json::as_u64), Some(pid));
+        }
+        let process_name = |i: usize| events[i].get("args").unwrap().get("name").unwrap().as_str();
+        assert_eq!(process_name(0), Some("bbb"));
+        assert_eq!(process_name(per_process), Some("cobcm"));
     }
 }

@@ -242,10 +242,12 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     let mut trace_stream = match &trace_path {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(
-                ChromeTraceStream::new(std::io::BufWriter::new(file), "secpb watch", 0)
-                    .map_err(|e| format!("{path}: {e}"))?,
-            )
+            let mut stream = ChromeTraceStream::new(std::io::BufWriter::new(file))
+                .map_err(|e| format!("{path}: {e}"))?;
+            stream
+                .process("secpb watch", 0)
+                .map_err(|e| format!("{path}: {e}"))?;
+            Some(stream)
         }
         None => None,
     };

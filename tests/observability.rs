@@ -7,9 +7,49 @@ use secpb::core::tree::TreeKind;
 use secpb::sim::config::SystemConfig;
 use secpb::sim::json::Json;
 use secpb::sim::stats::{Log2Histogram, Stats};
-use secpb::sim::tracer::{merge_chrome_traces, Phase, Tracer};
-use secpb_bench::experiments::run_benchmark_instrumented;
+use secpb::sim::telemetry::{self, ChromeTraceStream, HealthMonitor};
+use secpb::sim::tracer::{Phase, Tracer};
+use secpb_bench::experiments::{run_benchmark_instrumented, run_benchmark_traced};
 use secpb_workloads::WorkloadProfile;
+
+/// The `ph:"X"` span events of a streamed Chrome trace document, each as
+/// `(pid, name, dur)`, plus its `otherData.dropped_spans`.
+fn parse_spans(doc: &[u8]) -> (Vec<(u64, String, u64)>, u64) {
+    let json = Json::parse(std::str::from_utf8(doc).expect("utf-8")).expect("valid JSON");
+    let spans = json
+        .get("traceEvents")
+        .expect("traceEvents")
+        .items()
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| {
+            let field = |key: &str| e.get(key).and_then(Json::as_u64).expect(key);
+            assert!(e.get("ts").is_some() && e.get("tid").is_some());
+            let name = e.get("name").and_then(Json::as_str).expect("name");
+            (field("pid"), name.to_owned(), field("dur"))
+        })
+        .collect();
+    let dropped = json
+        .get("otherData")
+        .and_then(|o| o.get("dropped_spans"))
+        .and_then(Json::as_u64)
+        .expect("dropped_spans");
+    (spans, dropped)
+}
+
+/// Per-phase summed `dur` of process `pid`'s spans.
+fn phase_durations(spans: &[(u64, String, u64)], pid: u64) -> Vec<u64> {
+    Phase::ALL
+        .iter()
+        .map(|phase| {
+            spans
+                .iter()
+                .filter(|(p, name, _)| *p == pid && name == phase.name())
+                .map(|(_, _, dur)| dur)
+                .sum()
+        })
+        .collect()
+}
 
 #[test]
 fn histogram_bucket_boundaries_are_log2() {
@@ -108,41 +148,35 @@ fn stats_json_carries_counters_and_histograms() {
 #[test]
 fn tracer_phase_accounting_and_chrome_export() {
     use secpb::sim::cycle::Cycle;
-    let mut t = Tracer::with_capture(16);
+    let (sink, mut reader) = telemetry::channel(16);
+    let mut t = Tracer::new();
+    t.set_sink(Some(sink));
     t.span(Phase::Mac, Cycle(10), Cycle(50));
     t.span(Phase::Mac, Cycle(60), Cycle(100));
     t.span(Phase::Drain, Cycle(0), Cycle(5));
+    t.span(Phase::FullStall, Cycle(7), Cycle(7));
     assert_eq!(t.count(Phase::Mac), 2);
     assert_eq!(t.cycles(Phase::Mac), 80);
     assert_eq!(t.count(Phase::Drain), 1);
-    assert_eq!(t.events().len(), 3);
+    assert_eq!(t.count(Phase::FullStall), 1);
 
-    let trace = t.chrome_trace("cm", 3);
-    let events = trace.get("traceEvents").expect("traceEvents");
-    let Json::Arr(items) = events else {
-        panic!("traceEvents must be an array")
-    };
-    // Metadata events name the process and threads; X events carry spans.
-    let complete: Vec<&Json> = items
-        .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-        .collect();
-    assert_eq!(complete.len(), 3);
-    for ev in &complete {
-        assert_eq!(ev.get("pid").and_then(Json::as_u64), Some(3));
-        assert!(ev.get("ts").is_some() && ev.get("dur").is_some());
-    }
-
-    // Merging keeps every scheme's events in one valid document.
-    let merged = merge_chrome_traces([trace.clone(), trace]);
-    let Some(Json::Arr(all)) = merged.get("traceEvents") else {
-        panic!("merged array")
-    };
+    // The ring's spans, streamed into one process track: per phase the
+    // `dur`s sum to the tracer's cycles, and the zero-length stall adds
+    // no event.
+    let mut doc = Vec::new();
+    let mut stream = ChromeTraceStream::new(&mut doc).expect("open");
+    stream.process("cm", 3).expect("process");
+    HealthMonitor::new().absorb(&mut reader, |phase, begin, duration| {
+        stream.span(phase, begin, duration).expect("span");
+    });
+    stream.finish(reader.dropped()).expect("finish");
+    let (spans, dropped) = parse_spans(&doc);
+    assert_eq!(dropped, 0);
+    assert_eq!(spans.len(), 3);
+    assert!(spans.iter().all(|(pid, _, _)| *pid == 3));
     assert_eq!(
-        all.iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .count(),
-        6
+        phase_durations(&spans, 3),
+        Phase::ALL.map(|phase| t.cycles(phase))
     );
 }
 
@@ -158,7 +192,6 @@ fn breakdown_accounts_for_every_cycle() {
             SystemConfig::default(),
             TreeKind::Monolithic,
             20_000,
-            1 << 16,
         );
         assert_eq!(
             r.breakdown.total(),
@@ -169,42 +202,55 @@ fn breakdown_accounts_for_every_cycle() {
 }
 
 /// Two identical instrumented runs must produce byte-identical stats
-/// JSON — the determinism guarantee behind `--stats-json` diffing.
+/// JSON and Chrome traces — the determinism guarantee behind
+/// `debug_one --stats-json` / `--trace-out` diffing.  The trace holds one
+/// process per scheme whose spans add up to the tracer's aggregates.
 #[test]
 fn identical_runs_export_identical_json() {
     let profile = WorkloadProfile::named("povray").expect("profile");
+    let schemes = [Scheme::Bbb, Scheme::Cobcm, Scheme::NoGap];
     let run = || {
         let mut dumps = Vec::new();
-        let mut traces = Vec::new();
-        for (pid, scheme) in [Scheme::Bbb, Scheme::Cobcm, Scheme::NoGap]
-            .into_iter()
-            .enumerate()
-        {
-            let (r, sys) = run_benchmark_instrumented(
+        let mut cycles = Vec::new();
+        let mut trace = Vec::new();
+        let mut stream = ChromeTraceStream::new(&mut trace).expect("open");
+        let mut dropped = 0;
+        for (pid, scheme) in (1..).zip(schemes) {
+            let (r, sys, lost) = run_benchmark_traced(
                 &profile,
                 scheme,
                 SystemConfig::default(),
                 TreeKind::Monolithic,
                 15_000,
-                1 << 16,
-            );
+                &mut stream,
+                pid,
+            )
+            .expect("in-memory trace");
             dumps.push(r.to_json());
-            traces.push(sys.tracer().chrome_trace(scheme.name(), pid as u32 + 1));
+            cycles.push(Phase::ALL.map(|phase| sys.tracer().cycles(phase)).to_vec());
+            dropped += lost;
         }
-        let stats = Json::Arr(dumps).to_pretty();
-        let trace = merge_chrome_traces(traces).to_pretty();
-        (stats, trace)
+        stream.finish(dropped).expect("finish");
+        (Json::Arr(dumps).to_pretty(), trace, cycles)
     };
-    let (stats_a, trace_a) = run();
-    let (stats_b, trace_b) = run();
+    let (stats_a, trace_a, cycles) = run();
+    let (stats_b, trace_b, _) = run();
     assert_eq!(
         stats_a, stats_b,
         "stats JSON must be byte-identical across runs"
     );
-    assert_eq!(
-        trace_a, trace_b,
+    assert!(
+        trace_a == trace_b,
         "Chrome trace must be byte-identical across runs"
     );
+    let (spans, dropped) = parse_spans(&trace_a);
+    assert_eq!(dropped, 0);
+    let mut pids: Vec<u64> = spans.iter().map(|(pid, _, _)| *pid).collect();
+    pids.dedup();
+    assert_eq!(pids, [1, 2, 3], "one process per scheme, in order");
+    for (pid, expected) in (1..).zip(&cycles) {
+        assert_eq!(&phase_durations(&spans, pid), expected, "pid {pid}");
+    }
 }
 
 /// A scheme's instrumented run populates the SecPB histograms and spans.
@@ -217,7 +263,6 @@ fn instrumented_run_populates_histograms() {
         SystemConfig::default(),
         TreeKind::Monolithic,
         20_000,
-        1 << 16,
     );
     let occ = r
         .stats
@@ -243,7 +288,6 @@ fn typed_and_string_counter_views_agree() {
         SystemConfig::default(),
         TreeKind::Monolithic,
         10_000,
-        1 << 14,
     );
     // Every counter surfaced by iter() is readable by name with the
     // same value; the JSON dump agrees too.
