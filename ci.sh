@@ -90,6 +90,15 @@ echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
 BROWN_OUT=$(./target/release/secpb storm --quick --brown-out 0.25)
 echo "$BROWN_OUT" | grep -Eq '^storm: .*, [1-9][0-9]* entries lost' \
   || { echo "ci.sh: brown-out storm lost no entries" >&2; exit 1; }
+# Each front sizes its budget against its own worst case, and at 25% the
+# eadr and mc4-cobcm rows still drain every entry, so the pass above
+# checks no lost-entry accounting there.  A budget of 0.02% bites on
+# both: each row must report lost entries (column 4 of its table row).
+BROWN_OUT_LOW=$(./target/release/secpb storm --quick --brown-out 0.0002)
+for front in eadr mc4-cobcm; do
+  echo "$BROWN_OUT_LOW" | awk -v cell="$front/" 'index($1, cell) == 1 && $4 > 0 { hit = 1 } END { exit !hit }' \
+    || { echo "ci.sh: brown-out storm at 0.0002 lost no $front entries" >&2; exit 1; }
+done
 
 echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, telemetered)"
 # bench_grid exits nonzero if the parallel grid diverges from the serial

@@ -8,8 +8,8 @@
 //! multi-shard run is re-run **solo** (one shard hosting only that
 //! shard's tenants, same seed) and its `ShardOutcome::digest` must
 //! match byte-for-byte — the service's determinism contract: a shard's
-//! outcome depends only on its tenants and seed, never on shard count,
-//! interleaving, or stealing.
+//! outcome depends only on its tenants and seed, never on shard count
+//! or worker count.
 //!
 //! Usage:
 //! `cargo run --release -p secpb-bench --bin serve_bench [instructions]
@@ -75,7 +75,6 @@ struct CountResult {
     stores: u64,
     persists: u64,
     stores_per_sec: f64,
-    stolen: u64,
     /// `(member names, digest)` for every populated shard.
     digests: Vec<(Vec<String>, String)>,
 }
@@ -197,7 +196,6 @@ fn main() {
             stores,
             persists: out.total_persists(),
             stores_per_sec: stores as f64 / wall.max(1e-9),
-            stolen: out.pool.stolen,
             digests: out
                 .shards
                 .iter()
@@ -206,8 +204,8 @@ fn main() {
                 .collect(),
         };
         eprintln!(
-            "  {shards} shard(s): {:.3} s, {} stores, {:.0} stores/s, {} stolen batches",
-            r.wall_seconds, r.stores, r.stores_per_sec, r.stolen
+            "  {shards} shard(s): {:.3} s, {} stores, {:.0} stores/s",
+            r.wall_seconds, r.stores, r.stores_per_sec
         );
         results.push(r);
     }
@@ -276,7 +274,6 @@ fn main() {
             .field("stores", r.stores)
             .field("persists", r.persists)
             .field("aggregate_stores_per_sec", r.stores_per_sec)
-            .field("stolen_batches", r.stolen)
             .field(
                 "shard_digests",
                 Json::Arr(

@@ -126,7 +126,8 @@ impl SoakConfig {
 /// Everything one soak run measured and verified.
 #[derive(Debug)]
 pub struct SoakOutcome {
-    /// Mid-epoch shard crashes injected and recovered (pool counter).
+    /// Mid-epoch shard crashes injected and recovered.  Each one rewinds
+    /// its shard once, so this equals [`Self::restores`].
     pub crashes: u64,
     /// Shard restores from epoch checkpoints.
     pub restores: u64,
@@ -298,8 +299,6 @@ fn restart_storm(cfg: &SoakConfig) -> (u64, u64, bool) {
 /// Propagates [`ServeError`] from either serve run (the injected faults
 /// themselves never error — they are recovered in-flight).
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, ServeError> {
-    crate::serve::quiet_injected_faults();
-
     let faulted = run_serve(&cfg.serve)?;
     let mut reference_cfg = cfg.serve.clone();
     reference_cfg.faults = cfg.serve.faults.crash_free();
@@ -326,7 +325,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, ServeError> {
     }
 
     Ok(SoakOutcome {
-        crashes: faulted.pool.crash_recoveries,
+        crashes: faulted.total_restored(),
         restores: faulted.total_restored(),
         replayed: faulted.total_replayed(),
         shed: faulted.total_shed(),

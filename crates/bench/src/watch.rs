@@ -40,8 +40,6 @@ pub struct WatchConfig {
     pub instructions: u64,
     /// Simulated cycles between health snapshots.
     pub interval: u64,
-    /// Telemetry ring capacity in events.
-    pub ring_capacity: usize,
     /// Storm mode: crash (power loss, full drain), recover, and resync
     /// every this many stores.  `None` replays without crashes.
     pub crash_every: Option<u64>,
@@ -59,7 +57,6 @@ impl WatchConfig {
             profile,
             instructions: 200_000,
             interval: 50_000,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             crash_every: None,
             seed: 42,
         }
@@ -115,7 +112,7 @@ pub fn run_watch<W: Write, T: Write>(
     mut trace_out: Option<&mut ChromeTraceStream<T>>,
 ) -> Result<WatchOutcome, String> {
     let mut sys = build_front(cfg.front, SystemConfig::default(), cfg.scheme, cfg.seed)?;
-    let (sink, mut reader) = telemetry::channel(cfg.ring_capacity);
+    let (sink, mut reader) = telemetry::channel(DEFAULT_RING_CAPACITY);
     sys.set_telemetry(Some(sink.clone()));
     let mut monitor = HealthMonitor::new();
     let front_name = cfg.front.name();

@@ -15,15 +15,8 @@
 //!
 //! No `unsafe`, no channels: workers return their `(index, result)`
 //! batches through scoped-join handles, and [`run_indexed`] re-slots them
-//! into a dense `Vec`.
-//!
-//! [`run_sharded`] generalizes the one-shot index fan-out to *long-lived
-//! shard workers*: N stateful shards, each fed by a bounded FIFO ingress
-//! queue, processed by a fixed worker set with bounded work stealing.
-//! Tasks for one shard always execute in submission order under an
-//! exclusive shard claim, so per-shard results are byte-identical
-//! regardless of worker count, scheduling, or stealing — the service
-//! plane's determinism contract rests on this.
+//! into a dense `Vec`.  The service plane uses the same fan-out with one
+//! index per shard: each shard runs start to finish inside one call.
 //!
 //! # Example
 //!
@@ -37,9 +30,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// The number of worker threads to use when the caller does not specify
 /// one: the machine's available parallelism (1 if it cannot be probed).
@@ -134,473 +125,6 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
     queues[victim].lock().expect("queue poisoned").pop_back()
 }
 
-// ---------------------------------------------------------------------
-// Long-lived shard workers
-// ---------------------------------------------------------------------
-
-/// Configuration of a [`run_sharded`] pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPoolConfig {
-    /// Worker threads.  Clamped to at least 1; shards are dealt to
-    /// workers round-robin (worker `w` owns shards `w`, `w+workers`, …).
-    pub workers: usize,
-    /// Per-shard ingress queue bound.  The producer blocks (backpressure)
-    /// when a shard's queue is full; queue depth never exceeds this.
-    pub queue_capacity: usize,
-    /// Maximum tasks a worker may take from a *non-owned* shard per
-    /// claim before releasing it.  `0` disables stealing entirely; any
-    /// value keeps a thief from monopolizing a victim shard.
-    pub steal_bound: usize,
-    /// Upper bound, in milliseconds, on how long the producer waits for
-    /// space in one shard's full ingress queue before giving up with
-    /// [`ShardPoolError::Wedged`].  The wait is sliced into a
-    /// deterministic doubling backoff (1 ms, 2 ms, … capped at 16 ms) so
-    /// a healthy-but-slow consumer is re-checked promptly while a truly
-    /// wedged shard cannot block the producer forever.  `0` restores the
-    /// historical unbounded wait.
-    pub wedge_timeout_ms: u64,
-}
-
-impl Default for ShardPoolConfig {
-    fn default() -> Self {
-        ShardPoolConfig {
-            workers: default_jobs(),
-            queue_capacity: 16,
-            steal_bound: 4,
-            wedge_timeout_ms: 10_000,
-        }
-    }
-}
-
-/// Scheduling observations of one [`run_sharded`] run.  Purely
-/// diagnostic: none of these feed back into task processing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardPoolStats {
-    /// Tasks executed in total.
-    pub executed: u64,
-    /// Tasks executed by a worker that does not own the shard.
-    pub stolen: u64,
-    /// Longest run of tasks a single steal claim processed (must stay
-    /// within [`ShardPoolConfig::steal_bound`]).
-    pub max_steal_run: u64,
-    /// High-water mark of any shard ingress queue (must stay within
-    /// [`ShardPoolConfig::queue_capacity`]).
-    pub max_queue_depth: usize,
-    /// Times the producer blocked on a full ingress queue.
-    pub backpressure_waits: u64,
-    /// Timed-out backpressure wait slices: the producer waited a full
-    /// backoff slice without any consumer freeing space.  Non-zero means
-    /// a shard was stalled long enough to be suspect; reaching
-    /// [`ShardPoolConfig::wedge_timeout_ms`] of consecutive timeouts
-    /// turns into [`ShardPoolError::Wedged`].
-    pub stall_timeouts: u64,
-    /// Shard-worker crashes caught and recovered in place (only with
-    /// [`run_sharded_recoverable`]'s recovery hook).
-    pub crash_recoveries: u64,
-}
-
-/// Why a sharded run failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardPoolError {
-    /// A task named a shard index outside the state vector.
-    Misrouted {
-        /// The shard the task was routed to.
-        shard: usize,
-        /// How many shards exist.
-        shards: usize,
-    },
-    /// One or more workers panicked while processing and no recovery
-    /// hook was installed.
-    WorkerPanicked {
-        /// How many workers died.
-        workers: usize,
-    },
-    /// A shard's ingress queue stayed full past the wedge timeout: its
-    /// consumer is stuck (or pathologically slow) and the producer
-    /// refuses to block forever.
-    Wedged {
-        /// The shard whose ingress never freed space.
-        shard: usize,
-        /// Total milliseconds the producer waited before giving up.
-        waited_ms: u64,
-    },
-}
-
-impl std::fmt::Display for ShardPoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardPoolError::Misrouted { shard, shards } => write!(
-                f,
-                "task routed to shard {shard}, but only {shards} shards exist"
-            ),
-            ShardPoolError::WorkerPanicked { workers } => write!(
-                f,
-                "shard pool aborted: {workers} worker(s) panicked while processing"
-            ),
-            ShardPoolError::Wedged { shard, waited_ms } => write!(
-                f,
-                "shard {shard} ingress wedged: no queue space freed after {waited_ms} ms"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardPoolError {}
-
-/// Everything the workers and the producer share, under one mutex.  The
-/// queues are tiny relative to task cost (a service epoch runs real
-/// crypto), so one lock for scheduling state is contention-free in
-/// practice while keeping the wait/notify logic obviously correct.
-struct Central<T> {
-    queues: Vec<VecDeque<T>>,
-    /// Shards currently claimed by a worker.  A claim is exclusive:
-    /// only the claim holder may pop that shard's queue or touch its
-    /// state, which is what serializes per-shard processing into
-    /// submission order.
-    claimed: Vec<bool>,
-    /// Producer finished feeding.
-    done: bool,
-    /// A worker panicked; everyone should bail out.
-    panicked: bool,
-    stats: ShardPoolStats,
-}
-
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // A panicking worker poisons the central mutex while the pool is
-    // already tearing down; the scheduling state is still valid for the
-    // purpose of draining out, so recover the guard instead of
-    // cascading panics into every thread.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Notifies everyone on worker panic, even if the panic unwinds past the
-/// worker loop.
-struct PanicGuard<'a, T> {
-    central: &'a Mutex<Central<T>>,
-    work: &'a Condvar,
-    space: &'a Condvar,
-}
-
-impl<T> Drop for PanicGuard<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut c = relock(self.central.lock());
-            c.panicked = true;
-            c.done = true;
-            self.work.notify_all();
-            self.space.notify_all();
-        }
-    }
-}
-
-/// Runs a stream of `(shard, task)` pairs over `states` with long-lived
-/// shard workers, returning the final shard states and scheduling stats.
-///
-/// The producer side runs on the *caller's* thread: `tasks` is pulled
-/// lazily, each task enqueued into its shard's bounded FIFO (blocking
-/// while the queue is full — ingress backpressure).  Worker `w` owns
-/// shards `w, w+workers, …` and prefers them; a worker whose own shards
-/// are all idle steals from the most-loaded foreign queue, at most
-/// [`ShardPoolConfig::steal_bound`] tasks per claim (`0` disables
-/// stealing).
-///
-/// # Determinism
-///
-/// Tasks for one shard are processed in exact submission order under an
-/// exclusive shard claim, so `process(shard, &mut state, task)` observes
-/// a schedule-independent sequence: the final state of each shard is a
-/// pure function of `(initial state, its task subsequence)` — worker
-/// count, interleaving, and stealing cannot change it.
-///
-/// # Errors
-///
-/// If `process` panics, the pool shuts down (no hang: the producer and
-/// all workers are notified) and [`ShardPoolError::WorkerPanicked`] is
-/// returned instead of propagating the panic.  A full ingress queue
-/// that never frees space within the wedge timeout yields
-/// [`ShardPoolError::Wedged`].
-pub fn run_sharded<S, T, F, I>(
-    states: Vec<S>,
-    tasks: I,
-    cfg: &ShardPoolConfig,
-    process: F,
-) -> Result<(Vec<S>, ShardPoolStats), ShardPoolError>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S, T) + Sync,
-    I: IntoIterator<Item = (usize, T)>,
-{
-    sharded_engine(states, tasks, cfg, process, None)
-}
-
-/// [`run_sharded`] with in-place shard crash-recovery.
-///
-/// When `process` panics, the worker catches the unwind while still
-/// holding the shard's exclusive claim and hands the (possibly
-/// half-mutated) state to `recover`, which must repair it — the serve
-/// plane restores the shard's last epoch checkpoint — and return the
-/// tasks to replay.  Replay tasks are pushed to the *front* of the
-/// shard's ingress queue in order, ahead of everything already queued,
-/// so the shard re-executes exactly the suffix it lost and every other
-/// shard is untouched.  Replay pushes bypass the ingress capacity bound
-/// (they are not new work) and are excluded from the queue-depth
-/// high-water stat.
-///
-/// A panic inside `recover` itself is fatal and reported as
-/// [`ShardPoolError::WorkerPanicked`].
-///
-/// # Errors
-///
-/// Same as [`run_sharded`], except `process` panics are recovered
-/// instead of aborting the run.
-pub fn run_sharded_recoverable<S, T, F, I, R>(
-    states: Vec<S>,
-    tasks: I,
-    cfg: &ShardPoolConfig,
-    process: F,
-    recover: R,
-) -> Result<(Vec<S>, ShardPoolStats), ShardPoolError>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S, T) + Sync,
-    I: IntoIterator<Item = (usize, T)>,
-    R: Fn(usize, &mut S) -> Vec<T> + Sync,
-{
-    sharded_engine(states, tasks, cfg, process, Some(&recover))
-}
-
-#[allow(clippy::type_complexity)]
-fn sharded_engine<S, T, F, I>(
-    states: Vec<S>,
-    tasks: I,
-    cfg: &ShardPoolConfig,
-    process: F,
-    recover: Option<&(dyn Fn(usize, &mut S) -> Vec<T> + Sync)>,
-) -> Result<(Vec<S>, ShardPoolStats), ShardPoolError>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S, T) + Sync,
-    I: IntoIterator<Item = (usize, T)>,
-{
-    let shards = states.len();
-    let workers = cfg.workers.max(1).min(shards.max(1));
-    let capacity = cfg.queue_capacity.max(1);
-    let central = Mutex::new(Central {
-        queues: (0..shards).map(|_| VecDeque::new()).collect(),
-        claimed: vec![false; shards],
-        done: false,
-        panicked: false,
-        stats: ShardPoolStats::default(),
-    });
-    let work = Condvar::new();
-    let space = Condvar::new();
-    // Shard states live in per-shard mutexes; the exclusive claim in
-    // `Central` means each lock is uncontended, it exists to hand `&mut S`
-    // to whichever worker holds the claim.
-    let slots: Vec<Mutex<S>> = states.into_iter().map(Mutex::new).collect();
-
-    let result: Result<(), ShardPoolError> = std::thread::scope(|scope| {
-        let central = &central;
-        let (work, space) = (&work, &space);
-        let (slots, process) = (&slots, &process);
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let _guard = PanicGuard {
-                        central,
-                        work,
-                        space,
-                    };
-                    let mut c = relock(central.lock());
-                    loop {
-                        if c.panicked {
-                            break;
-                        }
-                        // Own shards first, round-robin by shard index.
-                        let own = (w..shards)
-                            .step_by(workers)
-                            .find(|&s| !c.claimed[s] && !c.queues[s].is_empty());
-                        let (shard, budget) = match own {
-                            Some(s) => (Some(s), u64::MAX),
-                            None if cfg.steal_bound > 0 => {
-                                // Steal from the most-loaded unclaimed
-                                // foreign shard, mirroring run_indexed's
-                                // most-loaded-victim policy.
-                                let victim = (0..shards)
-                                    .filter(|&s| {
-                                        s % workers != w && !c.claimed[s] && !c.queues[s].is_empty()
-                                    })
-                                    .max_by_key(|&s| c.queues[s].len());
-                                (victim, cfg.steal_bound as u64)
-                            }
-                            None => (None, 0),
-                        };
-                        let Some(s) = shard else {
-                            if c.done && c.queues.iter().all(VecDeque::is_empty) {
-                                break;
-                            }
-                            c = relock(work.wait(c));
-                            continue;
-                        };
-                        // Claim the shard, then pop-and-process its queue
-                        // FIFO while holding the claim.
-                        c.claimed[s] = true;
-                        let stolen = budget != u64::MAX;
-                        let mut run = 0u64;
-                        loop {
-                            let Some(task) = c.queues[s].pop_front() else {
-                                break;
-                            };
-                            drop(c);
-                            space.notify_all();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                let mut state = relock(slots[s].lock());
-                                process(s, &mut state, task);
-                            }));
-                            match outcome {
-                                Ok(()) => {
-                                    c = relock(central.lock());
-                                    c.stats.executed += 1;
-                                    if stolen {
-                                        c.stats.stolen += 1;
-                                    }
-                                }
-                                Err(payload) => {
-                                    let Some(recover) = recover else {
-                                        // No recovery hook: keep the
-                                        // historical abort-the-pool path.
-                                        resume_unwind(payload);
-                                    };
-                                    // The claim is still held, so the
-                                    // half-mutated state is exclusively
-                                    // ours to repair.  A panic inside
-                                    // `recover` unwinds past us and is
-                                    // fatal (PanicGuard notifies).
-                                    let replay = {
-                                        let mut state = relock(slots[s].lock());
-                                        recover(s, &mut state)
-                                    };
-                                    c = relock(central.lock());
-                                    c.stats.crash_recoveries += 1;
-                                    // Replay ahead of queued work, in
-                                    // order; intentionally exempt from
-                                    // the ingress capacity bound and the
-                                    // depth high-water stat.
-                                    for t in replay.into_iter().rev() {
-                                        c.queues[s].push_front(t);
-                                    }
-                                }
-                            }
-                            run += 1;
-                            if c.panicked || run >= budget {
-                                break;
-                            }
-                        }
-                        if stolen {
-                            c.stats.max_steal_run = c.stats.max_steal_run.max(run);
-                        }
-                        c.claimed[s] = false;
-                        work.notify_all();
-                    }
-                    drop(c);
-                    // Wake peers that may be waiting on work we will
-                    // never produce.
-                    work.notify_all();
-                })
-            })
-            .collect();
-
-        // Producer: feed tasks with backpressure on the caller's thread.
-        // Full queues are waited on in deterministic doubling backoff
-        // slices so a wedged consumer turns into a typed error instead
-        // of an unbounded condvar wait.
-        let mut fed_err = None;
-        'feed: for (shard, task) in tasks {
-            if shard >= shards {
-                fed_err = Some(ShardPoolError::Misrouted { shard, shards });
-                break;
-            }
-            let mut c = relock(central.lock());
-            let mut waited = Duration::ZERO;
-            let mut slice = Duration::from_millis(1);
-            while c.queues[shard].len() >= capacity && !c.panicked {
-                c.stats.backpressure_waits += 1;
-                if cfg.wedge_timeout_ms == 0 {
-                    c = relock(space.wait(c));
-                    continue;
-                }
-                let (guard, timeout) = space
-                    .wait_timeout(c, slice)
-                    .unwrap_or_else(PoisonError::into_inner);
-                c = guard;
-                if timeout.timed_out() {
-                    c.stats.stall_timeouts += 1;
-                    waited += slice;
-                    if waited >= Duration::from_millis(cfg.wedge_timeout_ms) {
-                        fed_err = Some(ShardPoolError::Wedged {
-                            shard,
-                            waited_ms: waited.as_millis() as u64,
-                        });
-                        drop(c);
-                        break 'feed;
-                    }
-                    slice = (slice * 2).min(Duration::from_millis(16));
-                } else {
-                    // Space may have freed: restart the backoff ladder.
-                    waited = Duration::ZERO;
-                    slice = Duration::from_millis(1);
-                }
-            }
-            if c.panicked {
-                break;
-            }
-            c.queues[shard].push_back(task);
-            let depth = c.queues[shard].len();
-            c.stats.max_queue_depth = c.stats.max_queue_depth.max(depth);
-            drop(c);
-            work.notify_all();
-        }
-        {
-            let mut c = relock(central.lock());
-            c.done = true;
-            if fed_err.is_some() {
-                // A misrouted task is a caller bug: drain nothing more.
-                c.panicked = true;
-            }
-            work.notify_all();
-            space.notify_all();
-        }
-        let mut panics = 0usize;
-        for handle in handles {
-            if handle.join().is_err() {
-                panics += 1;
-            }
-        }
-        if let Some(e) = fed_err {
-            Err(e)
-        } else if panics > 0 {
-            Err(ShardPoolError::WorkerPanicked { workers: panics })
-        } else {
-            Ok(())
-        }
-    });
-    result?;
-
-    let c = relock(central.lock());
-    let stats = c.stats.clone();
-    drop(c);
-    let states = slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    Ok((states, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,287 +187,5 @@ mod tests {
             assert!(i != 5, "boom");
             i
         });
-    }
-
-    // ----- run_sharded ----------------------------------------------
-
-    /// A deterministic per-shard fold: order-sensitive, so any FIFO
-    /// violation or cross-shard mixup changes the result.
-    fn fold(state: &mut u64, task: u64) {
-        *state = state.wrapping_mul(6364136223846793005).wrapping_add(task);
-    }
-
-    fn sharded_tasks(shards: usize, per_shard: usize) -> Vec<(usize, u64)> {
-        (0..shards * per_shard)
-            .map(|i| (i % shards, i as u64))
-            .collect()
-    }
-
-    fn expected_states(shards: usize, per_shard: usize) -> Vec<u64> {
-        let mut states = vec![0u64; shards];
-        for (s, t) in sharded_tasks(shards, per_shard) {
-            fold(&mut states[s], t);
-        }
-        states
-    }
-
-    #[test]
-    fn sharded_results_are_schedule_independent() {
-        let expected = expected_states(5, 40);
-        for workers in [1, 2, 3, 8] {
-            for steal_bound in [0, 1, 4] {
-                let cfg = ShardPoolConfig {
-                    workers,
-                    queue_capacity: 3,
-                    steal_bound,
-                    ..ShardPoolConfig::default()
-                };
-                let (states, stats) = run_sharded(
-                    vec![0u64; 5],
-                    sharded_tasks(5, 40),
-                    &cfg,
-                    |_, state, task| fold(state, task),
-                )
-                .unwrap();
-                assert_eq!(states, expected, "workers={workers} steal={steal_bound}");
-                assert_eq!(stats.executed, 200);
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_load_triggers_stealing_within_bound() {
-        // Shard 0 gets 60 expensive tasks, the rest get 2 each: worker 1
-        // (owning shards 1 and 3) runs dry and must steal from shard 0.
-        let mut tasks: Vec<(usize, u64)> = (0..60).map(|i| (0usize, i as u64)).collect();
-        for s in 1..4usize {
-            tasks.push((s, 7));
-            tasks.push((s, 9));
-        }
-        let cfg = ShardPoolConfig {
-            workers: 2,
-            queue_capacity: 64,
-            steal_bound: 3,
-            ..ShardPoolConfig::default()
-        };
-        let expected = {
-            let mut states = vec![0u64; 4];
-            for &(s, t) in &tasks {
-                fold(&mut states[s], t);
-                // Burn comparable work to the closure below so the
-                // expectation model matches.
-            }
-            states
-        };
-        let (states, stats) = run_sharded(vec![0u64; 4], tasks, &cfg, |_, state, task| {
-            // Make shard-0 tasks slow enough that worker 1 finds its own
-            // queues empty while shard 0 still has a backlog.
-            let mut burn = task;
-            for _ in 0..20_000 {
-                burn = burn.wrapping_mul(48271).wrapping_add(1);
-            }
-            std::hint::black_box(burn);
-            fold(state, task);
-        })
-        .unwrap();
-        assert_eq!(states, expected, "stealing must not reorder a shard");
-        assert!(
-            stats.stolen > 0,
-            "skewed load must trigger steals: {stats:?}"
-        );
-        assert!(
-            stats.max_steal_run <= 3,
-            "steal runs must respect the bound: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn steal_bound_zero_disables_stealing() {
-        let tasks: Vec<(usize, u64)> = (0..50).map(|i| (0usize, i as u64)).collect();
-        let cfg = ShardPoolConfig {
-            workers: 2,
-            queue_capacity: 8,
-            steal_bound: 0,
-            ..ShardPoolConfig::default()
-        };
-        let (_, stats) = run_sharded(vec![0u64; 2], tasks, &cfg, |_, state, task| {
-            fold(state, task);
-        })
-        .unwrap();
-        assert_eq!(stats.stolen, 0);
-        assert_eq!(stats.max_steal_run, 0);
-    }
-
-    #[test]
-    fn ingress_queues_respect_their_capacity() {
-        let cfg = ShardPoolConfig {
-            workers: 1,
-            queue_capacity: 2,
-            steal_bound: 1,
-            ..ShardPoolConfig::default()
-        };
-        let (states, stats) = run_sharded(
-            vec![0u64; 2],
-            sharded_tasks(2, 100),
-            &cfg,
-            |_, state, task| {
-                // Slow consumer: the producer must hit backpressure.
-                let mut burn = task;
-                for _ in 0..5_000 {
-                    burn = burn.wrapping_mul(48271).wrapping_add(1);
-                }
-                std::hint::black_box(burn);
-                fold(state, task);
-            },
-        )
-        .unwrap();
-        assert_eq!(states, expected_states(2, 100));
-        assert!(
-            stats.max_queue_depth <= 2,
-            "queue depth exceeded its bound: {stats:?}"
-        );
-        assert!(stats.backpressure_waits > 0, "bound never exercised");
-    }
-
-    #[test]
-    fn panicking_worker_surfaces_an_error_not_a_hang() {
-        let cfg = ShardPoolConfig {
-            workers: 2,
-            queue_capacity: 4,
-            steal_bound: 2,
-            ..ShardPoolConfig::default()
-        };
-        let err = run_sharded(
-            vec![0u64; 4],
-            sharded_tasks(4, 50),
-            &cfg,
-            |shard, state, task| {
-                assert!(!(shard == 2 && task == 30), "injected shard fault");
-                fold(state, task);
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("panicked"), "got: {err}");
-    }
-
-    #[test]
-    fn misrouted_task_is_an_error() {
-        let cfg = ShardPoolConfig::default();
-        let err = run_sharded(vec![0u64; 2], vec![(5usize, 1u64)], &cfg, |_, s, t| {
-            fold(s, t)
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("shard 5"), "got: {err}");
-    }
-
-    #[test]
-    fn wedged_ingress_times_out_with_typed_error() {
-        // One worker, capacity 1, and a consumer that sleeps far past
-        // the wedge timeout: the producer must give up with Wedged
-        // instead of blocking forever, and the stall counter must show
-        // the timed-out waits.
-        let cfg = ShardPoolConfig {
-            workers: 1,
-            queue_capacity: 1,
-            steal_bound: 0,
-            wedge_timeout_ms: 40,
-        };
-        let tasks: Vec<(usize, u64)> = (0..8).map(|i| (0usize, i)).collect();
-        let err = run_sharded(vec![0u64; 1], tasks, &cfg, |_, state, task| {
-            std::thread::sleep(Duration::from_millis(400));
-            fold(state, task);
-        })
-        .unwrap_err();
-        match err {
-            ShardPoolError::Wedged { shard, waited_ms } => {
-                assert_eq!(shard, 0);
-                assert!(waited_ms >= 40, "waited {waited_ms} ms");
-            }
-            other => panic!("expected Wedged, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn recovery_hook_replays_and_preserves_other_shards() {
-        // Shard 1's processing panics once; the recovery hook resets the
-        // shard to its last "checkpoint" (here: zero) and returns the
-        // full task list for replay.  The final states must equal an
-        // uninterrupted run on every shard.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let crashed = AtomicBool::new(false);
-        let journal: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        let cfg = ShardPoolConfig {
-            workers: 2,
-            queue_capacity: 8,
-            steal_bound: 0,
-            ..ShardPoolConfig::default()
-        };
-        let tasks = sharded_tasks(3, 30);
-        let expected = expected_states(3, 30);
-        let (states, stats) = run_sharded_recoverable(
-            vec![0u64; 3],
-            tasks,
-            &cfg,
-            |shard, state, task| {
-                if shard == 1 {
-                    // Journal before mutating, like the serve plane.
-                    journal.lock().unwrap().push(task);
-                    if task == 16 && !crashed.swap(true, Ordering::SeqCst) {
-                        // Half-mutate, then die mid-task.
-                        *state = 0xDEAD;
-                        panic!("injected shard crash");
-                    }
-                }
-                fold(state, task);
-            },
-            |shard, state| {
-                assert_eq!(shard, 1, "only shard 1 crashes");
-                // "Restore the checkpoint": recompute from the journal
-                // prefix that predates the crashed task, i.e. reset and
-                // replay everything journaled (the crashed task last).
-                *state = 0;
-                let replay = journal.lock().unwrap().clone();
-                journal.lock().unwrap().clear();
-                replay
-            },
-        )
-        .unwrap();
-        assert!(crashed.load(Ordering::SeqCst), "crash was not injected");
-        assert_eq!(stats.crash_recoveries, 1);
-        assert_eq!(
-            states, expected,
-            "recovered run must match uninterrupted run"
-        );
-    }
-
-    #[test]
-    fn recovery_hook_panic_is_fatal() {
-        let cfg = ShardPoolConfig {
-            workers: 1,
-            queue_capacity: 4,
-            steal_bound: 0,
-            ..ShardPoolConfig::default()
-        };
-        let err = run_sharded_recoverable(
-            vec![0u64; 1],
-            vec![(0usize, 1u64)],
-            &cfg,
-            |_, _, _| panic!("crash"),
-            |_, _| -> Vec<u64> { panic!("recovery also crashes") },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ShardPoolError::WorkerPanicked { .. }));
-    }
-
-    #[test]
-    fn empty_task_stream_returns_states_unchanged() {
-        let cfg = ShardPoolConfig::default();
-        let (states, stats) =
-            run_sharded(vec![3u64, 9], std::iter::empty(), &cfg, |_, s, t: u64| {
-                fold(s, t)
-            })
-            .unwrap();
-        assert_eq!(states, vec![3, 9]);
-        assert_eq!(stats.executed, 0);
     }
 }

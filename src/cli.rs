@@ -581,18 +581,6 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     }
     let _ = writeln!(
         text,
-        "pool   executed={} stolen={} max_steal_run={} max_queue_depth={} backpressure_waits={} \
-         stall_timeouts={} crash_recoveries={}",
-        out.pool.executed,
-        out.pool.stolen,
-        out.pool.max_steal_run,
-        out.pool.max_queue_depth,
-        out.pool.backpressure_waits,
-        out.pool.stall_timeouts,
-        out.pool.crash_recoveries
-    );
-    let _ = writeln!(
-        text,
         "resilience      shed={} replayed={} restored={}",
         out.total_shed(),
         out.total_replayed(),
@@ -1052,13 +1040,12 @@ mod tests {
 
     #[test]
     fn serve_is_deterministic_across_worker_counts() {
+        // Everything but the `serve shards=… workers=…` header.
         let body = |workers: &str| {
-            run(&["serve", "--quick", "--workers", workers])
-                .unwrap()
-                .lines()
-                .filter(|l| l.starts_with("shard") || l.starts_with("tenant"))
-                .collect::<Vec<_>>()
-                .join("\n")
+            let out = run(&["serve", "--quick", "--workers", workers]).unwrap();
+            let (header, body) = out.split_once('\n').unwrap();
+            assert!(header.starts_with("serve shards="), "{header}");
+            body.to_owned()
         };
         assert_eq!(body("1"), body("4"));
     }

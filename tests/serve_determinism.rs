@@ -3,9 +3,9 @@
 //! The service promises that a shard's outcome is a pure function of
 //! `(its tenants' traces, its shard seed)`: the same tenants produce
 //! byte-identical shard stats and recovery verdicts at shard counts 1,
-//! 2, and 4, with telemetry on and off, at any worker count or steal
-//! bound.  These tests pin that promise, plus the QoS epoch bound and
-//! the trace-file ingest error contract.
+//! 2, and 4, with telemetry on and off, at any worker count.  These
+//! tests pin that promise, plus the QoS epoch bound and the trace-file
+//! ingest error contract.
 
 use secpb_bench::serve::{
     run_serve, PrivilegeToken, QosClass, ServeConfig, ServeError, ServeOutcome, TenantSpec,
@@ -119,24 +119,22 @@ fn every_populated_shard_matches_a_solo_rerun_of_its_tenants() {
 }
 
 #[test]
-fn worker_count_and_steal_bound_never_change_shard_outcomes() {
+fn worker_count_never_changes_shard_outcomes() {
     let population = tenants();
-    let run = |workers: usize, steal_bound: usize| {
+    let run = |workers: usize| {
         let mut cfg = ServeConfig::new(4);
         cfg.epoch_len = 192;
         cfg.workers = workers;
-        cfg.steal_bound = steal_bound;
-        cfg.queue_capacity = 2; // force backpressure into the picture
         cfg.tenants = population.clone();
         let out = run_serve(&cfg).expect("serve run succeeds");
         shard_digests(&out)
     };
-    let reference = run(1, 0);
-    for (workers, steal_bound) in [(2, 0), (2, 8), (4, 1), (8, 4)] {
+    let reference = run(1);
+    for workers in [2, 4, 8] {
         assert_eq!(
-            run(workers, steal_bound),
+            run(workers),
             reference,
-            "outcome changed with workers={workers} steal_bound={steal_bound}"
+            "outcome changed with workers={workers}"
         );
     }
 }
