@@ -175,6 +175,22 @@ echo "==> trace ingest truncation fuzz (tests/trace_io_fuzz.rs)"
 # silently short trace.
 cargo test --release -q --test trace_io_fuzz
 
+echo "==> SPB1 round trip across many buffer refills (secpb trace gen/info/run, gamess 2M)"
+# The fuzz traces fit in one refill of the decoder's buffer; this 10 MB
+# file spans dozens of them and of the encoder's staging buffers.  It
+# must read back with the item count it was written with, and replaying
+# it must simulate exactly like `secpb run` on the same generated trace.
+SPB="$CI_TMP/gamess.spb"
+GEN_OUT=$(./target/release/secpb trace gen gamess "$SPB" 2000000)
+WROTE=$(echo "$GEN_OUT" | awk '$1 == "wrote" { print $2 }')
+READ=$(./target/release/secpb trace info "$SPB" | awk '$1 == "items" { print $2 }')
+[ -n "$WROTE" ] && [ "$WROTE" = "$READ" ] \
+  || { echo "ci.sh: trace info read ${READ:-nothing} items of the $WROTE written" >&2; exit 1; }
+REPLAYED=$(./target/release/secpb trace run "$SPB" cobcm | sed -n 's/.* cycles=\([0-9]*\) .*/\1/p')
+DIRECT=$(./target/release/secpb run gamess cobcm 32 2000000 | awk '$1 == "cycles" { print $2 }')
+[ -n "$DIRECT" ] && [ "$REPLAYED" = "$DIRECT" ] \
+  || { echo "ci.sh: trace run read cycles=${REPLAYED:-nothing}, secpb run $DIRECT" >&2; exit 1; }
+
 echo "==> fault-tolerance soak smoke (secpb soak --quick)"
 # The soak exits nonzero unless it converged: crashes actually fired
 # and were recovered, restored shards digest-identical to a crash-free

@@ -157,7 +157,7 @@ fn main() {
         .map(|c| {
             let t = Instant::now();
             let (r, check, digest) = if telemetry {
-                c.run_with_recovery_telemetered(1 << 16)
+                c.run_with_recovery_telemetered()
             } else {
                 let (r, check) = c.run_with_recovery();
                 (r, check, TelemetryDigest::default())

@@ -237,19 +237,17 @@ impl GridCell {
     }
 
     /// [`run_with_recovery`](Self::run_with_recovery) with a live
-    /// telemetry ring of `ring_capacity` events attached for the whole
-    /// run (warm-up, measurement, crash, recovery).  The ring is drained
-    /// after the cell completes and summarized as a [`TelemetryDigest`];
-    /// the [`RunResult`] and [`RecoveryCheck`] are byte-identical to the
-    /// untelemetered path — events observe, never steer.
+    /// telemetry ring of [`DEFAULT_RING_CAPACITY`] events attached for
+    /// the whole run (warm-up, measurement, crash, recovery).  The ring
+    /// is drained after the cell completes and summarized as a
+    /// [`TelemetryDigest`]; the [`RunResult`] and [`RecoveryCheck`] are
+    /// byte-identical to the untelemetered path — events observe, never
+    /// steer.
     ///
     /// Each call owns a private ring, so pool workers running many cells
     /// concurrently each keep the single-producer contract.
-    pub fn run_with_recovery_telemetered(
-        &self,
-        ring_capacity: usize,
-    ) -> (RunResult, RecoveryCheck, TelemetryDigest) {
-        let (sink, mut reader) = telemetry::channel(ring_capacity);
+    pub fn run_with_recovery_telemetered(&self) -> (RunResult, RecoveryCheck, TelemetryDigest) {
+        let (sink, mut reader) = telemetry::channel(DEFAULT_RING_CAPACITY);
         let (result, check) = self.run_checked(Some(sink.clone()));
         let mut events = 0u64;
         while reader.pop().is_some() {

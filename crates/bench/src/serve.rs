@@ -8,7 +8,10 @@
 //!   `derive_seed`-style hash of its name, so placement is a pure
 //!   function of the tenant, never of config position.
 //! * **Ingest** — every tenant's stream is loaded before the first
-//!   epoch, so a malformed trace fails startup.  Each shard then runs on
+//!   epoch, so a malformed trace fails startup.  Tenants load one after
+//!   another on the calling thread, a trace file through
+//!   [`trace_io::read_trace`]'s one fixed buffer, and the pass that tags
+//!   a tenant's ASIDs also counts its stores.  Each shard then runs on
 //!   one worker of [`pool::run_indexed`] from start to finish: epoch `e`
 //!   is each member's `e`-th quota-sized chunk, in shard-local order,
 //!   borrowed straight from the loaded streams.
@@ -39,12 +42,13 @@
 //!
 //! # Fault tolerance
 //!
-//! The serve plane survives shard crashes mid-epoch.  Every shard with
-//! tenants snapshots its full system state into an in-memory rewind
-//! point ([`PersistSystem::snapshot_into`]) every
-//! [`ServeConfig::checkpoint_every`] epochs.  The journal is the epochs
-//! since that snapshot: their parts are re-derived from the loaded
-//! streams, so it needs no storage.  When a [`ServeFaultPlan`] crash
+//! The serve plane survives shard crashes mid-epoch.  When the fault
+//! plan can crash, every shard with tenants snapshots its full system
+//! state into an in-memory rewind point
+//! ([`PersistSystem::snapshot_into`]) every
+//! [`ServeConfig::checkpoint_every`] epochs; a crash-free run takes
+//! none.  The journal is the epochs since that snapshot: their parts
+//! are re-derived from the loaded streams, so it needs no storage.  When a [`ServeFaultPlan`] crash
 //! trigger fires, the epoch stops where it is and the shard rewinds to
 //! its last snapshot ([`PersistSystem::rewind`]), then replays the
 //! journal with the trigger disarmed before it serves new ground.
@@ -383,7 +387,9 @@ pub struct ServeConfig {
     /// Epochs between shard checkpoints (in-memory rewind points, see
     /// [`PersistSystem::snapshot_into`]); crash recovery rewinds to the
     /// latest one and replays the journal.  `0` disables checkpointing —
-    /// and with it, crash recovery.
+    /// and with it, crash recovery.  Only a fault plan that can crash
+    /// takes checkpoints: a crash-free run never rewinds, so it runs at
+    /// a cadence of 0 whatever this says.
     pub checkpoint_every: u64,
     /// Fault schedule: injected crashes and brown-outs.
     pub faults: ServeFaultPlan,
@@ -929,11 +935,12 @@ impl<'a> Shard<'a> {
 /// the epoch batches it ran.
 ///
 /// Builds the shard's system (keyed by its member names, never its
-/// index) and takes the epoch-zero rewind point, so even a crash in the
-/// first epoch has one.  Then it walks the epochs in order.  The journal
-/// is the epochs since the last checkpoint: when the crash trigger
-/// fires, the shard rewinds and replays them, trigger disarmed, ahead of
-/// the next new epoch.  At the end it flushes the deferred parts, runs
+/// index) and, if the fault plan can crash, takes the epoch-zero rewind
+/// point, so even a crash in the first epoch has one; a crash-free plan
+/// takes no rewind points at all.  Then it walks the epochs in order.
+/// The journal is the epochs since the last checkpoint: when the crash
+/// trigger fires, the shard rewinds and replays them, trigger disarmed,
+/// ahead of the next new epoch.  At the end it flushes the deferred parts, runs
 /// the final crash check (power loss, full drain, recovery sweep) and
 /// drains the ring once more so late events (crash markers) are
 /// accounted.
@@ -955,6 +962,12 @@ fn serve_shard(
         sys.set_telemetry(Some(sink));
         reader
     });
+    // Nothing rewinds a shard that cannot crash.
+    let checkpoint_every = if cfg.faults.crashes() {
+        cfg.checkpoint_every
+    } else {
+        0
+    };
     let mut s = Shard {
         sys,
         members,
@@ -967,7 +980,7 @@ fn serve_shard(
             .faults
             .crashes()
             .then(|| FaultClock::new(cfg.faults.trigger)),
-        checkpoint_every: cfg.checkpoint_every,
+        checkpoint_every,
         progress: Progress::default(),
         rewind_point: None,
         saved: Progress::default(),
@@ -983,7 +996,7 @@ fn serve_shard(
             .filter_map(|(m, member)| member.chunk(epoch).map(|items| (m, items)))
             .collect::<Vec<_>>()
     };
-    if cfg.checkpoint_every > 0 && epochs > 0 {
+    if checkpoint_every > 0 && epochs > 0 {
         s.take_checkpoint();
     }
 
@@ -1044,35 +1057,33 @@ fn serve_shard(
     Ok((outcome, executed))
 }
 
-/// Loads or generates one tenant's full item stream, ASID-tagged.
+/// Loads or generates one tenant's full item stream, ASID-tagged, and
+/// counts its stores on the way.
 fn tenant_items(
     cfg: &ServeConfig,
     spec: &TenantSpec,
     asid: Asid,
-) -> Result<Vec<TraceItem>, ServeError> {
+) -> Result<(Vec<TraceItem>, u64), ServeError> {
     let fail = |path: &str, e: &dyn std::fmt::Display| ServeError::Tenant {
         tenant: spec.name.clone(),
         detail: format!("{path}: {e}"),
     };
-    let raw = match &spec.source {
+    let mut items = match &spec.source {
         TenantSource::Synthetic(profile) => {
             let seed = derive_seed(cfg.seed, &[spec.name.as_str()]);
             TraceGenerator::new(profile.clone(), seed).generate(spec.instructions)
         }
         TenantSource::File(path) => {
             let file = std::fs::File::open(path).map_err(|e| fail(path, &e))?;
-            trace_io::read_trace(std::io::BufReader::new(file)).map_err(|e| fail(path, &e))?
+            trace_io::read_trace(file).map_err(|e| fail(path, &e))?
         }
     };
-    Ok(raw
-        .into_iter()
-        .map(|mut item| {
-            if let Some(a) = item.access.as_mut() {
-                a.asid = asid;
-            }
-            item
-        })
-        .collect())
+    let mut stores = 0;
+    for a in items.iter_mut().filter_map(|item| item.access.as_mut()) {
+        a.asid = asid;
+        stores += u64::from(a.is_store());
+    }
+    Ok((items, stores))
 }
 
 /// Runs the service to completion.
@@ -1126,8 +1137,11 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
     // Load/generate every tenant's ASID-tagged item stream up front so
     // malformed trace files fail service startup, not mid-flight.
     let mut streams: Vec<Vec<TraceItem>> = Vec::with_capacity(cfg.tenants.len());
+    let mut stores = Vec::with_capacity(cfg.tenants.len());
     for (i, spec) in cfg.tenants.iter().enumerate() {
-        streams.push(tenant_items(cfg, spec, Asid(placement[i].1))?);
+        let (items, count) = tenant_items(cfg, spec, Asid(placement[i].1))?;
+        streams.push(items);
+        stores.push(count);
     }
     let quotas: Vec<usize> = cfg
         .tenants
@@ -1164,10 +1178,6 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
             let (shard, asid) = placement[i];
             let quota = quotas[i];
             let items = streams[i].len() as u64;
-            let stores = streams[i]
-                .iter()
-                .filter(|it| it.access.is_some_and(|a| a.is_store()))
-                .count() as u64;
             let epochs_used = items.div_ceil(quota as u64);
             TenantReport {
                 name: spec.name.clone(),
@@ -1176,7 +1186,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
                 qos: spec.qos,
                 quota,
                 items,
-                stores,
+                stores: stores[i],
                 epochs_used,
                 max_items_in_epoch: (quota as u64).min(items),
             }

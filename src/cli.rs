@@ -433,15 +433,13 @@ fn cmd_trace(args: &[String]) -> Result<String, String> {
             let profile = parse_profile(bench)?;
             let trace = TraceGenerator::new(profile, 42).generate(instructions);
             let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-            trace_io::write_trace(std::io::BufWriter::new(file), &trace)
-                .map_err(|e| e.to_string())?;
+            trace_io::write_trace(file, &trace).map_err(|e| e.to_string())?;
             Ok(format!("wrote {} items to {path}\n", trace.len()))
         }
         Some("info") => {
             let path = args.get(1).ok_or(USAGE)?;
             let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-            let trace =
-                trace_io::read_trace(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+            let trace = trace_io::read_trace(file).map_err(|e| e.to_string())?;
             let s = TraceSummary::of(&trace);
             let mut out = String::new();
             let _ = writeln!(out, "items        {}", trace.len());
@@ -457,8 +455,7 @@ fn cmd_trace(args: &[String]) -> Result<String, String> {
             let path = args.get(1).ok_or(USAGE)?;
             let scheme = parse_scheme(args.get(2).ok_or(USAGE)?)?;
             let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-            let trace =
-                trace_io::read_trace(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+            let trace = trace_io::read_trace(file).map_err(|e| e.to_string())?;
             let mut sys = SecureSystem::new(SystemConfig::default(), scheme, 42);
             let r = sys.run_trace(trace);
             Ok(format!(

@@ -211,7 +211,7 @@ fn telemetry_on_off_parity_holds_for_every_backend() {
     for kind in KINDS {
         let cell = GridCell::new(profile.clone(), Scheme::Cobcm, 10_000).with_cfg(cfg_with(kind));
         let (plain, plain_check) = cell.run_with_recovery();
-        let (telemetered, tele_check, digest) = cell.run_with_recovery_telemetered(1 << 14);
+        let (telemetered, tele_check, digest) = cell.run_with_recovery_telemetered();
         let name = kind.name();
         assert_eq!(plain, telemetered, "{name}: telemetry changed the result");
         assert_eq!(

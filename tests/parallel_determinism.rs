@@ -58,7 +58,7 @@ fn telemetered_cells_match_the_parallel_grid_cell_for_cell() {
     // same contract `bench_grid --telemetry` gates on.
     let parallel = run_grid(&cells, 4);
     for (cell, plain) in cells.iter().zip(&parallel) {
-        let (telemetered, check, digest) = cell.run_with_recovery_telemetered(1 << 16);
+        let (telemetered, check, digest) = cell.run_with_recovery_telemetered();
         assert_eq!(
             &telemetered,
             plain,

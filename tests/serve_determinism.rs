@@ -195,7 +195,7 @@ fn trace_file_tenants_replay_deterministically() {
     let path = dir.join("tenant.spb");
     let trace = TraceGenerator::new(WorkloadProfile::named("mcf").unwrap(), 7).generate(4_000);
     let file = std::fs::File::create(&path).unwrap();
-    trace_io::write_trace(std::io::BufWriter::new(file), &trace).unwrap();
+    trace_io::write_trace(file, &trace).unwrap();
 
     let spec = vec![TenantSpec::from_file(
         "replay",

@@ -53,7 +53,7 @@ fn telemetry_ring_does_not_steer_a_grid_cell() {
         30_000,
     );
     let (plain, plain_check) = cell.run_with_recovery();
-    let (telemetered, tel_check, digest) = cell.run_with_recovery_telemetered(1 << 16);
+    let (telemetered, tel_check, digest) = cell.run_with_recovery_telemetered();
     assert_eq!(
         plain, telemetered,
         "telemetry-on must be byte-identical to telemetry-off"

@@ -7,9 +7,19 @@
 //! tests sweep every truncation point of a real trace and a seeded set
 //! of single-byte corruptions to pin that promise.
 //!
+//! The decoder parses out of one buffer it refills from the source, so
+//! a field can straddle two refills.  Every stream here is therefore
+//! also read through [`Trickle`], a source that hands out 1–7 bytes per
+//! call and now and then an `Interrupted` error: it splits nearly every
+//! field across reads, and must not change the result.  A trace of over
+//! 1 MiB spans several refills of the decoder's buffer in one piece.
+//!
 //! [`TraceParseError`]: secpb_workloads::trace_io::TraceParseError
 
+use std::io::{self, Read, Write};
+
 use secpb::sim::rng::Rng;
+use secpb::sim::trace::TraceItem;
 use secpb::workloads::trace_io::{read_trace, write_trace, TraceParseError};
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
@@ -25,17 +35,63 @@ fn sample_bytes(seed: u64, instructions: u64) -> (Vec<u8>, usize) {
     (bytes, items.len())
 }
 
-/// Reads the stream and demands a located [`TraceParseError`], returning
-/// it for further shape checks.
-fn expect_parse_error(bytes: &[u8]) -> TraceParseError {
-    let err = read_trace(bytes).expect_err("malformed stream must fail");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+/// A seeded source that returns 1–7 bytes per read and, about one call
+/// in eight, `Interrupted` instead.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: Rng,
+}
+
+impl<'a> Trickle<'a> {
+    fn new(bytes: &'a [u8], seed: u64) -> Self {
+        Trickle {
+            bytes,
+            rng: Rng::seed_from(seed),
+        }
+    }
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.rng.below(8) == 0 {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let n = (self.rng.range(1, 7) as usize)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The located [`TraceParseError`] inside a failed read.
+fn parse_error(err: io::Error) -> TraceParseError {
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     let inner = err
         .into_inner()
         .expect("parse failures carry a TraceParseError");
     *inner
         .downcast::<TraceParseError>()
         .expect("parse failures carry a TraceParseError")
+}
+
+/// Reads the stream in one piece and through a [`Trickle`], demands the
+/// same located [`TraceParseError`] from both, and returns it for
+/// further shape checks.
+fn expect_parse_error(bytes: &[u8]) -> TraceParseError {
+    let whole = parse_error(read_trace(bytes).expect_err("malformed stream must fail"));
+    let trickled = read_trace(Trickle::new(bytes, bytes.len() as u64))
+        .expect_err("malformed stream must fail when trickled");
+    assert_eq!(parse_error(trickled), whole, "split reads moved the error");
+    whole
+}
+
+/// Reads the stream in one piece and through a [`Trickle`], demanding
+/// `items` from both.
+fn expect_round_trip(bytes: &[u8], items: &[TraceItem]) {
+    assert_eq!(read_trace(bytes).unwrap(), items);
+    assert_eq!(read_trace(Trickle::new(bytes, 0xF077)).unwrap(), items);
 }
 
 #[test]
@@ -130,6 +186,72 @@ fn intact_stream_round_trips() {
     let items = TraceGenerator::new(profile, 0xF066).generate(1_500);
     let mut bytes = Vec::new();
     write_trace(&mut bytes, &items).unwrap();
-    let back = read_trace(&bytes[..]).unwrap();
-    assert_eq!(items, back);
+    expect_round_trip(&bytes, &items);
+}
+
+#[test]
+fn a_trace_over_a_mebibyte_round_trips_through_a_slice_and_a_file() {
+    // Large enough to need several refills of the decoder's buffer and
+    // several staging buffers of the encoder.
+    let profile = WorkloadProfile::named("gamess").unwrap();
+    let items = TraceGenerator::new(profile, 0xF088).generate(250_000);
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, &items).unwrap();
+    assert!(bytes.len() >= 1 << 20, "only {} bytes", bytes.len());
+    expect_round_trip(&bytes, &items);
+
+    let path = std::env::temp_dir().join(format!("secpb_trace_io_fuzz_{}.spb", std::process::id()));
+    write_trace(std::fs::File::create(&path).unwrap(), &items).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    let back = read_trace(std::fs::File::open(&path).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(on_disk, bytes, "the file holds other bytes than the slice");
+    assert_eq!(back.unwrap(), items);
+}
+
+/// A sink that takes `room` bytes and then fails every write.
+struct FailingSink {
+    room: usize,
+    taken: Vec<u8>,
+}
+
+impl Write for FailingSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.room == 0 {
+            return Err(io::Error::other("sink full"));
+        }
+        let n = buf.len().min(self.room);
+        self.taken.extend_from_slice(&buf[..n]);
+        self.room -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_failing_sink_fails_the_write_with_its_own_error() {
+    let profile = WorkloadProfile::named("gamess").unwrap();
+    let items = TraceGenerator::new(profile, 0xF099).generate(60_000);
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, &items).unwrap();
+    let len = bytes.len();
+    assert!(len > 3 << 16, "the trace must span several staging buffers");
+    for room in [0, 1, 11, 12, 13, 1 << 16, (1 << 16) + 1, len / 2, len - 1] {
+        let mut sink = FailingSink {
+            room,
+            taken: Vec::new(),
+        };
+        let err = write_trace(&mut sink, &items).expect_err("a full sink must fail the write");
+        assert_eq!(err.to_string(), "sink full", "room {room}");
+        assert_eq!(sink.taken, bytes[..room], "room {room}: wrote other bytes");
+    }
+    let mut sink = FailingSink {
+        room: len,
+        taken: Vec::new(),
+    };
+    write_trace(&mut sink, &items).expect("a sink with room for the trace takes it");
+    assert_eq!(sink.taken, bytes);
 }
