@@ -1,26 +1,19 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, docs, and the tier-1 verify
-# (ROADMAP.md). Run from the repo root; fails fast on the first error.
-#
-# Flags:
-#   --update-baseline   write the full-grid and service-scaling reports to
-#                       the checked-in BENCH_grid.json / BENCH_serve.json
-#                       (default: temp dir, tree stays clean)
+# (ROADMAP.md). Run from the repo root; takes no flags; fails fast on
+# the first error.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [ "$#" -gt 0 ]; then
+  echo "ci.sh: takes no flags (got '$1')" >&2
+  exit 2
+fi
 
 # Scratch space for the smoke reports below: one private directory
 # (mktemp honours TMPDIR), removed on any exit, pass or fail.
 CI_TMP=$(mktemp -d)
 trap 'rm -rf "$CI_TMP"' EXIT
-
-UPDATE_BASELINE=0
-for arg in "$@"; do
-  case "$arg" in
-    --update-baseline) UPDATE_BASELINE=1 ;;
-    *) echo "ci.sh: unknown flag '$arg'" >&2; exit 2 ;;
-  esac
-done
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -44,8 +37,8 @@ echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
 # 8-lane (AVX-512F) and 4-lane (AVX2) SHA-512 kernels, without them it
 # validates the fallback path (graceful skip happens inside the
 # backends, not here).  The release binaries the
-# gates below run are rebuilt by this lane, so the storm smokes
-# and the grid baseline exercise the hardware-class hot path.  The
+# gates below run are rebuilt by this lane, so the artifact pins and
+# the storm smokes exercise the hardware-class hot path.  The
 # feature must be enabled per package (--workspace), not just on the
 # root facade crate — a bare `--features hw-crypto` from the root only
 # rebuilds the facade and leaves the gate binaries on scalar kernels.
@@ -69,15 +62,20 @@ echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.
 # hosts without its kernel.
 ./target/release/crypto_micro --check
 
-echo "==> artifact pins (secpb repro <table/figure> == results/*.txt)"
+echo "==> artifact pins (secpb repro <table/figure> == results/*.txt and results/*.json)"
 # Table V and Table VI come from the energy model alone, so they are
 # instant and exact.  Table IV and Figures 6-9 replay the 18 workloads
 # at the default 1M-instruction budget (4-8 s each on 2 cores); the
-# simulation is deterministic, so they are exact too.  Any drift from
-# the checked-in text (the numbers EXPERIMENTS.md quotes) fails the gate.
+# simulation is deterministic, so they are exact too.  Each artifact
+# runs once and writes its table and its JSON; the JSON carries every
+# simulated figure at full precision, so any drift from the checked-in
+# files (the numbers EXPERIMENTS.md quotes) fails the gate.
 for artifact in table5 table6 table4 fig6 fig7 fig8 fig9; do
-  diff <(./target/release/secpb repro "$artifact") "results/$artifact.txt" \
-    || { echo "ci.sh: secpb repro $artifact diverged from results/$artifact.txt" >&2; exit 1; }
+  ./target/release/secpb repro "$artifact" --json "$CI_TMP/$artifact.json" > "$CI_TMP/$artifact.txt"
+  for ext in txt json; do
+    diff "$CI_TMP/$artifact.$ext" "results/$artifact.$ext" \
+      || { echo "ci.sh: secpb repro $artifact diverged from results/$artifact.$ext" >&2; exit 1; }
+  done
 done
 
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
@@ -99,32 +97,6 @@ for front in eadr mc4-cobcm; do
   echo "$BROWN_OUT_LOW" | awk -v cell="$front/" 'index($1, cell) == 1 && $4 > 0 { hit = 1 } END { exit !hit }' \
     || { echo "ci.sh: brown-out storm at 0.0002 lost no $front entries" >&2; exit 1; }
 done
-
-echo "==> grid determinism smoke (2 workloads x 2 schemes, serial vs parallel, telemetered)"
-# bench_grid exits nonzero if the parallel grid diverges from the serial
-# one; --smoke keeps this to a few seconds.  With --telemetry the serial
-# pass runs with live rings attached, so the determinism gate also
-# proves telemetry events observe without steering.
-./target/release/bench_grid 50000 --jobs 4 --smoke --json "$CI_TMP/bench_grid_smoke_tel.json" --telemetry
-./target/release/bench_grid 50000 --jobs 4 --smoke --json "$CI_TMP/bench_grid_smoke.json"
-# Telemetry-on vs telemetry-off must produce byte-identical reports once
-# host-timing and ring-accounting fields are stripped: every simulated
-# number (cycles, ipc, recovery verdicts, recovery_cycles) is unchanged.
-normalize_grid() {
-  grep -vE '"(serial_seconds|parallel_seconds|speedup|serial_instructions_per_second|parallel_instructions_per_second|serial_ns_per_store|ns_per_store|telemetry|telemetry_events|telemetry_dropped)"' "$1"
-}
-if ! diff <(normalize_grid "$CI_TMP/bench_grid_smoke.json") <(normalize_grid "$CI_TMP/bench_grid_smoke_tel.json"); then
-  echo "ci.sh: telemetry-on grid diverged from telemetry-off" >&2
-  exit 1
-fi
-
-echo "==> grid parallel-determinism pin (--validate-parallel on every CI run)"
-# --validate-parallel pins the parallel pass to 2 workers so even a
-# 1-core CI host proves the serial/parallel byte-identity contract; the
-# report must record that the check ran.
-./target/release/bench_grid 50000 --smoke --validate-parallel --json "$CI_TMP/bench_grid_smoke_vp.json"
-grep -q '"parallel_determinism_validated": true' "$CI_TMP/bench_grid_smoke_vp.json" \
-  || { echo "ci.sh: grid smoke did not validate parallel determinism" >&2; exit 1; }
 
 echo "==> sharded service smoke (secpb serve --quick)"
 # The serve command itself exits nonzero on zero drained stores, any
@@ -164,8 +136,7 @@ echo "==> recovery-latency sweep smoke (secpb recover-sweep --quick)"
 # recover-sweep exits nonzero if any policy point recovers inconsistent
 # or the write-amp vs recovery-latency curve loses its pinned monotone
 # ordering (fastrec <= triad-full <= nogap <= cobcm); assert the
-# verdict line anyway.  The same curve is embedded in BENCH_grid.json
-# as recovery_curve by the full grid run below.
+# verdict line anyway.
 SWEEP_OUT=$(./target/release/secpb recover-sweep --quick)
 echo "$SWEEP_OUT" | grep -q 'curve monotone' || { echo "ci.sh: recovery sweep curve not monotone" >&2; exit 1; }
 
@@ -208,25 +179,6 @@ if [ "${SECPB_SOAK:-0}" = "1" ]; then
   ./target/release/secpb soak
 fi
 
-echo "==> service scaling + determinism smoke (serve_bench --smoke)"
-# serve_bench exits nonzero if any shard outcome diverges from a solo
-# re-run of its tenants (the shard-determinism contract) or, where the
-# host has the cores to make wall-clock ratios meaningful, if aggregate
-# stores/sec degrades as shards are added.  Validate the report fields
-# the baseline depends on either way.
-SERVE_JSON="$CI_TMP/bench_serve_smoke.json"
-./target/release/serve_bench --smoke --json "$SERVE_JSON"
-grep -q '"determinism_validated": true' "$SERVE_JSON" \
-  || { echo "ci.sh: serve_bench did not validate shard determinism" >&2; exit 1; }
-grep -q '"scaling_valid":' "$SERVE_JSON" \
-  || { echo "ci.sh: serve_bench report missing scaling_valid" >&2; exit 1; }
-grep -q '"aggregate_stores_per_sec":' "$SERVE_JSON" \
-  || { echo "ci.sh: serve_bench report missing throughput fields" >&2; exit 1; }
-if grep -q '"scaling_valid": true' "$SERVE_JSON"; then
-  grep -q '"monotone_throughput": true' "$SERVE_JSON" \
-    || { echo "ci.sh: serve_bench throughput degraded with shard count" >&2; exit 1; }
-fi
-
 echo "==> live telemetry watch smoke (storm cell, snapshots + zero anomalies)"
 # secpb watch exits nonzero if it streams no snapshots, observes any
 # model-invariant anomaly, or a storm-mode recovery is inconsistent.
@@ -243,15 +195,5 @@ echo "==> observability export smoke (debug_one --trace-out / --stats-json)"
   --stats-json "$CI_TMP/stats.json" > "$CI_TMP/debug_one.txt"
 grep -q '"dropped_spans": 0}' "$CI_TMP/trace.json" \
   || { echo "ci.sh: debug_one trace dropped spans" >&2; exit 1; }
-
-if [ "$UPDATE_BASELINE" = 1 ]; then
-  echo "==> regenerate BENCH_grid.json (full grid wall-clock baseline)"
-  ./target/release/bench_grid 200000 --jobs 4 --update-baseline
-  echo "==> regenerate BENCH_serve.json (service scaling baseline)"
-  ./target/release/serve_bench --update-baseline
-else
-  echo "==> full grid run (temp output; --update-baseline refreshes BENCH_grid.json)"
-  ./target/release/bench_grid 200000 --jobs 4
-fi
 
 echo "CI OK"

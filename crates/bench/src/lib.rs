@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod args;
 pub mod experiments;
 pub mod micro;
 pub mod recovery_sweep;

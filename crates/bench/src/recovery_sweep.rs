@@ -181,8 +181,8 @@ impl SweepReport {
         self.violations.is_empty() && self.points.iter().all(|p| p.failure.is_none())
     }
 
-    /// JSON object for machine consumption (embedded in
-    /// `BENCH_grid.json` as `recovery_curve`).
+    /// JSON object for machine consumption (`secpb recover-sweep
+    /// --json`).
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("workload", self.workload.as_str())

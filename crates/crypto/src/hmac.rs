@@ -105,8 +105,8 @@ impl HmacSha512 {
     ///
     /// Every message advances in lockstep, one padded 128-byte block per
     /// round, so each round is a single [`HashBackend::compress_batch`]
-    /// dispatch over all `n` lanes — sibling BMT nodes, SGX-tree node
-    /// MACs, and recovery-sweep block MACs all batch through here.
+    /// dispatch over all `n` lanes — sibling BMT nodes and
+    /// recovery-sweep block MACs batch through here.
     /// Bit-identical to `n` [`compute`](Self::compute) calls.
     ///
     /// # Panics

@@ -54,9 +54,7 @@ pub mod counter;
 pub mod hmac;
 pub mod mac;
 pub mod otp;
-pub mod sgx_tree;
 pub mod sha512;
-pub mod xts;
 
 pub use aes::Aes;
 pub use backend::{CipherBackend, CryptoBackend, HashBackend};

@@ -163,29 +163,13 @@ pub enum CryptoBackendKind {
 }
 
 impl CryptoBackendKind {
-    /// Stable lowercase name (CLI flags, JSON reports).
+    /// Stable lowercase name (the checkpoint fingerprint records it).
     pub fn name(self) -> &'static str {
         match self {
             CryptoBackendKind::Auto => "auto",
             CryptoBackendKind::Scalar => "scalar",
             CryptoBackendKind::MultiBlock => "multiblock",
             CryptoBackendKind::Hw => "hw",
-        }
-    }
-}
-
-impl std::str::FromStr for CryptoBackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(CryptoBackendKind::Auto),
-            "scalar" => Ok(CryptoBackendKind::Scalar),
-            "multiblock" | "multi-block" => Ok(CryptoBackendKind::MultiBlock),
-            "hw" | "hw-crypto" | "aesni" => Ok(CryptoBackendKind::Hw),
-            other => Err(format!(
-                "unknown crypto backend '{other}' (auto|scalar|multiblock|hw)"
-            )),
         }
     }
 }
@@ -489,25 +473,12 @@ mod tests {
     }
 
     #[test]
-    fn crypto_backend_defaults_auto_and_parses() {
+    fn crypto_backend_defaults_to_auto() {
         assert_eq!(CryptoBackendKind::default(), CryptoBackendKind::Auto);
         assert_eq!(
             SystemConfig::default().security.crypto_backend,
             CryptoBackendKind::Auto
         );
-        assert_eq!("auto".parse(), Ok(CryptoBackendKind::Auto));
-        assert_eq!("Scalar".parse(), Ok(CryptoBackendKind::Scalar));
-        assert_eq!("multi-block".parse(), Ok(CryptoBackendKind::MultiBlock));
-        assert_eq!("aesni".parse(), Ok(CryptoBackendKind::Hw));
-        assert!("simd9".parse::<CryptoBackendKind>().is_err());
-        for kind in [
-            CryptoBackendKind::Auto,
-            CryptoBackendKind::Scalar,
-            CryptoBackendKind::MultiBlock,
-            CryptoBackendKind::Hw,
-        ] {
-            assert_eq!(kind.name().parse(), Ok(kind), "name round-trips");
-        }
         let cfg = SystemConfig::default().with_crypto_backend(CryptoBackendKind::Scalar);
         assert_eq!(cfg.security.crypto_backend, CryptoBackendKind::Scalar);
     }

@@ -13,10 +13,11 @@
 //! Each direction streams through one fixed buffer.  [`read_trace`]
 //! refills a 256 KiB buffer with `Read::read` and parses the records
 //! out of it, so its memory is that buffer plus the returned items,
-//! whatever the trace's length; it may read the source past the last
-//! record.  [`write_trace`] encodes the records into a 64 KiB staging
-//! buffer and hands the sink one `write_all` per full buffer.  Callers
-//! need no `BufReader` or `BufWriter`.
+//! whatever the trace's length; it reads the source to its end, and a
+//! byte after the last record is an error.  [`write_trace`] encodes the
+//! records into a 64 KiB staging buffer and hands the sink one
+//! `write_all` per full buffer.  Callers need no `BufReader` or
+//! `BufWriter`.
 
 use std::io::{self, Read, Write};
 
@@ -258,15 +259,18 @@ impl<R: Read> Decoder<R> {
 /// The source is read with `Read::read` calls of up to 256 KiB into one
 /// buffer, which is all the memory this takes besides the returned
 /// items (sized from the header's item count up front), so it needs no
-/// `BufReader`.  Reads may run past the last record: bytes that follow
-/// the trace in the source can be consumed.  Interrupted reads are
-/// retried.
+/// `BufReader`.  The source is read to its end: the header's item count
+/// must describe the whole stream, so two traces concatenated, or a
+/// count lower than the records that follow, fail instead of reading as
+/// a shorter trace.  Interrupted reads are retried.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` wrapping a [`TraceParseError`] — which names
 /// the malformed item index and byte offset — on a bad magic, truncated
-/// stream, or malformed item; propagates underlying I/O errors.
+/// stream, malformed item, or bytes after the last record (reported as
+/// item `count` at the first such byte); propagates underlying I/O
+/// errors.
 pub fn read_trace<R: Read>(source: R) -> io::Result<Vec<TraceItem>> {
     let mut dec = Decoder {
         source,
@@ -283,6 +287,10 @@ pub fn read_trace<R: Read>(source: R) -> io::Result<Vec<TraceItem>> {
         let (item, len) = decode(dec.fill(RECORD_MAX)?).map_err(|bad| dec.fail(Some(i), bad))?;
         items.push(item);
         dec.pos += len;
+    }
+    if !dec.fill(1)?.is_empty() {
+        let reason = format!("trailing bytes after the {count} items the header declares");
+        return Err(dec.fail(Some(count), (0, reason)));
     }
     Ok(items)
 }

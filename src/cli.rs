@@ -33,7 +33,6 @@
 
 use std::fmt::Write as _;
 
-use secpb_bench::args::RunnerArgs;
 use secpb_bench::repro::Artifact;
 use secpb_bench::storm::{build_front, StormFront};
 use secpb_bench::watch::{run_watch, WatchConfig};
@@ -43,6 +42,7 @@ use secpb_core::system::SecureSystem;
 use secpb_energy::battery::BatteryTech;
 use secpb_energy::drain::{secpb_drain_energy, SchemeKind};
 use secpb_sim::config::SystemConfig;
+use secpb_sim::pool;
 use secpb_sim::telemetry::ChromeTraceStream;
 use secpb_sim::trace::TraceSummary;
 use secpb_workloads::trace_io;
@@ -338,13 +338,25 @@ fn cmd_crash(args: &[String]) -> Result<String, String> {
 
 fn cmd_repro(args: &[String]) -> Result<String, String> {
     let artifact = Artifact::named(args.first().ok_or(USAGE)?)?;
-    let parsed = RunnerArgs::parse(&args[1..], artifact.default_instructions)
-        .map_err(|e| format!("{e}\n{USAGE}"))?;
-    if parsed.json.is_some() && !artifact.has_json {
+    let mut args = args[1..].to_vec();
+    // Any `jobs <= 1` runs the grid inline; the output is the same for
+    // every count.
+    let jobs = take_numeric_flag::<usize>(&mut args, "--jobs")?.unwrap_or_else(pool::default_jobs);
+    let json_path = take_path_flag(&mut args, "--json")?;
+    if let Some(stray) = args.iter().find(|a| a.starts_with("--")).or(args.get(1)) {
+        return Err(format!("unknown repro argument `{stray}`\n{USAGE}"));
+    }
+    let instructions = match args.first() {
+        Some(n) => n
+            .parse()
+            .map_err(|_| format!("bad instruction count `{n}`\n{USAGE}"))?,
+        None => artifact.default_instructions,
+    };
+    if json_path.is_some() && !artifact.has_json {
         return Err(format!("repro {} has no --json payload", artifact.name));
     }
-    let out = artifact.reproduce(parsed.instructions, parsed.jobs);
-    if let (Some(path), Some(json)) = (&parsed.json, &out.json) {
+    let out = artifact.reproduce(instructions, jobs);
+    if let (Some(path), Some(json)) = (&json_path, &out.json) {
         std::fs::write(path, json.to_pretty()).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(out.text)
@@ -926,10 +938,26 @@ mod tests {
             .unwrap_err()
             .contains("unknown artifact"));
         assert!(run(&["repro", "table4", "--jobs"]).is_err());
+        assert!(run(&["repro", "table4", "--jobs", "x"]).is_err());
         assert!(run(&["repro", "table4", "notanumber"]).is_err());
+        assert!(run(&["repro", "table4", "1", "2"])
+            .unwrap_err()
+            .contains("unknown repro argument `2`"));
+        assert!(run(&["repro", "table4", "--frobnicate"])
+            .unwrap_err()
+            .contains("unknown repro argument `--frobnicate`"));
         assert!(run(&["repro", "ablations", "--json", &path])
             .unwrap_err()
             .contains("no --json payload"));
+
+        // Flags may precede the budget, and `--jobs 0` runs serially
+        // like `--jobs 1`.
+        let flags_first = run(&["repro", "table4", "--jobs", "0", "5000"]).unwrap();
+        assert!(flags_first.starts_with("TABLE IV"), "{flags_first}");
+        assert_eq!(
+            flags_first,
+            run(&["repro", "table4", "5000", "--jobs", "1"]).unwrap()
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The parallel experiment engine's determinism contract, end to end:
 //!
-//! 1. `run_grid(cells, 1)` and `run_grid(cells, 4)` return **equal**
-//!    `RunResult`s — per-cell seed derivation makes every cell a pure
+//! 1. on the full grid (every SPEC profile × BBB and the six SecPB
+//!    schemes), every cell recovers consistently from a power loss, and
+//!    `run_grid(cells, 4)` returns `RunResult`s **equal** to the serial
+//!    sweep's — per-cell seed derivation makes every cell a pure
 //!    function of its coordinates, so scheduling cannot leak in,
 //! 2. a full table runner produces byte-identical ordered-JSON reports
 //!    serially and in parallel,
@@ -19,19 +21,35 @@ use secpb_workloads::{TraceGenerator, WorkloadProfile};
 const QUICK: u64 = 30_000;
 
 #[test]
-fn run_grid_results_are_equal_serial_vs_four_jobs() {
-    let suite = ["gamess", "povray", "milc", "soplex"];
-    let cells: Vec<GridCell> = suite
-        .iter()
-        .flat_map(|name| {
-            [Scheme::Bbb, Scheme::Cobcm, Scheme::Cm, Scheme::NoGap]
-                .into_iter()
-                .map(|s| GridCell::new(WorkloadProfile::named(name).unwrap(), s, QUICK))
+fn full_grid_recovers_every_cell_and_four_jobs_equal_serial() {
+    let cells: Vec<GridCell> = WorkloadProfile::spec_suite()
+        .into_iter()
+        .flat_map(|profile| {
+            std::iter::once(Scheme::Bbb)
+                .chain(Scheme::SECPB_SCHEMES)
+                .map(move |s| GridCell::new(profile.clone(), s, QUICK))
         })
         .collect();
-    let serial = run_grid(&cells, 1);
+    // The serial sweep also crashes each cell (power loss, full drain)
+    // and verifies its recovery, so a cell that persists garbage fails
+    // here rather than only reporting cycles.
+    let serial: Vec<_> = cells
+        .iter()
+        .map(|cell| {
+            let (result, check) = cell.run_with_recovery();
+            assert!(
+                check.ok(),
+                "{}/{}: {:?}",
+                cell.profile.name,
+                cell.scheme.name(),
+                check.failure
+            );
+            result
+        })
+        .collect();
+    // `run_indexed` spawns the four workers whatever the host's core
+    // count, so this holds on a 1-core host too.
     let parallel = run_grid(&cells, 4);
-    assert_eq!(serial.len(), cells.len());
     assert_eq!(serial, parallel, "parallel grid must replay the serial one");
 }
 
@@ -54,8 +72,7 @@ fn telemetered_cells_match_the_parallel_grid_cell_for_cell() {
         .collect();
     // The parallel pool runs plain cells; the serial sweep runs each
     // cell with a live telemetry ring attached.  Telemetry events
-    // observe and never steer, so the two sweeps must be equal — the
-    // same contract `bench_grid --telemetry` gates on.
+    // observe and never steer, so the two sweeps must be equal.
     let parallel = run_grid(&cells, 4);
     for (cell, plain) in cells.iter().zip(&parallel) {
         let (telemetered, check, digest) = cell.run_with_recovery_telemetered();

@@ -181,7 +181,8 @@ fn policy_layouts_leave_scheme_timing_untouched() {
     // analytic PolicyState counters, never in the timing pipeline — so
     // every swept grid metric must be byte-identical across layouts.
     // This is the forward-looking half of the refactor's byte-identity
-    // pin (the backward half is the normalized BENCH_grid.json diff).
+    // pin (the backward half is ci.sh's diff of `secpb repro` against
+    // results/*).
     let profile = WorkloadProfile::named("mcf").unwrap();
     for scheme in [Scheme::Cobcm, Scheme::NoGap] {
         let run = |cfg: SystemConfig| {

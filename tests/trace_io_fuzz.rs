@@ -1,7 +1,8 @@
 //! Truncation/corruption fuzzing of the `SPB1` trace format.
 //!
 //! The ingest error contract promises that **every** malformed stream —
-//! cut at any byte, or with a corrupted record — fails cleanly with a
+//! cut at any byte, with a corrupted record, or with bytes after its
+//! last record — fails cleanly with a
 //! [`TraceParseError`] naming the item index and absolute byte offset,
 //! and never panics, hangs, or silently returns a short trace.  These
 //! tests sweep every truncation point of a real trace and a seeded set
@@ -177,6 +178,36 @@ fn bad_magic_reports_the_header() {
         text.contains("header") && text.contains("byte offset"),
         "{text}"
     );
+}
+
+#[test]
+fn bytes_after_the_last_record_fail_at_the_first_of_them() {
+    // The header's count describes the whole stream, so whatever follows
+    // the last record fails the read instead of being dropped.
+    let profile = WorkloadProfile::named("mcf").unwrap();
+    let items = TraceGenerator::new(profile, 0xF0AA).generate(1_000);
+    let count = items.len() as u64;
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, &items).unwrap();
+    let mut all_but_last = Vec::new();
+    write_trace(&mut all_but_last, &items[..items.len() - 1]).unwrap();
+    let (other, _) = sample_bytes(0xF0AB, 1_500);
+
+    let concatenated = [&bytes[..], &other[..]].concat();
+    let stray_byte = [&bytes[..], &[0u8][..]].concat();
+    let mut count_one_short = bytes.clone();
+    count_one_short[4..HEADER_LEN].copy_from_slice(&(count - 1).to_le_bytes());
+    for (stream, item, offset) in [
+        (concatenated, count, bytes.len()),
+        (stray_byte, count, bytes.len()),
+        (count_one_short, count - 1, all_but_last.len()),
+    ] {
+        let err = expect_parse_error(&stream);
+        assert_eq!(err.item, Some(item), "{err}");
+        assert_eq!(err.offset, offset as u64, "{err}");
+        let declared = format!("after the {item} items the header declares");
+        assert!(err.to_string().contains(&declared), "{err}");
+    }
 }
 
 #[test]
