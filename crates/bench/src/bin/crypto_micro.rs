@@ -6,12 +6,13 @@
 //! `--check` is the CI regression guard: it exits non-zero unless the
 //! multi-block batched HMAC fold is at least 2x faster than the scalar
 //! backend on the BMT sibling-group shape (the speedup the batched fold
-//! rewrite exists to deliver), where AVX-512F is detected, unless an
-//! eight-lane `compress_batch` costs at most 0.75x a four-lane one per
-//! block (the eight-lane kernel's reason to exist), and, where AES-NI is
-//! detected, unless a pad generated in a recovery-chunk batch costs at
-//! most 0.6x a single `otp_generate[hw]` (the interleaved AES-NI kernel's
-//! reason to exist).
+//! rewrite exists to deliver); where AVX-512F is detected, unless an
+//! eight-lane `compress_batch` costs at most 0.75x the four-lane kernel
+//! per block (the eight-lane kernel's reason to exist) and a three-lane
+//! `compress_batch` call at most 1.5x an eight-lane one (the lane fill's
+//! reason to exist); and, where AES-NI is detected, unless a pad
+//! generated in a recovery-chunk batch costs at most 0.6x a single
+//! `otp_generate[hw]` (the interleaved AES-NI kernel's reason to exist).
 
 use std::time::Instant;
 
@@ -81,20 +82,27 @@ fn main() {
         "tag",
     );
 
-    // ---- raw compress_batch: one four-lane vs one eight-lane dispatch ----
-    let mut lane_ns = [0.0f64; 2];
-    for (slot, lanes) in [4usize, 8].into_iter().enumerate() {
-        let blocks: Vec<[u8; 128]> = (0..lanes).map(|l| [l as u8 ^ 0x3C; 128]).collect();
-        let refs: Vec<&[u8; 128]> = blocks.iter().collect();
-        let mut states = vec![[0x6A09_E667_F3BC_C908u64; 8]; lanes];
+    // ---- raw compress_batch calls of 2 to 8 lanes, and the four-lane
+    // kernel alone (on an AVX-512F host every call of two or more lanes
+    // fills one eight-lane call) ----
+    let blocks: Vec<[u8; 128]> = (0..8u8).map(|l| [l ^ 0x3C; 128]).collect();
+    let refs: Vec<&[u8; 128]> = blocks.iter().collect();
+    let mut states = [[0x6A09_E667_F3BC_C908u64; 8]; 8];
+    let mut call_ns = std::collections::BTreeMap::new();
+    for lanes in [2usize, 3, 4, 7, 8] {
         let ns = bench(20_000, |_| {
-            CryptoBackend::MultiBlock.compress_batch(&mut states, &refs);
+            CryptoBackend::MultiBlock.compress_batch(&mut states[..lanes], &refs[..lanes]);
             std::hint::black_box(&states);
-        }) / lanes as f64;
-        row(&format!("compress_batch_{lanes}lanes"), ns, "block");
-        lane_ns[slot] = ns;
+        });
+        row(&format!("compress_batch_{lanes}lanes"), ns, "call");
+        call_ns.insert(lanes, ns);
     }
-    let [four_lane_ns, eight_lane_ns] = lane_ns;
+    let four_lane_kernel_ns = bench(20_000, |_| {
+        let lane_states = (&mut states[..4]).try_into().expect("4 lanes");
+        CryptoBackend::compress4(lane_states, [refs[0], refs[1], refs[2], refs[3]]);
+        std::hint::black_box(&states);
+    });
+    row("compress4_kernel", four_lane_kernel_ns, "call");
 
     // ---- batched HMAC fold: the BMT sibling-group shape ----
     // One 8-ary node hash is a 512-byte message; a fold level dispatches
@@ -184,7 +192,8 @@ fn main() {
         batch_pad_ns.insert(backend.name(), ns);
     }
 
-    // ---- block MAC: single vs recovery-sweep batch ----
+    // ---- block MAC: single vs a drain burst's and a recovery-sweep
+    // chunk's batch ----
     let mac = BlockMac::new(b"mac-key");
     let ct = [0xA5u8; 64];
     row(
@@ -199,27 +208,35 @@ fn main() {
         .collect();
     let refs: Vec<(&[u8; 64], u64, SplitCounter)> =
         blocks.iter().map(|(b, a, c)| (b, *a, *c)).collect();
-    for backend in CryptoBackend::ALL {
-        let mut m = BlockMac::new(b"mac-key");
-        m.set_backend(backend);
-        let mut tags = Vec::with_capacity(refs.len());
-        let ns = bench(200, |_| {
-            tags.clear();
-            m.compute_truncated_batch(&refs, &mut tags);
-            std::hint::black_box(&tags);
-        }) / refs.len() as f64;
-        row(&format!("mac_sweep_256[{}]", backend.name()), ns, "block");
+    for width in [8, 256] {
+        for backend in CryptoBackend::ALL {
+            let mut m = BlockMac::new(b"mac-key");
+            m.set_backend(backend);
+            let mut tags = Vec::with_capacity(width);
+            let ns = bench(51_200 / width as u64, |_| {
+                tags.clear();
+                m.compute_truncated_batch(&refs[..width], &mut tags);
+                std::hint::black_box(&tags);
+            }) / width as f64;
+            row(
+                &format!("mac_batch_{width}[{}]", backend.name()),
+                ns,
+                "block",
+            );
+        }
     }
 
     // ---- regression guards ----
     let scalar = fold_ns["scalar"];
     let batched = fold_ns[CryptoBackend::auto().name()].min(fold_ns["multiblock"]);
     let speedup = scalar / batched;
-    let lane_ratio = eight_lane_ns / four_lane_ns;
+    let lane_ratio = (call_ns[&8] / 8.0) / (four_lane_kernel_ns / 4.0);
+    let fill_ratio = call_ns[&3] / call_ns[&8];
     let pad_ratio = batch_pad_ns["hw"] / pad_ns["hw"];
     println!();
     println!("batched fold speedup vs scalar: {speedup:.2}x");
     println!("8-lane vs 4-lane compress cost per block: {lane_ratio:.2}x");
+    println!("3-lane vs 8-lane compress_batch cost per call: {fill_ratio:.2}x");
     println!("batched vs single hw pad cost: {pad_ratio:.2}x");
     if check {
         let mut failed = false;
@@ -238,20 +255,32 @@ fn main() {
             println!("check ok: batched fold >= 2x scalar");
         }
         // Only an AVX-512F host runs eight-lane groups; elsewhere an
-        // eight-block batch is two four-lane groups and the ratio is ~1.
+        // eight-block batch is two four-lane groups, the lane ratio is
+        // ~1, and a three-lane call fills a four-lane one.
         if CryptoBackend::simd_hash_lanes() < 8 {
             println!(
-                "lane check skipped: eight-lane kernel unavailable \
+                "lane checks skipped: eight-lane kernel unavailable \
                  (build with --features hw-crypto on an AVX-512F host)"
             );
-        } else if lane_ratio > 0.75 {
-            eprintln!(
-                "FAIL: an 8-lane compress must cost <= 0.75x a 4-lane one per block \
-                 (got {lane_ratio:.2}x)"
-            );
-            failed = true;
         } else {
-            println!("check ok: 8-lane compress <= 0.75x 4-lane per block");
+            if lane_ratio > 0.75 {
+                eprintln!(
+                    "FAIL: an 8-lane compress must cost <= 0.75x a 4-lane one per block \
+                     (got {lane_ratio:.2}x)"
+                );
+                failed = true;
+            } else {
+                println!("check ok: 8-lane compress <= 0.75x 4-lane per block");
+            }
+            if fill_ratio > 1.5 {
+                eprintln!(
+                    "FAIL: a 3-lane compress_batch call must cost <= 1.5x an 8-lane one \
+                     (got {fill_ratio:.2}x)"
+                );
+                failed = true;
+            } else {
+                println!("check ok: 3-lane compress_batch call <= 1.5x 8-lane");
+            }
         }
         // Without AES-NI the hw backend runs the scalar cipher, where a
         // batch is a loop of single pads and the ratio is ~1.

@@ -105,9 +105,8 @@ impl HmacSha512 {
     ///
     /// Every message advances in lockstep, one padded 128-byte block per
     /// round, so each round is a single [`HashBackend::compress_batch`]
-    /// dispatch over all `n` lanes — sibling BMT nodes and
-    /// recovery-sweep block MACs batch through here.
-    /// Bit-identical to `n` [`compute`](Self::compute) calls.
+    /// dispatch over all `n` lanes — sibling BMT nodes batch through
+    /// here.  Bit-identical to `n` [`compute`](Self::compute) calls.
     ///
     /// # Panics
     ///
@@ -151,35 +150,69 @@ impl HmacSha512 {
             }));
             backend.compress_batch(&mut states, &round);
         }
-        // Outer pass: each inner digest is one padded block from the
-        // post-opad midstate.
-        let mut outer_tails = vec![0u8; n * 128];
-        for (state, tail) in states.iter().zip(outer_tails.chunks_exact_mut(128)) {
-            let mut inner_digest = [0u8; 64];
-            for (i, word) in state.iter().enumerate() {
-                inner_digest[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
-            }
-            sha512::write_padded_tail(&inner_digest, 1, tail);
-        }
-        let mut outer_states = vec![self.outer_state; n];
-        round.clear();
-        let outer_round: Vec<&[u8; 128]> = outer_tails
-            .chunks_exact(128)
-            .map(|block| {
-                let block: &[u8; 128] = block.try_into().expect("128 bytes");
-                block
-            })
-            .collect();
-        backend.compress_batch(&mut outer_states, &outer_round);
-        out.reserve(n);
-        for state in &outer_states {
-            let mut tag = [0u8; 64];
-            for (i, word) in state.iter().enumerate() {
-                tag[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
-            }
-            out.push(Digest(tag));
-        }
+        let mut outer_blocks = vec![[0u8; 128]; n];
+        self.outer_pass(backend, &mut states, &mut outer_blocks);
+        out.extend(states.iter().map(sha512::digest_from_state));
     }
+
+    /// The first 64 bits of the tags of messages of `msg_len` bytes that
+    /// each fit one block beside their padding, appended to `out` in
+    /// message order: message `i` fills the front of `blocks[i]`, and
+    /// every block is overwritten.
+    ///
+    /// Nothing is staged: the padding is written in place, so each
+    /// lane's inner pass is one compression from the cached post-ipad
+    /// midstate.  The outer pass rewrites each block as its lane's padded
+    /// inner digest, and a tag's first 64 bits are its outer state's
+    /// first word.  Equal to [`compute`](Self::compute) followed by
+    /// [`Digest::truncate_u64`] per message — the block MACs of the
+    /// recovery sweep and the drain kernel batch through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg_len` exceeds 111 bytes.
+    pub fn compute_truncated_in_place(
+        &self,
+        backend: &dyn HashBackend,
+        blocks: &mut [[u8; 128]],
+        msg_len: usize,
+        out: &mut Vec<u64>,
+    ) {
+        assert!(msg_len <= 111, "a message must fit one padded block");
+        for block in blocks.iter_mut() {
+            sha512::pad_final_block(block, msg_len, 1);
+        }
+        let mut states = vec![self.inner_state; blocks.len()];
+        compress_lanes(backend, &mut states, blocks);
+        self.outer_pass(backend, &mut states, blocks);
+        out.extend(states.iter().map(|state| state[0]));
+    }
+
+    /// The outer pass over finished inner states: rewrites `blocks[i]`
+    /// as lane `i`'s padded inner digest and compresses it into
+    /// `states[i]` from the post-opad midstate.
+    fn outer_pass(
+        &self,
+        backend: &dyn HashBackend,
+        states: &mut [[u64; 8]],
+        blocks: &mut [[u8; 128]],
+    ) {
+        for (state, block) in states.iter_mut().zip(blocks.iter_mut()) {
+            for (i, word) in state.iter().enumerate() {
+                block[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
+            }
+            sha512::pad_final_block(block, 64, 1);
+            *state = self.outer_state;
+        }
+        compress_lanes(backend, states, blocks);
+    }
+}
+
+/// Compresses `blocks[i]` into `states[i]` for every lane in one backend
+/// dispatch.
+fn compress_lanes(backend: &dyn HashBackend, states: &mut [[u64; 8]], blocks: &[[u8; 128]]) {
+    let refs: Vec<&[u8; 128]> = blocks.iter().collect();
+    backend.compress_batch(states, &refs);
 }
 
 #[cfg(test)]
@@ -258,6 +291,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn truncated_in_place_matches_truncated_singles_across_backends() {
+        use crate::backend::CryptoBackend;
+
+        let mac = HmacSha512::new(b"one-block-key");
+        for msg_len in [0usize, 64, 81, 111] {
+            for n in [0usize, 1, 2, 3, 7, 8, 9, 17] {
+                let msgs: Vec<Vec<u8>> = (0..n)
+                    .map(|m| (0..msg_len).map(|i| (m * 53 + i * 7) as u8).collect())
+                    .collect();
+                let singles: Vec<u64> =
+                    msgs.iter().map(|m| mac.compute(m).truncate_u64()).collect();
+                for backend in CryptoBackend::ALL {
+                    let mut blocks: Vec<[u8; 128]> = msgs
+                        .iter()
+                        .map(|m| {
+                            let mut block = [0xA7u8; 128];
+                            block[..msg_len].copy_from_slice(m);
+                            block
+                        })
+                        .collect();
+                    let mut out = vec![7];
+                    mac.compute_truncated_in_place(&backend, &mut blocks, msg_len, &mut out);
+                    assert_eq!(out[0], 7, "appends");
+                    assert_eq!(out[1..], singles, "len {msg_len} n {n} {}", backend.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one padded block")]
+    fn truncated_in_place_rejects_a_message_past_one_block() {
+        let mac = HmacSha512::new(b"k");
+        mac.compute_truncated_in_place(
+            &crate::backend::CryptoBackend::Scalar,
+            &mut [[0u8; 128]],
+            112,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

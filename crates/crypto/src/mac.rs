@@ -83,26 +83,30 @@ impl BlockMac {
     }
 
     /// Computes the truncated 64-bit tags of many blocks in one batched,
-    /// multi-lane dispatch (the recovery sweep's hot loop), appending
-    /// them to `out` in input order.  Bit-identical to per-block
-    /// [`compute`](Self::compute) + truncation.
+    /// multi-lane dispatch (the recovery sweep's and the drain kernel's
+    /// hot loop), appending them to `out` in input order.  Each message
+    /// is laid out with its SHA-512 padding as the one 128-byte block its
+    /// inner pass compresses
+    /// ([`HmacSha512::compute_truncated_in_place`]).  Bit-identical to
+    /// per-block [`compute`](Self::compute) + truncation.
     pub fn compute_truncated_batch(
         &self,
         blocks: &[(&Block, u64, SplitCounter)],
         out: &mut Vec<u64>,
     ) {
-        let mut flat = Vec::with_capacity(blocks.len() * MAC_MSG_LEN);
-        for (ciphertext, block_addr, counter) in blocks {
-            flat.extend_from_slice(&ciphertext[..]);
-            flat.extend_from_slice(&block_addr.to_le_bytes());
-            flat.extend_from_slice(&counter.major.to_le_bytes());
-            flat.push(counter.minor);
-        }
-        let mut tags: Vec<Digest> = Vec::with_capacity(blocks.len());
+        let mut messages: Vec<[u8; 128]> = blocks
+            .iter()
+            .map(|(ciphertext, block_addr, counter)| {
+                let mut message = [0u8; 128];
+                message[..64].copy_from_slice(&ciphertext[..]);
+                message[64..72].copy_from_slice(&block_addr.to_le_bytes());
+                message[72..80].copy_from_slice(&counter.major.to_le_bytes());
+                message[80] = counter.minor;
+                message
+            })
+            .collect();
         self.hmac
-            .compute_batch(&self.backend, &flat, MAC_MSG_LEN, &mut tags);
-        out.reserve(tags.len());
-        out.extend(tags.iter().map(Digest::truncate_u64));
+            .compute_truncated_in_place(&self.backend, &mut messages, MAC_MSG_LEN, out);
     }
 
     /// Verifies against the truncated 64-bit stored form.

@@ -436,7 +436,7 @@ impl Sha512 {
 }
 
 /// Serializes a final compression state into a digest.
-fn digest_from_state(state: &[u64; 8]) -> Digest {
+pub(crate) fn digest_from_state(state: &[u64; 8]) -> Digest {
     let mut out = [0u8; 64];
     for (i, word) in state.iter().enumerate() {
         out[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
@@ -463,8 +463,7 @@ pub fn digest64_batch(
     for msg in msgs {
         let mut block = [0u8; 128];
         block[..64].copy_from_slice(*msg);
-        block[64] = 0x80;
-        block[112..].copy_from_slice(&(512u128).to_be_bytes());
+        pad_final_block(&mut block, 64, 0);
         blocks.push(block);
     }
     let mut states = vec![initial_state(); msgs.len()];
@@ -491,6 +490,22 @@ pub(crate) fn write_padded_tail(msg: &[u8], prefix_blocks: u64, out: &mut [u8]) 
     out[msg.len() + 1..total - 16].fill(0);
     out[total - 16..total].copy_from_slice(&bit_len.to_be_bytes());
     total
+}
+
+/// Pads a message of `msg_len` bytes that already fills the front of
+/// `block` into its final SHA-512 block, after `prefix_blocks`
+/// already-absorbed blocks: the 0x80 marker, zeros, and the 128-bit
+/// big-endian total bit length.
+///
+/// # Panics
+///
+/// Panics (via the slice write) if `msg_len` exceeds 111, the most one
+/// block can hold beside its padding.
+pub(crate) fn pad_final_block(block: &mut [u8; 128], msg_len: usize, prefix_blocks: u64) {
+    let bit_len = (u128::from(prefix_blocks) * 128 + msg_len as u128) * 8;
+    block[msg_len] = 0x80;
+    block[msg_len + 1..112].fill(0);
+    block[112..].copy_from_slice(&bit_len.to_be_bytes());
 }
 
 /// Bytes [`write_padded_tail`] produces for a message of `msg_len` bytes:
@@ -647,6 +662,19 @@ mod tests {
                 out[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
             }
             assert_eq!(Digest(out), expect, "msg_len {msg_len}");
+        }
+    }
+
+    #[test]
+    fn final_block_padding_matches_the_padded_tail() {
+        for msg_len in [0usize, 64, 81, 111] {
+            let msg: Vec<u8> = (0..msg_len).map(|i| (i * 29 % 251) as u8).collect();
+            let mut tail = [0u8; 128];
+            write_padded_tail(&msg, 1, &mut tail);
+            let mut block = [0xEEu8; 128];
+            block[..msg_len].copy_from_slice(&msg);
+            pad_final_block(&mut block, msg_len, 1);
+            assert_eq!(block, tail, "msg_len {msg_len}");
         }
     }
 

@@ -7,11 +7,19 @@
 //! logically part of the persistent state even though it never leaves the
 //! TCB).
 //!
+//! Beside the data map, the store keeps a mask per encryption page of
+//! the blocks it holds, set where a block is first written.  Recovery
+//! lists its verdicts by walking those pages in address order
+//! ([`NvmStore::blocks_in_order`]), which sorts one key per page instead
+//! of one per block, and checks the blocks in the data map's own order
+//! ([`NvmStore::storage_chunks`]), which streams through memory.  The
+//! masks are derived state, so checkpoints never carry them.
+//!
 //! The store also exposes tamper-injection hooks used by the recovery
 //! tests to demonstrate that post-crash integrity verification catches
 //! data tampering, counter rollback, and MAC splicing.
 
-use secpb_crypto::counter::CounterBlock;
+use secpb_crypto::counter::{CounterBlock, SplitCounter};
 use secpb_crypto::sha512::Digest;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::changelog::ChangeLog;
@@ -21,6 +29,9 @@ use secpb_sim::wire::{WireError, WireReader, WireWriter};
 /// The number of data blocks per encryption page (counter-block
 /// granularity).
 pub const BLOCKS_PER_PAGE: u64 = secpb_crypto::counter::BLOCKS_PER_PAGE as u64;
+
+// A page's block mask is one `u64`.
+const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as u64);
 
 /// The durable contents of the NVM plus the on-chip NV root register.
 ///
@@ -40,12 +51,16 @@ pub struct NvmStore {
     data: FxHashMap<BlockAddr, [u8; 64]>,
     counters: FxHashMap<u64, CounterBlock>,
     macs: FxHashMap<BlockAddr, u64>,
+    /// Bit `slot` of a page's mask is set when `data` holds the page's
+    /// block `slot`; pages without blocks have no entry.
+    page_masks: FxHashMap<u64, u64>,
     bmt_root: Option<Digest>,
     /// The keys of each map written since the last sync with a twin
     /// (see [`snapshot_into`](Self::snapshot_into)).
     data_log: ChangeLog<BlockAddr>,
     counter_log: ChangeLog<u64>,
     mac_log: ChangeLog<BlockAddr>,
+    mask_log: ChangeLog<u64>,
 }
 
 impl NvmStore {
@@ -69,10 +84,25 @@ impl NvmStore {
         self.data.get(&block).copied().unwrap_or([0u8; 64])
     }
 
-    /// Writes a data (ciphertext) block.
+    /// Writes a data (ciphertext) block.  A block's first write also
+    /// sets its bit in its page's mask.
     pub fn write_data(&mut self, block: BlockAddr, bytes: [u8; 64]) {
-        self.data.insert(block, bytes);
+        if self.data.insert(block, bytes).is_none() {
+            let page = Self::page_of(block);
+            *self.page_masks.entry(page).or_default() |= 1 << Self::page_slot_of(block);
+            self.mask_log.note(page, self.page_masks.len());
+        }
         self.data_log.note(block, self.data.len());
+    }
+
+    /// One block's counter in its page's counter block (zero if the page
+    /// has none).
+    pub fn counter_of(&self, block: BlockAddr) -> SplitCounter {
+        self.counters
+            .get(&Self::page_of(block))
+            .map_or_else(SplitCounter::default, |counters| {
+                counters.counter_of(Self::page_slot_of(block))
+            })
     }
 
     /// Reads the counter block of a page (fresh zeroed block if never
@@ -85,6 +115,19 @@ impl NvmStore {
     pub fn write_counters(&mut self, page: u64, counters: CounterBlock) {
         self.counters.insert(page, counters);
         self.counter_log.note(page, self.counters.len());
+    }
+
+    /// Sets one block's counter in its page's counter block (a zeroed
+    /// block if the page has none yet), in place and with one map
+    /// operation, and returns the page's updated 64-byte image: the
+    /// persist kernels' counter write and their digest input.
+    pub fn set_counter(&mut self, block: BlockAddr, counter: SplitCounter) -> [u8; 64] {
+        let page = Self::page_of(block);
+        let counters = self.counters.entry(page).or_default();
+        counters.set_counter(Self::page_slot_of(block), counter);
+        let bytes = counters.to_bytes();
+        self.counter_log.note(page, self.counters.len());
+        bytes
     }
 
     /// Reads a block's truncated MAC (0 if never written).
@@ -108,9 +151,56 @@ impl NvmStore {
         self.bmt_root = Some(root);
     }
 
-    /// All data blocks ever written (for recovery walks).
+    /// All data blocks ever written, in no particular order.
     pub fn data_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         self.data.keys().copied()
+    }
+
+    /// The data blocks of one encryption page, in address order.
+    pub fn page_blocks(&self, page: u64) -> impl Iterator<Item = BlockAddr> {
+        masked_blocks(page, self.page_masks.get(&page).copied().unwrap_or(0))
+    }
+
+    /// Every data block in address order, by the page walk: the pages
+    /// that hold blocks are sorted, then each page's mask expands in slot
+    /// order.  Equal to sorting [`data_blocks`](Self::data_blocks), for
+    /// one sort key per page instead of one per block.
+    pub fn blocks_in_order(&self) -> Vec<BlockAddr> {
+        let mut pages: Vec<(u64, u64)> = self.page_masks.iter().map(|(&p, &m)| (p, m)).collect();
+        pages.sort_unstable_by_key(|&(page, _)| page);
+        let mut blocks = Vec::with_capacity(self.data.len());
+        for (page, mask) in pages {
+            blocks.extend(masked_blocks(page, mask));
+        }
+        blocks
+    }
+
+    /// Every data block with its ciphertext, in storage order (the data
+    /// map's own), cut into chunks of `len` blocks and a shorter last
+    /// chunk.  Each chunk is an independent iterator, and cutting them
+    /// reads only the map's control bytes.
+    ///
+    /// Storage order is the one a scan streams through memory.  And
+    /// since the MAC map holds the same keys under the same hasher, a
+    /// block's MAC sits at about the same relative position, so lookups
+    /// in chunk order stream through it too; so does any other map keyed
+    /// by block, such as a golden image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    pub fn storage_chunks(
+        &self,
+        len: usize,
+    ) -> Vec<impl Iterator<Item = (BlockAddr, &[u8; 64])> + Clone + Sync + '_> {
+        assert!(len > 0, "chunks must hold blocks");
+        let mut entries = self.data.iter();
+        let mut chunks = Vec::with_capacity(self.data.len().div_ceil(len));
+        while entries.len() > 0 {
+            chunks.push(entries.clone().take(len).map(|(&block, ct)| (block, ct)));
+            entries.nth(len - 1);
+        }
+        chunks
     }
 
     /// All pages with non-default counters.
@@ -172,7 +262,7 @@ impl NvmStore {
         let n = r.seq_len(8 + 64)?;
         for _ in 0..n {
             let block = BlockAddr(r.u64()?);
-            store.data.insert(block, r.array::<64>()?);
+            store.write_data(block, r.array::<64>()?);
         }
         let n = r.seq_len(8 + 64)?;
         for _ in 0..n {
@@ -203,6 +293,8 @@ impl NvmStore {
         self.counter_log
             .sync(&mut twin.counters, &self.counters, incremental);
         self.mac_log.sync(&mut twin.macs, &self.macs, incremental);
+        self.mask_log
+            .sync(&mut twin.page_masks, &self.page_masks, incremental);
         twin.bmt_root = self.bmt_root;
     }
 
@@ -214,6 +306,8 @@ impl NvmStore {
         self.counter_log
             .sync(&mut self.counters, &twin.counters, incremental);
         self.mac_log.sync(&mut self.macs, &twin.macs, incremental);
+        self.mask_log
+            .sync(&mut self.page_masks, &twin.page_masks, incremental);
         self.bmt_root = twin.bmt_root;
     }
 
@@ -297,9 +391,28 @@ impl NvmStore {
     }
 }
 
+/// The blocks of `page` whose bits are set in `mask`, in slot order.
+fn masked_blocks(page: u64, mut mask: u64) -> impl Iterator<Item = BlockAddr> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = u64::from(mask.trailing_zeros());
+            mask &= mask - 1;
+            BlockAddr(page * BLOCKS_PER_PAGE + slot)
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Asserts that the page walk lists exactly the store's data blocks,
+    /// sorted.
+    fn assert_page_walk(s: &NvmStore) {
+        let mut sorted: Vec<BlockAddr> = s.data_blocks().collect();
+        sorted.sort_unstable();
+        assert_eq!(s.blocks_in_order(), sorted);
+    }
 
     #[test]
     fn untouched_reads_are_zero_defaults() {
@@ -329,6 +442,8 @@ mod tests {
         let mut s = NvmStore::new();
         s.write_data(BlockAddr(7), [3u8; 64]);
         s.write_data(BlockAddr(2), [9u8; 64]);
+        s.write_data(BlockAddr(130), [4u8; 64]);
+        s.write_data(BlockAddr(64), [5u8; 64]);
         s.write_mac(BlockAddr(7), 0xFEED);
         let mut cb = CounterBlock::default();
         cb.increment(5);
@@ -344,6 +459,12 @@ mod tests {
         assert_eq!(restored.read_mac(BlockAddr(7)), 0xFEED);
         assert_eq!(restored.read_counters(1), s.read_counters(1));
         assert_eq!(restored.bmt_root(), s.bmt_root());
+        assert_page_walk(&restored);
+        assert_eq!(
+            restored.blocks_in_order(),
+            [2, 7, 64, 130].map(BlockAddr),
+            "decoding rebuilds the page masks"
+        );
 
         // Re-encoding the restored store is byte-identical.
         let mut w2 = WireWriter::new();
@@ -449,8 +570,11 @@ mod tests {
         }
         let mut twin = NvmStore::new();
         live.snapshot_into(&mut twin, false);
+        assert_page_walk(&twin);
         let synced = encode(&live);
-        let mutators: [fn(&mut NvmStore); 8] = [
+        // The last four write blocks the store did not hold, in pages
+        // with and without blocks, so they set page-mask bits too.
+        let mutators: [fn(&mut NvmStore); 12] = [
             |s| s.write_data(BlockAddr(1), [9; 64]),
             |s| s.write_counters(9, CounterBlock::default()),
             |s| s.write_mac(BlockAddr(2), 99),
@@ -459,13 +583,86 @@ mod tests {
             |s| assert!(s.tamper_mac(BlockAddr(5), 0)),
             |s| s.replay_tuple(BlockAddr(6), [0; 64], 0),
             |s| assert!(s.splice(BlockAddr(0), BlockAddr(7))),
+            |s| s.write_data(BlockAddr(40), [1; 64]),
+            |s| s.replay_tuple(BlockAddr(200), [2; 64], 2),
+            |s| assert!(s.splice(BlockAddr(0), BlockAddr(65))),
+            |s| {
+                s.set_counter(BlockAddr(129), SplitCounter::default());
+                s.write_data(BlockAddr(129), [3; 64]);
+            },
         ];
         for mutate in mutators {
             mutate(&mut live);
             assert_ne!(encode(&live), synced);
+            assert_page_walk(&live);
             live.rewind_to(&twin, true);
             assert_eq!(encode(&live), synced);
+            assert_page_walk(&live);
         }
+        assert_eq!(live.blocks_in_order(), twin.blocks_in_order());
+    }
+
+    #[test]
+    fn storage_chunks_cover_every_block_once() {
+        let mut s = NvmStore::new();
+        for b in 0..1_000u64 {
+            s.write_data(BlockAddr(b * 7), [b as u8; 64]);
+        }
+        for len in [1, 7, 256, 1_000, 4_096] {
+            let chunks = s.storage_chunks(len);
+            assert_eq!(chunks.len(), 1_000usize.div_ceil(len), "len {len}");
+            let mut seen = Vec::new();
+            for (i, chunk) in chunks.iter().enumerate() {
+                let blocks: Vec<_> = chunk.clone().collect();
+                let last = i + 1 == chunks.len();
+                assert!(blocks.len() == len || (last && blocks.len() < len));
+                for (block, bytes) in blocks {
+                    assert_eq!(*bytes, s.read_data(block));
+                    seen.push(block);
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, s.blocks_in_order(), "len {len}");
+        }
+        assert!(NvmStore::new().storage_chunks(8).is_empty());
+    }
+
+    #[test]
+    fn counter_of_reads_a_slot_without_the_page_block() {
+        let mut s = NvmStore::new();
+        let ctr = SplitCounter { major: 0, minor: 4 };
+        s.set_counter(BlockAddr(70), ctr);
+        assert_eq!(s.counter_of(BlockAddr(70)), ctr);
+        assert_eq!(s.counter_of(BlockAddr(71)), SplitCounter::default());
+        assert_eq!(s.counter_of(BlockAddr(7)), SplitCounter::default());
+    }
+
+    #[test]
+    fn set_counter_updates_the_page_in_place() {
+        let mut s = NvmStore::new();
+        let mut expect = CounterBlock::default();
+        let ctr = SplitCounter { major: 0, minor: 9 };
+        expect.set_counter(3, ctr);
+        assert_eq!(s.set_counter(BlockAddr(64 + 3), ctr), expect.to_bytes());
+        assert_eq!(s.read_counters(1), expect);
+        expect.set_counter(5, ctr);
+        assert_eq!(s.set_counter(BlockAddr(64 + 5), ctr), expect.to_bytes());
+        assert_eq!(s.counter_pages().collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn page_blocks_list_a_pages_blocks_in_slot_order() {
+        let mut s = NvmStore::new();
+        for b in [130, 64, 191, 128] {
+            s.write_data(BlockAddr(b), [0; 64]);
+        }
+        s.write_data(BlockAddr(130), [1; 64]);
+        assert_eq!(
+            s.page_blocks(2).collect::<Vec<_>>(),
+            [128, 130, 191].map(BlockAddr)
+        );
+        assert_eq!(s.page_blocks(0).count(), 0);
+        assert_page_walk(&s);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! (`flush_resolved`): the front resolves each entry's counter, pad and
 //! ciphertext in drain order, and the kernel computes the run's MACs in
 //! one multi-lane dispatch and its counter digests in another around the
-//! in-order NVM writes and leaf updates.  SP's per-store persists and
-//! eADR's writebacks go through the one-block `persist_with_counter`.
+//! in-order NVM writes and leaf updates.  Each write updates its page's
+//! counter block in place ([`NvmStore::set_counter`]).  SP's per-store
+//! persists and eADR's writebacks go through the one-block
+//! `persist_with_counter`.
 //! Every counter increment is overflow-aware (`increment_counter`): a
 //! minor-counter overflow re-encrypts the page's persisted blocks here,
 //! so no front can persist a counter whose major the NVM image lacks.
@@ -34,7 +36,7 @@ use secpb_crypto::counter::{CounterBlock, IncrementOutcome, SplitCounter, MINOR_
 use secpb_crypto::mac::BlockMac;
 use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::{digest64_batch, Digest, Sha512};
-use secpb_mem::store::{NvmStore, BLOCKS_PER_PAGE};
+use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::changelog::ChangeLog;
 use secpb_sim::config::CryptoBackendKind;
@@ -278,10 +280,7 @@ impl PersistDomain {
     /// page's leaf.  In-flight entries are the front's to refresh.
     fn reencrypt_page(&mut self, page: u64, new_cb: CounterBlock) -> Reencryption {
         let old_cb = self.nvm.read_counters(page);
-        let blocks: Vec<BlockAddr> = (0..BLOCKS_PER_PAGE)
-            .map(|slot| BlockAddr(page * BLOCKS_PER_PAGE + slot))
-            .filter(|&block| self.nvm.contains_data(block))
-            .collect();
+        let blocks: Vec<BlockAddr> = self.nvm.page_blocks(page).collect();
         for &block in &blocks {
             let slot = NvmStore::page_slot_of(block);
             let old_ctr = old_cb.counter_of(slot);
@@ -348,14 +347,10 @@ impl PersistDomain {
         let mut pages: Vec<(u64, [u8; 64])> = Vec::with_capacity(entries.len());
         for (entry, &tag64) in entries.iter().zip(&tags) {
             let block = entry.block;
-            let page = NvmStore::page_of(block);
-            let slot = NvmStore::page_slot_of(block);
             self.nvm.write_data(block, entry.ciphertext);
             self.nvm.write_mac(block, tag64);
-            let mut cb = self.nvm.read_counters(page);
-            cb.set_counter(slot, entry.counter);
-            pages.push((page, cb.to_bytes()));
-            self.nvm.write_counters(page, cb);
+            let counters = self.nvm.set_counter(block, entry.counter);
+            pages.push((NvmStore::page_of(block), counters));
         }
         let mut digests = Vec::with_capacity(pages.len());
         let msgs: Vec<&[u8; 64]> = pages.iter().map(|(_, bytes)| bytes).collect();
@@ -380,18 +375,13 @@ impl PersistDomain {
     /// SP baseline and the eADR writeback path.  Returns the BMT hashes
     /// charged by the leaf update.
     pub(crate) fn persist_with_counter(&mut self, block: BlockAddr, ctr: SplitCounter) -> u64 {
-        let page = NvmStore::page_of(block);
-        let slot = NvmStore::page_slot_of(block);
         let pt = self.golden.get(&block).copied().unwrap_or([0u8; 64]);
         let ct = self.otp_engine.encrypt(&pt, block.index(), ctr);
         let mac = self.mac_engine.compute(&ct, block.index(), ctr);
         self.nvm.write_data(block, ct);
         self.nvm.write_mac(block, mac.truncate_u64());
-        let mut cb = self.nvm.read_counters(page);
-        cb.set_counter(slot, ctr);
-        let digest = Sha512::digest(&cb.to_bytes());
-        self.nvm.write_counters(page, cb);
-        let hashes = self.tree.update_leaf(page, digest);
+        let digest = Sha512::digest(&self.nvm.set_counter(block, ctr));
+        let hashes = self.tree.update_leaf(NvmStore::page_of(block), digest);
         self.charge_root_persist();
         hashes
     }

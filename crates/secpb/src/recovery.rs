@@ -9,11 +9,25 @@
 //! decrypts-to-expected → verified; otherwise the staleness must be
 //! *accounted* (brown-out loss or an entry still buffered at the crash)
 //! or it is a plaintext mismatch — the dangerous case a storm fails on.
+//!
+//! The sweep is one work-stealing fan-out ([`pool::run_indexed`]) of
+//! 256-block chunks of the data map in storage order
+//! ([`NvmStore::storage_chunks`]), plus one task for the root check.
+//! Storage order makes the data, MAC and golden lookups stream through
+//! memory instead of landing at random.  A secure chunk computes its
+//! MACs in one multi-lane dispatch (each message laid out in place as the
+//! one padded block its inner hash compresses) and its pads in one cipher
+//! dispatch.  Chunks report only the blocks that fail a check.  The report
+//! lists every block in address order by the NVM store's page walk
+//! ([`NvmStore::blocks_in_order`]), which sorts pages rather than blocks,
+//! and the failures are filed into it on the caller's thread.
+//!
+//! [`NvmStore::storage_chunks`]: secpb_mem::store::NvmStore::storage_chunks
+//! [`NvmStore::blocks_in_order`]: secpb_mem::store::NvmStore::blocks_in_order
 
-use secpb_crypto::counter::{CounterBlock, SplitCounter};
-use secpb_crypto::otp::{Otp, OtpEngine};
+use secpb_crypto::counter::SplitCounter;
+use secpb_crypto::otp::OtpEngine;
 use secpb_crypto::sha512::digest64_batch;
-use secpb_mem::store::NvmStore;
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::pool;
 
@@ -26,9 +40,9 @@ use crate::metrics::counters;
 use crate::policy::CounterLayout;
 use crate::system::SecureSystem;
 
-/// Items per multi-lane dispatch in the recovery sweep: counter pages
-/// per digest batch in the tree rebuild, blocks per MAC batch and per
-/// pad batch in the verify loop.
+/// Items per multi-lane dispatch in the recovery sweep: blocks per MAC
+/// batch and per pad batch, and so per chunk task of the sweep's fan-out,
+/// and counter pages per digest batch in the root rebuild.
 const SWEEP_CHUNK: usize = 256;
 
 /// Sweep chunks each worker must get before the secure sweep fans out
@@ -54,22 +68,20 @@ fn sweep_jobs(blocks: usize) -> usize {
     }
 }
 
-/// One worker's sweep buffers, reused across the chunks it verifies.
-#[derive(Default)]
-struct SweepScratch {
-    ciphertexts: Vec<[u8; 64]>,
-    /// `(block index, counter)` per block: the pad inputs, and with the
-    /// ciphertext the MAC inputs.
-    counters: Vec<(u64, SplitCounter)>,
-    tags: Vec<u64>,
-    pads: Vec<Otp>,
+/// One task's result in the sweep's fan-out.
+enum Swept {
+    /// The root check (task 0).
+    Root(bool),
+    /// The blocks of one chunk that failed a check.  A block whose MAC
+    /// verified but whose plaintext is stale reads
+    /// [`PlaintextMismatch`](BlockVerdict::PlaintextMismatch) until the
+    /// caller accounts for it.
+    Failures(Vec<(BlockAddr, BlockVerdict)>),
 }
 
 impl RecoveryReport {
-    /// Counts a checked block and files its verdict; the caller visits
-    /// blocks in address order.
-    fn record(&mut self, block: BlockAddr, verdict: BlockVerdict) {
-        self.blocks_checked += 1;
+    /// Files a block that failed a check under its verdict.
+    fn file(&mut self, block: BlockAddr, verdict: BlockVerdict) {
         match verdict {
             BlockVerdict::Verified => {}
             BlockVerdict::MacMismatch => self.mac_failures.push(block),
@@ -77,7 +89,6 @@ impl RecoveryReport {
             BlockVerdict::LostStale => self.lost_stale.push(block),
             BlockVerdict::InFlightStale => self.in_flight_stale.push(block),
         }
-        self.verdicts.push((block, verdict));
     }
 }
 
@@ -89,11 +100,11 @@ impl PersistDomain {
     /// leave entries behind).
     ///
     /// The secure sweep verifies 256-block chunks, each with one batched
-    /// MAC dispatch and one batched pad dispatch, and fans the chunks out
-    /// over the cores once the sweep is large enough to pay for the
-    /// workers (see [`MIN_CHUNKS_PER_WORKER`]).  Verdicts are assigned
-    /// serially in block order, so the report is identical for any
-    /// worker count.
+    /// MAC dispatch and one batched pad dispatch.  The chunks and the root
+    /// check are the tasks of one work-stealing fan-out over the cores
+    /// once the sweep is large enough to pay for the workers (see
+    /// [`MIN_CHUNKS_PER_WORKER`]).  The report is assembled serially in
+    /// block order, so it is identical for any worker count.
     pub(crate) fn recover_report(
         &self,
         lost: &[BlockAddr],
@@ -108,8 +119,8 @@ impl PersistDomain {
         self.recover_report_on(jobs, lost, secure, in_flight)
     }
 
-    /// [`recover_report`](Self::recover_report) with the secure sweep's
-    /// worker count given: 1 runs it inline on the caller's thread.
+    /// [`recover_report`](Self::recover_report) with the sweep's worker
+    /// count given: 1 runs it inline on the caller's thread.
     pub(crate) fn recover_report_on(
         &self,
         jobs: usize,
@@ -117,41 +128,66 @@ impl PersistDomain {
         secure: bool,
         in_flight: &dyn Fn(BlockAddr) -> bool,
     ) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
-        let stale_verdict = |block: BlockAddr| {
-            if lost.contains(&block) {
-                BlockVerdict::LostStale
-            } else if in_flight(block) {
-                BlockVerdict::InFlightStale
-            } else {
-                BlockVerdict::PlaintextMismatch
-            }
+        // Task 0 checks the root and task `i` checks chunk `i - 1`.  The
+        // tasks are pure, so the workers may run them in any order.
+        let chunks = self.nvm.storage_chunks(SWEEP_CHUNK);
+        let swept = pool::run_indexed(1 + chunks.len(), jobs, |task| match task {
+            0 => Swept::Root(!secure || self.root_ok()),
+            i if secure => Swept::Failures(self.verify_chunk(chunks[i - 1].clone())),
+            i => Swept::Failures(self.compare_chunk(chunks[i - 1].clone())),
+        });
+
+        // Every block reads verified until a failure is filed over it.
+        // Staleness is classified here, on the caller's thread, which is
+        // why `in_flight` needs no `Sync`.
+        let verdicts: Vec<(BlockAddr, BlockVerdict)> = self
+            .nvm
+            .blocks_in_order()
+            .into_iter()
+            .map(|block| (block, BlockVerdict::Verified))
+            .collect();
+        let mut report = RecoveryReport {
+            blocks_checked: verdicts.len() as u64,
+            verdicts,
+            ..RecoveryReport::default()
         };
-        let mut blocks: Vec<BlockAddr> = self.nvm.data_blocks().collect();
-        blocks.sort_unstable();
-
-        if !secure {
-            report.root_ok = true;
-            for block in blocks {
-                let verdict = if self.nvm.read_data(block) == self.expected_plaintext(block) {
-                    BlockVerdict::Verified
-                } else {
-                    stale_verdict(block)
-                };
-                report.record(block, verdict);
+        let mut failures = Vec::new();
+        for result in swept {
+            match result {
+                Swept::Root(ok) => report.root_ok = ok,
+                Swept::Failures(failed) => failures.extend(failed),
             }
-            return report;
         }
+        failures.sort_unstable_by_key(|&(block, _)| block);
+        for (block, verdict) in failures {
+            let verdict = match verdict {
+                BlockVerdict::PlaintextMismatch if lost.contains(&block) => BlockVerdict::LostStale,
+                BlockVerdict::PlaintextMismatch if in_flight(block) => BlockVerdict::InFlightStale,
+                checked => checked,
+            };
+            let at = report
+                .verdicts
+                .binary_search_by_key(&block, |&(listed, _)| listed)
+                .expect("the page walk lists every stored block");
+            report.verdicts[at].1 = verdict;
+            report.file(block, verdict);
+        }
+        report
+    }
 
-        // The functional oracle is policy-independent: rebuild the tree
-        // from the persisted counter blocks and match it against the
-        // durable root register, so a flip anywhere in the counter image
-        // is caught under every durable-tree layout.  The *policy*
-        // changes what the recovery-latency model charges for this sweep
-        // ([`RecoveryCost`](crate::policy::RecoveryCost)) and adds its
-        // own durable-layout consistency check on top.
+    /// The secure sweep's root check.  The functional oracle is
+    /// policy-independent: the tree rebuilt from the persisted counter
+    /// blocks must match the durable root register, so a flip anywhere
+    /// in the counter image is caught under every durable-tree layout.
+    /// The *policy* changes what the recovery-latency model charges for
+    /// the sweep ([`RecoveryCost`](crate::policy::RecoveryCost)) and adds
+    /// its own durable-layout consistency check on top.
+    fn root_ok(&self) -> bool {
         let rebuilt_ok = {
             let mut rebuilt = self.rebuilt_tree();
+            // Counter pages, not the page walk's data pages: a page can
+            // hold counters and no block (re-encrypted before any block
+            // persisted) or blocks and no counters (a tampered image).
             let mut pages: Vec<u64> = self.nvm.counter_pages().collect();
             pages.sort_unstable();
             for chunk in pages.chunks(SWEEP_CHUNK) {
@@ -182,96 +218,60 @@ impl PersistDomain {
         } else {
             true
         };
-        report.root_ok = rebuilt_ok && layout_ok;
-
-        // The checks are pure per block, so the workers may run in any
-        // order; staleness is classified here, on the caller's thread,
-        // which is why `in_flight` needs no `Sync`.
-        for (&block, (mac_ok, plaintext_matches)) in
-            blocks.iter().zip(self.sweep_checks(&blocks, jobs))
-        {
-            let verdict = if !mac_ok {
-                BlockVerdict::MacMismatch
-            } else if plaintext_matches {
-                BlockVerdict::Verified
-            } else {
-                stale_verdict(block)
-            };
-            report.record(block, verdict);
-        }
-        report
+        rebuilt_ok && layout_ok
     }
 
-    /// The secure sweep's per-block `(mac_ok, plaintext_matches)` checks
-    /// of the sorted `blocks`, in block order.  The chunks split into
-    /// `jobs` contiguous runs, one per worker, so each worker keeps one
-    /// set of buffers.
-    fn sweep_checks(
+    /// The baseline sweep's check of one chunk of stored blocks: each
+    /// block's bytes against the golden image.  Returns the blocks that
+    /// differ (see [`Swept::Failures`]).
+    fn compare_chunk<'a>(
         &self,
-        blocks: &[BlockAddr],
-        jobs: usize,
-    ) -> impl Iterator<Item = (bool, bool)> {
-        let chunks = blocks.len().div_ceil(SWEEP_CHUNK);
-        let jobs = jobs.clamp(1, chunks.max(1));
-        let runs = pool::run_indexed(jobs, jobs, |worker| {
-            let first = chunks * worker / jobs * SWEEP_CHUNK;
-            let end = (chunks * (worker + 1) / jobs * SWEEP_CHUNK).min(blocks.len());
-            let mut scratch = SweepScratch::default();
-            let mut checks = Vec::with_capacity(end - first);
-            for chunk in blocks[first..end].chunks(SWEEP_CHUNK) {
-                self.verify_chunk(chunk, &mut scratch, &mut checks);
-            }
-            checks
-        });
-        runs.into_iter().flatten()
+        chunk: impl Iterator<Item = (BlockAddr, &'a [u8; 64])>,
+    ) -> Vec<(BlockAddr, BlockVerdict)> {
+        chunk
+            .filter(|&(block, bytes)| *bytes != self.expected_plaintext(block))
+            .map(|(block, _)| (block, BlockVerdict::PlaintextMismatch))
+            .collect()
     }
 
-    /// Verifies one chunk of sorted blocks: reads each block's
-    /// ciphertext and counter (a page's counter block once per run of
-    /// its blocks), computes the chunk's MACs in one multi-lane dispatch
-    /// and its pads in one cipher dispatch, then decrypts each block and
-    /// compares it with the golden image.  Appends `(mac_ok,
-    /// plaintext_matches)` per block; a block whose MAC fails is not
-    /// compared.
-    fn verify_chunk(
+    /// Verifies one chunk of stored blocks: reads each block's counter,
+    /// computes the chunk's MACs in one multi-lane dispatch and its pads
+    /// in one cipher dispatch, then decrypts each block and compares it
+    /// with the golden image.  Returns the blocks that failed (see
+    /// [`Swept::Failures`]); a block whose MAC fails is not compared.
+    fn verify_chunk<'a>(
         &self,
-        chunk: &[BlockAddr],
-        scratch: &mut SweepScratch,
-        checks: &mut Vec<(bool, bool)>,
-    ) {
-        scratch.ciphertexts.clear();
-        scratch.counters.clear();
-        let mut page = None;
-        let mut counter_block = CounterBlock::default();
-        for &block in chunk {
-            let block_page = NvmStore::page_of(block);
-            if page != Some(block_page) {
-                counter_block = self.nvm.read_counters(block_page);
-                page = Some(block_page);
-            }
-            let ctr = counter_block.counter_of(NvmStore::page_slot_of(block));
-            scratch.ciphertexts.push(self.nvm.read_data(block));
-            scratch.counters.push((block.index(), ctr));
-        }
-        let msgs: Vec<(&[u8; 64], u64, SplitCounter)> = scratch
-            .ciphertexts
+        chunk: impl Iterator<Item = (BlockAddr, &'a [u8; 64])>,
+    ) -> Vec<(BlockAddr, BlockVerdict)> {
+        let stored: Vec<(BlockAddr, &[u8; 64])> = chunk.collect();
+        // `(block index, counter)` per block: the pad inputs, and with
+        // the ciphertext the MAC inputs.
+        let counters: Vec<(u64, SplitCounter)> = stored
             .iter()
-            .zip(&scratch.counters)
-            .map(|(ct, &(addr, ctr))| (ct, addr, ctr))
+            .map(|&(block, _)| (block.index(), self.nvm.counter_of(block)))
             .collect();
-        scratch.tags.clear();
-        self.mac_engine
-            .compute_truncated_batch(&msgs, &mut scratch.tags);
-        scratch.pads.clear();
-        self.otp_engine
-            .generate_batch(&scratch.counters, &mut scratch.pads);
-        for (i, &block) in chunk.iter().enumerate() {
-            let mac_ok = scratch.tags[i] == self.nvm.read_mac(block);
-            let plaintext_matches = mac_ok
-                && OtpEngine::apply_pad(&scratch.ciphertexts[i], &scratch.pads[i])
-                    == self.expected_plaintext(block);
-            checks.push((mac_ok, plaintext_matches));
-        }
+        let msgs: Vec<(&[u8; 64], u64, SplitCounter)> = stored
+            .iter()
+            .zip(&counters)
+            .map(|(&(_, ct), &(addr, ctr))| (ct, addr, ctr))
+            .collect();
+        let mut tags = Vec::with_capacity(stored.len());
+        self.mac_engine.compute_truncated_batch(&msgs, &mut tags);
+        let mut pads = Vec::with_capacity(stored.len());
+        self.otp_engine.generate_batch(&counters, &mut pads);
+        stored
+            .iter()
+            .zip(tags.iter().zip(&pads))
+            .filter_map(|(&(block, ct), (&tag, pad))| {
+                if tag != self.nvm.read_mac(block) {
+                    Some((block, BlockVerdict::MacMismatch))
+                } else if OtpEngine::apply_pad(ct, pad) != self.expected_plaintext(block) {
+                    Some((block, BlockVerdict::PlaintextMismatch))
+                } else {
+                    None
+                }
+            })
+            .collect()
     }
 
     /// Re-reads the durable image of brown-out-lost blocks back into the
@@ -288,9 +288,7 @@ impl PersistDomain {
                 continue;
             }
             let pt = if secure {
-                let page = NvmStore::page_of(block);
-                let slot = NvmStore::page_slot_of(block);
-                let ctr = self.nvm.read_counters(page).counter_of(slot);
+                let ctr = self.nvm.counter_of(block);
                 self.otp_engine
                     .decrypt(&self.nvm.read_data(block), block.index(), ctr)
             } else {
@@ -399,6 +397,7 @@ mod tests {
 
     use super::*;
     use crate::scheme::Scheme;
+    use secpb_mem::store::{NvmStore, BLOCKS_PER_PAGE};
 
     /// Distinct blocks each round stores: twelve full sweep chunks and a
     /// partial one.
@@ -482,7 +481,7 @@ mod tests {
         report
     }
 
-    /// Asserts that the sweep at 1, 2 and 3 workers and the public
+    /// Asserts that the sweep at 1, 2, 3, 4 and 8 workers and the public
     /// `recover_with` all equal the per-block reference, field for field,
     /// and returns it.
     fn assert_sweeps_agree(sys: &SecureSystem, lost: &[BlockAddr]) -> RecoveryReport {
@@ -505,7 +504,7 @@ mod tests {
             summary(&inline),
             summary(&reference)
         );
-        for jobs in [2, 3] {
+        for jobs in [2, 3, 4, 8] {
             let fanned = sys.domain().recover_report_on(jobs, lost, true, &in_flight);
             assert!(
                 fanned == reference,
@@ -574,6 +573,27 @@ mod tests {
         assert!(!tampered.root_ok, "a counter rollback breaks the root");
         assert!(tampered.mac_failures.len() > blocks.len() / 97 + blocks.len() / 131);
         assert!(!tampered.in_flight_stale.is_empty());
+
+        // A tuple spliced into, and one replayed onto, blocks of pages
+        // that never persisted counters: the page walk must list both,
+        // and neither MAC verifies under the pages' zero counters.
+        let spliced = BlockAddr(blocks[blocks.len() - 1].index() + 10 * BLOCKS_PER_PAGE + 3);
+        let replayed = BlockAddr(spliced.index() + 2 * BLOCKS_PER_PAGE + 60);
+        let nvm = sys.nvm_store_mut();
+        for block in [spliced, replayed] {
+            let page = NvmStore::page_of(block);
+            assert!(nvm.counter_pages().all(|p| p != page) && !nvm.contains_data(block));
+        }
+        assert!(nvm.splice(blocks[7], spliced));
+        nvm.replay_tuple(replayed, [0x5A; 64], 0x1234_5678);
+        let foreign = assert_sweeps_agree(&sys, &[]);
+        assert_eq!(foreign.blocks_checked, tampered.blocks_checked + 2);
+        for block in [spliced, replayed] {
+            assert!(
+                foreign.mac_failures.contains(&block),
+                "{block:?} not caught"
+            );
+        }
     }
 
     #[test]
