@@ -90,10 +90,19 @@ done
 echo "==> fault-injection storm smoke (crash storms, brown-outs, bit flips)"
 # secpb storm exits nonzero on any panic, silent corruption, accounting
 # mismatch, or undetected bit flip across all schemes, every front, and
-# both drain policies; --quick keeps this to a few seconds.  The
+# both drain policies; --quick keeps this to a few seconds.  Its table
+# (crashes, drained, lost, flips and caught per cell) and the report of
+# one crash (entries drained, battery work, recovery cycle estimate) are
+# deterministic, so both are pinned: a change to the crash path's
+# simulated counts fails here even when every verdict still passes.  The
 # brown-out pass runs the same storm on a battery budgeted at 25% of the
 # provisioned worst case and must actually lose entries.
-./target/release/secpb storm --quick
+./target/release/secpb storm --quick > "$CI_TMP/storm_quick.txt"
+./target/release/secpb crash gamess cobcm > "$CI_TMP/crash_gamess_cobcm.txt"
+for pin in storm_quick crash_gamess_cobcm; do
+  diff "$CI_TMP/$pin.txt" "results/$pin.txt" \
+    || { echo "ci.sh: crash-path output diverged from results/$pin.txt" >&2; exit 1; }
+done
 BROWN_OUT=$(./target/release/secpb storm --quick --brown-out 0.25)
 echo "$BROWN_OUT" | grep -Eq '^storm: .*, [1-9][0-9]* entries lost' \
   || { echo "ci.sh: brown-out storm lost no entries" >&2; exit 1; }
@@ -148,6 +157,9 @@ echo "==> recovery-latency sweep smoke (secpb recover-sweep --quick)"
 # verdict line anyway.
 SWEEP_OUT=$(./target/release/secpb recover-sweep --quick)
 echo "$SWEEP_OUT" | grep -q 'curve monotone' || { echo "ci.sh: recovery sweep curve not monotone" >&2; exit 1; }
+# Its per-policy cycle counts are deterministic too: pinned.
+echo "$SWEEP_OUT" | diff - results/recover_sweep_quick.txt \
+  || { echo "ci.sh: secpb recover-sweep --quick diverged from results/recover_sweep_quick.txt" >&2; exit 1; }
 
 echo "==> trace ingest truncation fuzz (tests/trace_io_fuzz.rs)"
 # Every truncation point and seeded corruption of an SPB1 stream must

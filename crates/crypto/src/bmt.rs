@@ -19,9 +19,12 @@
 //! ## Lazy folding
 //!
 //! In [lazy mode](BonsaiMerkleTree::set_lazy) an update writes only the
-//! leaf digest and records the leaf in a dirty set; the HMAC leaf-to-root
-//! walk is deferred until [`fold`](BonsaiMerkleTree::fold) batches every
-//! pending path level by level.  N updates under one page coalesce into a
+//! leaf digest and sets the leaf's bit in its 64-leaf chunk's dirty mask;
+//! the HMAC leaf-to-root walk is deferred until
+//! [`fold`](BonsaiMerkleTree::fold) batches every pending path level by
+//! level.  The fold sorts one id per touched chunk, not one entry per
+//! update, and expands the masks into the ascending, unique leaf
+//! frontier.  N updates under one page coalesce into a
 //! single walk and shared interior nodes are hashed once per fold instead
 //! of once per update — the PLP-style coalescing the paper's Section IV-A
 //! rests on.  The statistics stay *analytic*: `update_leaf` counts the
@@ -48,6 +51,15 @@ pub const DEFAULT_ARITY: usize = 8;
 /// plus dense index arithmetic instead of `arity` independent lookups.
 const LEVEL_CHUNK: u64 = 64;
 
+/// One dense run of [`LEVEL_CHUNK`] digests of a level.
+#[derive(Debug, Clone)]
+struct Chunk {
+    digests: Box<[Digest]>,
+    /// Leaf level in lazy mode: bit `i` is set while digest `i` awaits a
+    /// fold.  Always 0 elsewhere.
+    dirty: u64,
+}
+
 /// Sparse-dense storage for one tree level: touched regions are dense
 /// 64-digest chunks, untouched regions read as the level's default
 /// digest.
@@ -61,7 +73,7 @@ const LEVEL_CHUNK: u64 = 64;
 #[derive(Debug, Clone)]
 struct NodeLevel {
     default: Digest,
-    chunks: FxHashMap<u64, Box<[Digest]>>,
+    chunks: FxHashMap<u64, Chunk>,
 }
 
 impl NodeLevel {
@@ -76,21 +88,27 @@ impl NodeLevel {
     #[inline]
     fn get(&self, index: u64) -> Digest {
         match self.chunks.get(&(index / LEVEL_CHUNK)) {
-            Some(chunk) => chunk[(index % LEVEL_CHUNK) as usize],
+            Some(chunk) => chunk.digests[(index % LEVEL_CHUNK) as usize],
             None => self.default,
         }
+    }
+
+    /// The chunk `id`, materialized (all default, nothing dirty) on first
+    /// touch.
+    #[inline]
+    fn chunk_mut(&mut self, id: u64) -> &mut Chunk {
+        let default = self.default;
+        self.chunks.entry(id).or_insert_with(|| Chunk {
+            digests: vec![default; LEVEL_CHUNK as usize].into_boxed_slice(),
+            dirty: 0,
+        })
     }
 
     /// Writes the digest at `index`, materializing its chunk on first
     /// touch.
     #[inline]
     fn set(&mut self, index: u64, digest: Digest) {
-        let default = self.default;
-        let chunk = self
-            .chunks
-            .entry(index / LEVEL_CHUNK)
-            .or_insert_with(|| vec![default; LEVEL_CHUNK as usize].into_boxed_slice());
-        chunk[(index % LEVEL_CHUNK) as usize] = digest;
+        self.chunk_mut(index / LEVEL_CHUNK).digests[(index % LEVEL_CHUNK) as usize] = digest;
     }
 
     /// Copies the digests of the contiguous sibling group
@@ -104,7 +122,7 @@ impl NodeLevel {
         let offset = (first % LEVEL_CHUNK) as usize;
         if offset + count <= LEVEL_CHUNK as usize {
             match self.chunks.get(&(first / LEVEL_CHUNK)) {
-                Some(chunk) => out.extend_from_slice(&chunk[offset..offset + count]),
+                Some(chunk) => out.extend_from_slice(&chunk.digests[offset..offset + count]),
                 None => out.resize(count, self.default),
             }
         } else {
@@ -155,8 +173,8 @@ pub struct BonsaiMerkleTree {
     node_hashes: u64,
     /// Lazy mode: defer the leaf-to-root walk to [`fold`](Self::fold).
     lazy: bool,
-    /// Leaves updated since the last fold (may hold duplicates; sorted
-    /// and deduplicated at fold time for determinism).
+    /// The leaf chunks whose dirty mask is not empty, once each, in the
+    /// order they became dirty (sorted at fold time for determinism).
     dirty: Vec<u64>,
     /// Hashes actually performed by folds (performance metric only —
     /// never part of the analytic `node_hashes` statistic).
@@ -265,9 +283,17 @@ impl BonsaiMerkleTree {
         if self.dirty.is_empty() {
             return 0;
         }
+        // Chunks in id order, each mask low bit first: the sorted,
+        // unique set of updated leaves.
         self.dirty.sort_unstable();
-        self.dirty.dedup();
-        let mut frontier = std::mem::take(&mut self.dirty);
+        let mut frontier = Vec::new();
+        for id in self.dirty.drain(..) {
+            let chunk = self.nodes[0]
+                .chunks
+                .get_mut(&id)
+                .expect("a dirty chunk is stored");
+            push_leaves(&mut frontier, id, std::mem::take(&mut chunk.dirty));
+        }
         let mut scratch: Vec<Digest> = Vec::with_capacity(self.arity);
         let mut flat: Vec<u8> = Vec::new();
         let mut digests: Vec<Digest> = Vec::new();
@@ -369,11 +395,16 @@ impl BonsaiMerkleTree {
             leaf_index < self.capacity(),
             "leaf {leaf_index} out of range"
         );
-        self.nodes[0].set(leaf_index, leaf_digest);
+        let id = leaf_index / LEVEL_CHUNK;
+        let chunk = self.nodes[0].chunk_mut(id);
+        chunk.digests[(leaf_index % LEVEL_CHUNK) as usize] = leaf_digest;
         self.root_updates += 1;
         self.node_hashes += u64::from(self.levels);
         if self.lazy {
-            self.dirty.push(leaf_index);
+            if chunk.dirty == 0 {
+                self.dirty.push(id);
+            }
+            chunk.dirty |= 1 << (leaf_index % LEVEL_CHUNK);
             return self.levels;
         }
         let mut index = leaf_index;
@@ -454,10 +485,9 @@ impl BonsaiMerkleTree {
     /// the normalized dirty set — to a checkpoint.  The key, arity,
     /// level count, and backend are *not* serialised:
     /// [`restore_from`](Self::restore_from) requires a tree constructed
-    /// with the same parameters.  The dirty set is sorted and
-    /// deduplicated on encode, which is exactly the normalisation
-    /// [`fold`](Self::fold) applies first, so restore + fold is
-    /// byte-identical to fold on the original.
+    /// with the same parameters.  The dirty leaves are written ascending
+    /// and once each, the frontier [`fold`](Self::fold) starts from, so
+    /// restore + fold is byte-identical to fold on the original.
     pub fn encode_into(&self, w: &mut WireWriter) {
         w.u32(self.levels);
         w.usize(self.arity);
@@ -467,7 +497,7 @@ impl BonsaiMerkleTree {
             w.usize(chunks.len());
             for (id, chunk) in chunks {
                 w.u64(*id);
-                for d in chunk.iter() {
+                for d in chunk.digests.iter() {
                     w.raw(&d.0);
                 }
             }
@@ -476,11 +506,14 @@ impl BonsaiMerkleTree {
         w.u64(self.root_updates);
         w.u64(self.node_hashes);
         w.bool(self.lazy);
-        let mut dirty = self.dirty.clone();
-        dirty.sort_unstable();
-        dirty.dedup();
-        w.usize(dirty.len());
-        for leaf in dirty {
+        let mut ids = self.dirty.clone();
+        ids.sort_unstable();
+        let mut leaves = Vec::new();
+        for id in ids {
+            push_leaves(&mut leaves, id, self.nodes[0].chunks[&id].dirty);
+        }
+        w.usize(leaves.len());
+        for leaf in leaves {
             w.u64(leaf);
         }
         w.u64(self.fold_hashes);
@@ -492,8 +525,8 @@ impl BonsaiMerkleTree {
     ///
     /// # Errors
     ///
-    /// Fails if the encoded shape disagrees with this tree's, or on
-    /// truncation.
+    /// Fails if the encoded shape disagrees with this tree's, on a dirty
+    /// leaf whose chunk the image does not store, or on truncation.
     pub fn restore_from(&mut self, r: &mut WireReader<'_>) -> Result<(), WireError> {
         if r.u32()? != self.levels || r.usize()? != self.arity {
             return Err(r.malformed("BMT snapshot shape does not match tree"));
@@ -503,11 +536,11 @@ impl BonsaiMerkleTree {
             let n = r.seq_len(8 + LEVEL_CHUNK as usize * 64)?;
             for _ in 0..n {
                 let id = r.u64()?;
-                let mut chunk = vec![level.default; LEVEL_CHUNK as usize].into_boxed_slice();
-                for d in chunk.iter_mut() {
+                let mut digests = vec![level.default; LEVEL_CHUNK as usize].into_boxed_slice();
+                for d in digests.iter_mut() {
                     *d = Digest(r.array::<64>()?);
                 }
-                level.chunks.insert(id, chunk);
+                level.chunks.insert(id, Chunk { digests, dirty: 0 });
             }
         }
         self.root = Digest(r.array::<64>()?);
@@ -515,11 +548,18 @@ impl BonsaiMerkleTree {
         self.node_hashes = r.u64()?;
         self.lazy = r.bool()?;
         let n = r.seq_len(8)?;
-        let mut dirty = Vec::with_capacity(n);
+        self.dirty.clear();
         for _ in 0..n {
-            dirty.push(r.u64()?);
+            let leaf = r.u64()?;
+            let id = leaf / LEVEL_CHUNK;
+            let Some(chunk) = self.nodes[0].chunks.get_mut(&id) else {
+                return Err(r.malformed(format!("dirty BMT leaf {leaf} has no stored chunk")));
+            };
+            if chunk.dirty == 0 {
+                self.dirty.push(id);
+            }
+            chunk.dirty |= 1 << (leaf % LEVEL_CHUNK);
         }
-        self.dirty = dirty;
         self.fold_hashes = r.u64()?;
         self.folds = r.u64()?;
         Ok(())
@@ -545,7 +585,7 @@ impl BonsaiMerkleTree {
         chunks.sort_by_key(|&(id, _)| *id);
         let mut out = Vec::new();
         for (id, chunk) in chunks {
-            for (off, d) in chunk.iter().enumerate() {
+            for (off, d) in chunk.digests.iter().enumerate() {
                 if *d != lvl.default {
                     out.push((id * LEVEL_CHUNK + off as u64, *d));
                 }
@@ -608,6 +648,15 @@ impl BonsaiMerkleTree {
         }
         tree.reset_stats();
         tree
+    }
+}
+
+/// Appends to `out` the leaves of chunk `id` whose bits are set in
+/// `mask`, ascending.
+fn push_leaves(out: &mut Vec<u64>, id: u64, mut mask: u64) {
+    while mask != 0 {
+        out.push(id * LEVEL_CHUNK + u64::from(mask.trailing_zeros()));
+        mask &= mask - 1;
     }
 }
 
@@ -871,6 +920,163 @@ mod tests {
         // Shape mismatch is rejected.
         let mut other = BonsaiMerkleTree::new(b"k", 4, 2);
         assert!(other.restore_from(&mut WireReader::new(&bytes)).is_err());
+    }
+
+    /// A 4096-leaf tree (64 leaf chunks) and a seeded update stream
+    /// with repeats, clustered around chunk boundaries so runs cross
+    /// them.
+    fn chunked_tree() -> BonsaiMerkleTree {
+        BonsaiMerkleTree::new(b"k", 8, 4)
+    }
+
+    fn chunked_updates(seed: u64, n: usize) -> Vec<(u64, Digest)> {
+        let mut rng = secpb_sim::rng::Rng::seed_from(seed);
+        (0..n)
+            .map(|i| {
+                let boundary = rng.below(64) * LEVEL_CHUNK;
+                let leaf = (boundary + rng.below(8)).saturating_sub(4).min(4095);
+                (leaf, Sha512::digest(&(i as u64 ^ seed).to_le_bytes()))
+            })
+            .collect()
+    }
+
+    fn encode(t: &BonsaiMerkleTree) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        t.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// The bytes `encode_into` ends with for a lazy tree whose pending
+    /// updates touched `updated`: the old sort-and-dedup normalisation.
+    fn pending_tail(t: &BonsaiMerkleTree, updated: &[u64]) -> Vec<u8> {
+        let mut leaves = updated.to_vec();
+        leaves.sort_unstable();
+        leaves.dedup();
+        let mut w = WireWriter::new();
+        w.bool(true);
+        w.usize(leaves.len());
+        for leaf in leaves {
+            w.u64(leaf);
+        }
+        w.u64(t.fold_hashes());
+        w.u64(t.folds());
+        w.into_bytes()
+    }
+
+    #[test]
+    fn dirty_masks_fold_like_the_eager_walk() {
+        for seed in 1..=8u64 {
+            let mut eager = chunked_tree();
+            let mut lazy = chunked_tree();
+            lazy.set_lazy(true);
+            let mut expected_hashes = 0u64;
+            let mut pending: Vec<u64> = Vec::new();
+            for (n, (leaf, d)) in chunked_updates(seed, 600).into_iter().enumerate() {
+                eager.update_leaf(leaf, d);
+                lazy.update_leaf(leaf, d);
+                pending.push(leaf);
+                if n % 97 == 96 {
+                    // The fold hashes each distinct ancestor once.
+                    let mut frontier = std::mem::take(&mut pending);
+                    frontier.sort_unstable();
+                    frontier.dedup();
+                    for _ in 0..lazy.levels() {
+                        frontier = frontier.iter().map(|i| i / 8).collect();
+                        frontier.dedup();
+                        expected_hashes += frontier.len() as u64;
+                    }
+                    lazy.fold();
+                    assert_eq!(lazy.root(), eager.root(), "seed {seed} update {n}");
+                }
+            }
+            lazy.fold();
+            assert!(!lazy.has_pending());
+            assert_eq!(lazy.root(), eager.root(), "seed {seed}");
+            assert_eq!(lazy.root_updates(), eager.root_updates());
+            assert_eq!(lazy.node_hashes(), eager.node_hashes());
+            for level in 0..eager.levels() {
+                assert_eq!(lazy.level_nodes(level), eager.level_nodes(level));
+            }
+            let mut frontier = pending;
+            frontier.sort_unstable();
+            frontier.dedup();
+            for _ in 0..lazy.levels() {
+                frontier = frontier.iter().map(|i| i / 8).collect();
+                frontier.dedup();
+                expected_hashes += frontier.len() as u64;
+            }
+            assert_eq!(lazy.fold_hashes(), expected_hashes, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn pending_leaves_encode_once_each_in_ascending_order() {
+        let mut t = chunked_tree();
+        t.set_lazy(true);
+        let updates = chunked_updates(11, 300);
+        let (first, rest) = updates.split_at(120);
+        for &(leaf, d) in first {
+            t.update_leaf(leaf, d);
+        }
+        t.fold();
+        for &(leaf, d) in rest {
+            t.update_leaf(leaf, d);
+        }
+        let updated: Vec<u64> = rest.iter().map(|&(leaf, _)| leaf).collect();
+        let bytes = encode(&t);
+        assert!(bytes.ends_with(&pending_tail(&t, &updated)));
+    }
+
+    #[test]
+    fn restore_then_fold_is_byte_identical() {
+        let mut t = chunked_tree();
+        t.set_lazy(true);
+        for (leaf, d) in chunked_updates(5, 400) {
+            t.update_leaf(leaf, d);
+        }
+        let bytes = encode(&t);
+        let mut restored = chunked_tree();
+        restored
+            .restore_from(&mut WireReader::new(&bytes))
+            .expect("restore");
+        assert_eq!(encode(&restored), bytes);
+        assert_eq!(restored.fold(), t.fold());
+        assert_eq!(encode(&restored), encode(&t));
+        // The masks are clear again: more updates still match.
+        for (leaf, d) in chunked_updates(6, 50) {
+            t.update_leaf(leaf, d);
+            restored.update_leaf(leaf, d);
+        }
+        assert_eq!(encode(&restored), encode(&t));
+        assert_eq!(restored.fold(), t.fold());
+        assert_eq!(encode(&restored), encode(&t));
+    }
+
+    #[test]
+    fn dirty_leaf_without_a_stored_chunk_is_rejected() {
+        let t = chunked_tree();
+        let mut w = WireWriter::new();
+        w.u32(t.levels());
+        w.usize(t.arity());
+        for _ in 0..t.levels() {
+            w.usize(0); // no chunks stored
+        }
+        w.raw(&t.root().0);
+        w.u64(0);
+        w.u64(0);
+        w.bool(true);
+        w.usize(1);
+        w.u64(100); // a dirty leaf of chunk 1
+        w.u64(0);
+        w.u64(0);
+        let bytes = w.into_bytes();
+        let err = chunked_tree()
+            .restore_from(&mut WireReader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed { what, .. } if what.contains("no stored chunk")),
+            "{err}"
+        );
     }
 
     #[test]

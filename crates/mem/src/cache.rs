@@ -9,6 +9,12 @@
 //! durability is already guaranteed by the SecPB: such *persist-dirty*
 //! lines are silently discarded on eviction, like clean lines, instead of
 //! being written back.
+//!
+//! A crash's power cycle loses every line, and it costs one counter
+//! bump: each line records the power cycle it was filled in, and only
+//! lines of the cache's current cycle are resident.  Rewind points
+//! ([`Cache::snapshot_into`] / [`Cache::rewind_to`]) copy only the lines
+//! written since the last sync, tracked one bit per line.
 
 use secpb_sim::addr::BlockAddr;
 use secpb_sim::config::CacheConfig;
@@ -33,11 +39,26 @@ impl LineState {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Line {
     tag: u64,
     state: LineState,
+    /// The power cycle the line was filled in: it is resident only while
+    /// this equals its cache's `cycle`.  Fits the padding after `state`.
+    cycle: u32,
     last_use: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Line>() == 24);
+
+impl Line {
+    /// A way that holds nothing in any power cycle (cycles start at 1).
+    const EMPTY: Line = Line {
+        tag: 0,
+        state: LineState::Clean,
+        cycle: 0,
+        last_use: 0,
+    };
 }
 
 /// The result of a cache access.
@@ -96,8 +117,9 @@ pub struct Cache {
     /// Flat set-major line storage: `lines[set * ways + way]`.  One
     /// contiguous allocation keeps a whole set in one or two cache lines
     /// of the *host*, where the nested per-set `Vec` layout paid a
-    /// pointer chase per simulated access.
-    lines: Vec<Option<Line>>,
+    /// pointer chase per simulated access.  A way whose `cycle` is not
+    /// the cache's holds nothing.
+    lines: Vec<Line>,
     sets: usize,
     ways: usize,
     /// `log2(sets)` when the set count is a power of two (every Table I
@@ -105,12 +127,15 @@ pub struct Cache {
     /// `u32::MAX` flags the general divide path.
     set_shift: u32,
     use_clock: u64,
+    /// The current power cycle, from 1: [`clear`](Self::clear) bumps it,
+    /// so every line filled before reads as absent.
+    cycle: u32,
     stats: CacheStats,
-    /// One bit per set: the sets written since the last sync with a twin
-    /// (see [`snapshot_into`](Self::snapshot_into)), so a set written
-    /// twice is still copied once.  Empty until the first sync and after
-    /// a wholesale change, meaning any set may differ; a cache that never
-    /// syncs pays one length check per access.
+    /// One bit per line: the lines written since the last sync with a
+    /// twin (see [`snapshot_into`](Self::snapshot_into)), so a line
+    /// written twice is still copied once.  Empty until the first sync
+    /// and after a wholesale change, meaning any line may differ; a cache
+    /// that never syncs pays one length check per access.
     changed: Vec<u64>,
 }
 
@@ -124,12 +149,13 @@ impl Cache {
             u32::MAX
         };
         Cache {
-            lines: vec![None; sets * config.ways],
+            lines: vec![Line::EMPTY; sets * config.ways],
             sets,
             ways: config.ways,
             set_shift,
             config,
             use_clock: 0,
+            cycle: 1,
             stats: CacheStats::default(),
             changed: Vec::new(),
         }
@@ -169,16 +195,27 @@ impl Cache {
     }
 
     #[inline]
-    fn mark_changed(&mut self, set_idx: usize) {
-        if let Some(word) = self.changed.get_mut(set_idx / 64) {
-            *word |= 1 << (set_idx % 64);
+    fn mark_changed(&mut self, line: usize) {
+        if let Some(word) = self.changed.get_mut(line / 64) {
+            *word |= 1 << (line % 64);
         }
     }
 
-    /// Starts a sync interval: no set has changed yet.
+    /// Starts a sync interval: no line has changed yet.
     fn start_tracking(&mut self) {
         self.changed.clear();
-        self.changed.resize(self.sets.div_ceil(64), 0);
+        self.changed.resize(self.lines.len().div_ceil(64), 0);
+    }
+
+    /// The flat index of `block`'s resident way, if any.
+    #[inline]
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let base = self.set_index(block) * self.ways;
+        let (tag, cycle) = (self.tag(block), self.cycle);
+        self.lines[base..base + self.ways]
+            .iter()
+            .position(|l| l.cycle == cycle && l.tag == tag)
+            .map(|way| base + way)
     }
 
     fn block_from(&self, set: usize, tag: u64) -> BlockAddr {
@@ -197,19 +234,21 @@ impl Cache {
     pub fn access(&mut self, block: BlockAddr, fill_state: LineState) -> AccessOutcome {
         self.use_clock += 1;
         let clock = self.use_clock;
+        let cycle = self.cycle;
         let set_idx = self.set_index(block);
         let tag = self.tag(block);
-        self.mark_changed(set_idx);
         let base = set_idx * self.ways;
         let set = &mut self.lines[base..base + self.ways];
 
         // Hit path.
-        if let Some(line) = set.iter_mut().flatten().find(|l| l.tag == tag) {
+        if let Some(way) = set.iter().position(|l| l.cycle == cycle && l.tag == tag) {
+            let line = &mut set[way];
             line.last_use = clock;
             if fill_state != LineState::Clean {
                 line.state = fill_state;
             }
             self.stats.hits += 1;
+            self.mark_changed(base + way);
             return AccessOutcome {
                 hit: true,
                 evicted: None,
@@ -217,14 +256,17 @@ impl Cache {
         }
 
         self.stats.misses += 1;
+        let fill = Line {
+            tag,
+            state: fill_state,
+            cycle,
+            last_use: clock,
+        };
 
         // Fill path: free way if available.
-        if let Some(slot) = set.iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Line {
-                tag,
-                state: fill_state,
-                last_use: clock,
-            });
+        if let Some(way) = set.iter().position(|l| l.cycle != cycle) {
+            set[way] = fill;
+            self.mark_changed(base + way);
             return AccessOutcome {
                 hit: false,
                 evicted: None,
@@ -235,15 +277,11 @@ impl Cache {
         let victim_way = set
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| l.as_ref().expect("full set").last_use)
+            .min_by_key(|(_, l)| l.last_use)
             .map(|(i, _)| i)
             .expect("non-empty set");
-        let victim = set[victim_way].take().expect("victim present");
-        set[victim_way] = Some(Line {
-            tag,
-            state: fill_state,
-            last_use: clock,
-        });
+        let victim = std::mem::replace(&mut set[victim_way], fill);
+        self.mark_changed(base + victim_way);
         if victim.state.needs_writeback() {
             self.stats.dirty_evictions += 1;
         } else {
@@ -259,55 +297,44 @@ impl Cache {
     /// Returns the state of `block` if resident, without touching LRU or
     /// statistics.
     pub fn probe(&self, block: BlockAddr) -> Option<LineState> {
-        let set_idx = self.set_index(block);
-        let tag = self.tag(block);
-        let base = set_idx * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .flatten()
-            .find(|l| l.tag == tag)
-            .map(|l| l.state)
+        self.find(block).map(|line| self.lines[line].state)
     }
 
     /// Removes `block` if resident, returning its state.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
-        let set_idx = self.set_index(block);
-        let tag = self.tag(block);
-        let base = set_idx * self.ways;
-        let way = self.lines[base..base + self.ways]
-            .iter_mut()
-            .find(|way| way.as_ref().is_some_and(|l| l.tag == tag))?;
-        let state = way.take().map(|l| l.state);
-        self.mark_changed(set_idx);
-        state
+        let line = self.find(block)?;
+        let state = std::mem::replace(&mut self.lines[line], Line::EMPTY).state;
+        self.mark_changed(line);
+        Some(state)
     }
 
     /// Overwrites the state of a resident block; no-op if absent.
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) {
-        let set_idx = self.set_index(block);
-        let tag = self.tag(block);
-        let base = set_idx * self.ways;
-        if let Some(line) = self.lines[base..base + self.ways]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.tag == tag)
-        {
-            line.state = state;
-            self.mark_changed(set_idx);
+        if let Some(line) = self.find(block) {
+            self.lines[line].state = state;
+            self.mark_changed(line);
         }
+    }
+
+    /// The lines resident in the current power cycle, with their flat
+    /// indices.
+    fn resident_lines(&self) -> impl Iterator<Item = (usize, &Line)> + '_ {
+        let cycle = self.cycle;
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(move |(_, l)| l.cycle == cycle)
     }
 
     /// Number of resident blocks.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().flatten().count()
+        self.resident_lines().count()
     }
 
     /// Iterates over all resident blocks and their states.
     pub fn resident(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        self.lines.iter().enumerate().filter_map(move |(i, way)| {
-            way.as_ref()
-                .map(|l| (self.block_from(i / self.ways, l.tag), l.state))
-        })
+        self.resident_lines()
+            .map(move |(i, l)| (self.block_from(i / self.ways, l.tag), l.state))
     }
 
     /// Appends the dynamic state — LRU clock, statistics, and every way
@@ -321,25 +348,24 @@ impl Cache {
         w.u64(self.stats.dirty_evictions);
         w.u64(self.stats.silent_evictions);
         w.usize(self.lines.len());
-        for way in &self.lines {
-            match way {
-                Some(line) => {
-                    w.bool(true);
-                    w.u64(line.tag);
-                    w.u8(match line.state {
-                        LineState::Clean => 0,
-                        LineState::Dirty => 1,
-                        LineState::PersistDirty => 2,
-                    });
-                    w.u64(line.last_use);
-                }
-                None => w.bool(false),
+        for line in &self.lines {
+            if line.cycle == self.cycle {
+                w.bool(true);
+                w.u64(line.tag);
+                w.u8(match line.state {
+                    LineState::Clean => 0,
+                    LineState::Dirty => 1,
+                    LineState::PersistDirty => 2,
+                });
+                w.u64(line.last_use);
+            } else {
+                w.bool(false);
             }
         }
     }
 
     /// Overlays dynamic state captured by [`encode_into`](Self::encode_into)
-    /// onto this cache.
+    /// onto this cache.  Present lines join the current power cycle.
     ///
     /// # Errors
     ///
@@ -368,71 +394,69 @@ impl Cache {
                     _ => return Err(r.malformed("unknown cache line state")),
                 };
                 let last_use = r.u64()?;
-                Some(Line {
+                Line {
                     tag,
                     state,
+                    cycle: self.cycle,
                     last_use,
-                })
+                }
             } else {
-                None
+                Line::EMPTY
             };
         }
         Ok(())
     }
 
     /// Drops every line (used when modelling a power cycle of volatile
-    /// caches).
+    /// caches) by starting a new power cycle.  Only when the counter
+    /// would wrap are the ways themselves wiped, since lines filled under
+    /// the old values would otherwise come back.
     pub fn clear(&mut self) {
-        for way in self.lines.iter_mut() {
-            *way = None;
+        if self.cycle == u32::MAX {
+            self.lines.fill(Line::EMPTY);
+            self.cycle = 1;
+            self.changed.clear();
+        } else {
+            self.cycle += 1;
         }
-        self.changed.clear();
+    }
+
+    /// Sets the power-cycle counter, to reach its wrap in a test.
+    #[cfg(test)]
+    fn set_cycle(&mut self, cycle: u32) {
+        self.cycle = cycle;
     }
 
     /// Makes `twin`, a cache of the same geometry, equal to this one and
-    /// starts a new sync interval.  With `incremental`, only the sets
+    /// starts a new sync interval.  With `incremental`, only the lines
     /// written since the last sync are copied, which requires `twin` to
     /// have matched this cache then and to be unchanged since; otherwise,
-    /// or when this cache was not tracking, the whole way array is copied.
+    /// or when this cache was not tracking, the whole way array is
+    /// copied.  A power cycle in between changes no line, only the
+    /// counter, which is always copied.
     pub fn snapshot_into(&mut self, twin: &mut Cache, incremental: bool) {
-        copy_sets(
-            &mut twin.lines,
-            &self.lines,
-            &self.changed,
-            self.ways,
-            incremental,
-        );
+        copy_lines(&mut twin.lines, &self.lines, &self.changed, incremental);
         twin.use_clock = self.use_clock;
+        twin.cycle = self.cycle;
         twin.stats = self.stats;
         self.start_tracking();
     }
 
     /// Makes this cache equal to `twin` again, under the contract of
     /// [`snapshot_into`](Self::snapshot_into): with `incremental`, only
-    /// the sets this cache wrote since the last sync are copied back.
+    /// the lines this cache wrote since the last sync are copied back.
     pub fn rewind_to(&mut self, twin: &Cache, incremental: bool) {
-        copy_sets(
-            &mut self.lines,
-            &twin.lines,
-            &self.changed,
-            self.ways,
-            incremental,
-        );
+        copy_lines(&mut self.lines, &twin.lines, &self.changed, incremental);
         self.use_clock = twin.use_clock;
+        self.cycle = twin.cycle;
         self.stats = twin.stats;
         self.start_tracking();
     }
 }
 
-/// Copies from `src` to `dst` the way runs of the sets flagged in
-/// `changed`, or every way when not `incremental` or not tracking.
-fn copy_sets(
-    dst: &mut [Option<Line>],
-    src: &[Option<Line>],
-    changed: &[u64],
-    ways: usize,
-    incremental: bool,
-) {
+/// Copies from `src` to `dst` the lines flagged in `changed`, or every
+/// line when not `incremental` or not tracking.
+fn copy_lines(dst: &mut [Line], src: &[Line], changed: &[u64], incremental: bool) {
     if !incremental || changed.is_empty() {
         dst.copy_from_slice(src);
         return;
@@ -440,10 +464,9 @@ fn copy_sets(
     for (word_idx, &word) in changed.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            let set = word_idx * 64 + bits.trailing_zeros() as usize;
+            let line = word_idx * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let ways = set * ways..(set + 1) * ways;
-            dst[ways.clone()].copy_from_slice(&src[ways]);
+            dst[line] = src[line];
         }
     }
 }
@@ -615,43 +638,144 @@ mod tests {
             .is_err());
     }
 
-    #[test]
-    fn incremental_syncs_copy_every_written_set() {
-        let encode = |c: &Cache| {
-            let mut w = WireWriter::new();
-            c.encode_into(&mut w);
-            w.into_bytes()
-        };
-        // 8 sets x 2 ways, every way filled.  Each mutator below writes
-        // sets no other step touches, so one that forgot to flag its set
-        // would leave the rewound cache different.
-        let mut live = Cache::new(CacheConfig::new(1024, 2, 64, 1));
-        for b in 0..16 {
-            live.access(BlockAddr(b), LineState::Dirty);
+    fn encode(c: &Cache) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        c.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// 64 sets x 2 ways with way 1 the LRU way of each set, so that a
+    /// line flagged at the wrong way shows.  Every way is filled but way
+    /// 1 of set 44.  Its 128 lines need two words of change bits.
+    fn filled() -> Cache {
+        let mut c = Cache::new(CacheConfig::new(8192, 2, 64, 1));
+        for b in (0..128).chain(0..64) {
+            c.access(BlockAddr(b), LineState::Dirty);
         }
+        c.invalidate(BlockAddr(108));
+        c
+    }
+
+    /// A mixed sequence of hits, fills and dirty and silent evictions.
+    fn churn(c: &mut Cache) -> Vec<AccessOutcome> {
+        (0..40u64)
+            .map(|i| {
+                let state = [LineState::Clean, LineState::Dirty, LineState::PersistDirty];
+                c.access(BlockAddr(i * 7 % 29), state[(i % 3) as usize])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clear_leaves_a_cache_like_a_never_filled_one() {
+        let mut c = filled();
+        c.clear();
+        assert_eq!(c.occupancy(), 0);
+        assert!((0..32).all(|b| c.probe(BlockAddr(b)).is_none()));
+        assert_eq!(c.resident().count(), 0);
+        let mut fresh = Cache::new(*c.config());
+        fresh.use_clock = c.use_clock;
+        fresh.stats = c.stats;
+        assert_eq!(encode(&c), encode(&fresh));
+    }
+
+    #[test]
+    fn counter_bump_and_full_wipe_behave_alike() {
+        let mut bumped = filled();
+        let mut wiped = bumped.clone();
+        bumped.clear();
+        wiped.lines.fill(Line::EMPTY);
+        assert_eq!(churn(&mut bumped), churn(&mut wiped));
+        assert_eq!(encode(&bumped), encode(&wiped));
+    }
+
+    #[test]
+    fn rewind_across_a_power_cycle_restores_the_snapshot() {
+        let mut live = filled();
         let mut twin = Cache::new(*live.config());
         live.snapshot_into(&mut twin, false);
         let synced = encode(&live);
-        let mutators: [fn(&mut Cache); 4] = [
+        live.clear();
+        churn(&mut live);
+        live.rewind_to(&twin, true);
+        assert_eq!(encode(&live), synced);
+        assert_eq!(live.lines, twin.lines);
+        // And the other way: a snapshot taken after a power cycle.
+        live.clear();
+        churn(&mut live);
+        live.snapshot_into(&mut twin, true);
+        assert_eq!(encode(&twin), encode(&live));
+    }
+
+    #[test]
+    fn cycle_counter_wipes_on_wrap() {
+        let mut c = small();
+        c.access(BlockAddr(0), LineState::Dirty); // set 0, cycle 1
+        c.set_cycle(u32::MAX - 1);
+        assert_eq!(c.occupancy(), 0);
+        c.access(BlockAddr(1), LineState::PersistDirty); // set 1 only
+        c.clear();
+        assert_eq!(c.occupancy(), 0);
+        c.access(BlockAddr(3), LineState::Clean);
+        assert_eq!(c.occupancy(), 1);
+        c.clear(); // wraps: every way is wiped, the counter restarts
+        assert_eq!(c.cycle, 1);
+        assert_eq!(c.occupancy(), 0, "cycle 1's line must not come back");
+        assert!((0..4).all(|b| c.probe(BlockAddr(b)).is_none()));
+        let mut fresh = small();
+        fresh.use_clock = c.use_clock;
+        fresh.stats = c.stats;
+        assert_eq!(encode(&c), encode(&fresh));
+        assert_eq!(churn(&mut c), churn(&mut fresh));
+        assert_eq!(encode(&c), encode(&fresh));
+        // No line of an old cycle comes back as the counter climbs again.
+        c.clear();
+        assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    fn incremental_syncs_copy_every_written_set() {
+        // Each mutator below writes lines no other step touches, in way 1
+        // of sets 43-47 (lines 87-95, in the second word of change bits),
+        // so one that forgot to flag its line, flagged the wrong way or
+        // sized its bits by sets, would leave the rewound cache different
+        // from a full copy.
+        let mut live = filled();
+        let mut twin = Cache::new(*live.config());
+        live.snapshot_into(&mut twin, false);
+        let synced = encode(&live);
+        let mutators: [fn(&mut Cache); 6] = [
             |c| {
-                c.access(BlockAddr(3), LineState::PersistDirty);
+                c.access(BlockAddr(107), LineState::PersistDirty); // hit
             },
             |c| {
-                c.invalidate(BlockAddr(5));
+                c.invalidate(BlockAddr(109));
             },
-            |c| c.set_state(BlockAddr(6), LineState::Clean),
+            |c| c.set_state(BlockAddr(110), LineState::Clean),
+            |c| {
+                c.access(BlockAddr(175), LineState::Clean); // evicts 111
+            },
+            |c| {
+                c.access(BlockAddr(172), LineState::Dirty); // fills way 1
+            },
             Cache::clear,
         ];
         for mutate in mutators {
             mutate(&mut live);
             assert_ne!(encode(&live), synced);
+            let mut full = live.clone();
+            full.rewind_to(&twin, false);
             live.rewind_to(&twin, true);
             assert_eq!(encode(&live), synced);
+            assert_eq!(live.lines, full.lines);
         }
         for mutate in mutators {
             mutate(&mut live);
+            let mut full = twin.clone();
+            live.clone().snapshot_into(&mut full, false);
             live.snapshot_into(&mut twin, true);
             assert_eq!(encode(&twin), encode(&live));
+            assert_eq!(twin.lines, full.lines);
         }
     }
 

@@ -2,6 +2,13 @@
 //! single-core system, and the post-crash recovery sweep shared by all
 //! three fronts.
 //!
+//! A crash costs what changed since the last one, not the size of the
+//! model: the drained entries, the fold of the tree paths they dirtied
+//! (the lazy tree keeps dirty leaves as per-chunk masks, so the fold
+//! sorts one id per touched 64-leaf chunk), and a power cycle that is one
+//! counter bump per cache model.  Its work accounting reads five counters
+//! through their typed handles before and after.
+//!
 //! Recovery rebuilds the integrity tree from the persisted counter
 //! blocks, checks the root register, then decrypts and MAC-verifies every
 //! data block, assigning each a [`BlockVerdict`].  The verdict order is
@@ -36,7 +43,6 @@ use crate::crash::{
 };
 use crate::domain::PersistDomain;
 use crate::facade::PersistSystem;
-use crate::metrics::counters;
 use crate::policy::CounterLayout;
 use crate::system::SecureSystem;
 
@@ -315,7 +321,15 @@ impl SecureSystem {
         max_drain_entries: Option<u64>,
     ) -> Result<CrashReport, RecoveryError> {
         let at = self.finish_time();
-        let before = self.stats.clone();
+        let h = self.h;
+        let tracked = [
+            h.counter_misses,
+            h.late_bmt_node_hashes,
+            h.otps,
+            h.macs,
+            h.ciphertexts,
+        ];
+        let before = tracked.map(|id| self.stats.value(id));
 
         let mut blocks: Vec<BlockAddr> = match (kind, policy) {
             (CrashKind::ApplicationCrash(asid), DrainPolicy::DrainProcess) => {
@@ -359,8 +373,8 @@ impl SecureSystem {
             self.store_buffer.clear();
         }
 
-        let after = &self.stats;
-        let delta = |name: &str| after.get(name).saturating_sub(before.get(name));
+        let [counter_fetches, bmt_node_hashes, otps, macs, ciphertexts] =
+            std::array::from_fn(|i| self.stats.value(tracked[i]).saturating_sub(before[i]));
         let work = DrainWork {
             entries,
             // Bytes of entry state per drain: only the fields the scheme
@@ -370,12 +384,12 @@ impl SecureSystem {
             // so the PM delivery of the entry's own tuple is already
             // covered by `bytes_pb_to_mc`; nothing extra accrues here.
             bytes_mc_to_pm: 0,
-            counter_fetches: delta(counters::COUNTER_MISSES),
-            bmt_node_hashes: delta(counters::LATE_BMT_NODE_HASHES),
-            bmt_node_fetches: delta(counters::LATE_BMT_NODE_HASHES),
-            otps: delta(counters::OTPS),
-            macs: delta(counters::MACS),
-            ciphertexts: delta(counters::CIPHERTEXTS),
+            counter_fetches,
+            bmt_node_hashes,
+            bmt_node_fetches: bmt_node_hashes,
+            otps,
+            macs,
+            ciphertexts,
         };
 
         Ok(CrashReport {

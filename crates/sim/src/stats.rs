@@ -83,7 +83,7 @@ impl HistId {
 /// assert_eq!(h.total(), 3);
 /// assert_eq!(Log2Histogram::bucket_range(3), (4, 7));
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Log2Histogram {
     /// Per-bucket counts, truncated after the last non-empty bucket.
     counts: Vec<u64>,
@@ -91,6 +91,24 @@ pub struct Log2Histogram {
     sum: u128,
     min: u64,
     max: u64,
+}
+
+impl Clone for Log2Histogram {
+    fn clone(&self) -> Self {
+        Log2Histogram {
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this histogram's bucket allocation.
+    fn clone_from(&mut self, src: &Self) {
+        self.counts.clone_from(&src.counts);
+        self.total = src.total;
+        self.sum = src.sum;
+        self.min = src.min;
+        self.max = src.max;
+    }
 }
 
 impl Log2Histogram {
@@ -366,6 +384,20 @@ impl Clone for Stats {
             hists: self.hists.clone(),
             sink: None,
         }
+    }
+
+    /// Equals `*self = src.clone()`, sink dropped included, but when both
+    /// registries hold the same names under the same ids — a rewind
+    /// point and its system — only values and histograms are copied,
+    /// into this registry's allocations.
+    fn clone_from(&mut self, src: &Self) {
+        if self.counter_ids != src.counter_ids || self.hist_ids != src.hist_ids {
+            *self = src.clone();
+            return;
+        }
+        self.values.clone_from(&src.values);
+        self.hists.clone_from(&src.hists);
+        self.sink = None;
     }
 }
 
@@ -910,6 +942,45 @@ mod tests {
         assert!(reader.pop().is_none(), "merge must not emit");
         // Clones are snapshots: they drop the sink.
         assert!(with_sink.clone().sink().is_none());
+    }
+
+    #[test]
+    fn clone_from_equals_clone_and_reuses_a_matching_registry() {
+        use crate::telemetry::channel;
+        let registry = |n: u64| {
+            let mut s = Stats::new();
+            let (c, h) = (s.counter("c"), s.histogram_id("h"));
+            s.add(c, n);
+            for v in 0..n {
+                s.record(h, v << 20);
+            }
+            s.counter("zero");
+            s
+        };
+        let src = registry(2);
+        let mut dst = registry(9);
+        dst.set_sink(Some(channel(4).0));
+        let (values, buckets) = (dst.values.as_ptr(), dst.hists[0].counts.as_ptr());
+        dst.clone_from(&src);
+        assert_eq!(dst, src.clone());
+        assert!(dst.sink().is_none(), "a clone drops the sink");
+        assert_eq!(dst.values.as_ptr(), values, "values copied in place");
+        assert_eq!(
+            dst.hists[0].counts.as_ptr(),
+            buckets,
+            "buckets copied in place"
+        );
+        // A registry with other names falls back to a whole clone.
+        let mut other = Stats::new();
+        other.bump("other");
+        other.counter("zero2");
+        other.histogram_id("h2");
+        other.clone_from(&src);
+        assert_eq!(other, src.clone());
+        let mut fewer = Stats::new();
+        fewer.bump("c");
+        fewer.clone_from(&src);
+        assert_eq!(fewer, src.clone());
     }
 
     #[test]
