@@ -30,32 +30,20 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> hw-crypto lane: build + tests with the hardware kernels compiled in"
-# The hw backends detect AES-NI/AVX2/AVX-512F at runtime and fall back
-# to the portable engines when the ISA is absent, so this lane is safe on
-# any host: with the extensions it exercises the AES-NI kernel and the
-# 8-lane (AVX-512F) and 4-lane (AVX2) SHA-512 kernels, without them it
-# validates the fallback path (graceful skip happens inside the
-# backends, not here).  The release binaries the
-# gates below run are rebuilt by this lane, so the artifact pins and
-# the storm smokes exercise the hardware-class hot path.  The
-# feature must be enabled per package (--workspace), not just on the
-# root facade crate — a bare `--features hw-crypto` from the root only
-# rebuilds the facade and leaves the gate binaries on scalar kernels.
-cargo build --release --workspace --features hw-crypto
-cargo test -q --workspace --features hw-crypto
-
-echo "==> backend-equivalence smoke (scalar == multiblock == hw on fuzzed traces)"
-# The suite sweeps every backend against the scalar reference: digests,
-# grid JSON, crash/recovery verdicts, telemetry-on/off parity, plus the
-# arena stress test.  Run against the hw-crypto build so a detected
-# AES-NI/AVX2/AVX-512F host pins the real hardware kernels to the
-# reference.
-cargo test -q --features hw-crypto --test backend_equivalence
+echo "==> member crates: release binaries and their tests"
+# The tier-1 steps above build and test the root package only.  This
+# builds the member crates' binaries (crypto_micro and debug_one, which
+# the gates below run) and runs the member crates' own tests.  The crypto
+# kernels are compiled into every x86-64 build and picked at run time, so
+# there is one build configuration: tier-1's backend_equivalence run
+# already pins the AES-NI, AVX2 and AVX-512F kernels this host has to the
+# scalar reference.
+cargo build --release --workspace
+cargo test -q --workspace --exclude secpb
 
 echo "==> crypto_micro regression guard (batched fold >= 2x scalar, 8-lane <= 0.75x 4-lane, 3-lane call <= 1.5x 8-lane, batched pad <= 0.6x single)"
-# Fails if the multi-block batched HMAC fold is not at least 2x faster
-# than the scalar backend; where AVX-512F is detected, if an 8-lane
+# Fails if the batched HMAC fold is not at least 2x faster than the
+# scalar backend; where AVX-512F is detected, if an 8-lane
 # compress_batch costs more than 0.75x the 4-lane kernel per block, or a
 # 3-lane compress_batch call (lanes filled into one 8-lane call) more
 # than 1.5x an 8-lane one; or, where AES-NI is detected, if a pad

@@ -4,9 +4,9 @@
 //! Usage: `cargo run --release -p secpb-bench --bin crypto_micro [--check]`
 //!
 //! `--check` is the CI regression guard: it exits non-zero unless the
-//! multi-block batched HMAC fold is at least 2x faster than the scalar
-//! backend on the BMT sibling-group shape (the speedup the batched fold
-//! rewrite exists to deliver); where AVX-512F is detected, unless an
+//! batched HMAC fold is at least 2x faster than the scalar backend on
+//! the BMT sibling-group shape (the speedup the batched fold rewrite
+//! exists to deliver); where AVX-512F is detected, unless an
 //! eight-lane `compress_batch` costs at most 0.75x the four-lane kernel
 //! per block (the eight-lane kernel's reason to exist) and a three-lane
 //! `compress_batch` call at most 1.5x an eight-lane one (the lane fill's
@@ -46,7 +46,6 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
 
     println!("crypto_micro: primitive and batched-dispatch timings");
-    println!("hw-crypto compiled: {}", cfg!(feature = "hw-crypto"));
     println!(
         "hw backend available: {} (auto resolves to {})",
         CryptoBackend::hw_available(),
@@ -91,7 +90,7 @@ fn main() {
     let mut call_ns = std::collections::BTreeMap::new();
     for lanes in [2usize, 3, 4, 7, 8] {
         let ns = bench(20_000, |_| {
-            CryptoBackend::MultiBlock.compress_batch(&mut states[..lanes], &refs[..lanes]);
+            CryptoBackend::HwCrypto.compress_batch(&mut states[..lanes], &refs[..lanes]);
             std::hint::black_box(&states);
         });
         row(&format!("compress_batch_{lanes}lanes"), ns, "call");
@@ -130,22 +129,27 @@ fn main() {
         fold_ns.insert(backend.name(), ns);
     }
 
-    // ---- whole-tree fold: dirty-path batching end to end ----
+    // ---- whole-tree fold: dirty-path batching end to end, against the
+    // same 64 updates each walked to the root as it lands ----
     for backend in CryptoBackend::ALL {
-        let ns = bench(200, |i| {
-            let mut t = BonsaiMerkleTree::new(b"k", 8, 4);
-            t.set_backend(backend);
-            t.set_lazy(true);
-            for leaf in 0..64u64 {
-                t.update_leaf(leaf * 61 % 4096, Sha512::digest(&[leaf as u8, i as u8]));
-            }
-            std::hint::black_box(t.fold());
-        });
-        row(
-            &format!("bmt_fold_64leaves[{}]", backend.name()),
-            ns,
-            "fold",
-        );
+        for lazy in [true, false] {
+            let ns = bench(200, |i| {
+                let mut t = BonsaiMerkleTree::new(b"k", 8, 4);
+                t.set_backend(backend);
+                t.set_lazy(lazy);
+                for leaf in 0..64u64 {
+                    t.update_leaf(leaf * 61 % 4096, Sha512::digest(&[leaf as u8, i as u8]));
+                }
+                t.fold();
+                std::hint::black_box(t.root());
+            });
+            let kind = if lazy { "fold" } else { "eager" };
+            row(
+                &format!("bmt_{kind}_64leaves[{}]", backend.name()),
+                ns,
+                "fold",
+            );
+        }
     }
 
     // ---- cipher primitives ----
@@ -228,7 +232,7 @@ fn main() {
 
     // ---- regression guards ----
     let scalar = fold_ns["scalar"];
-    let batched = fold_ns[CryptoBackend::auto().name()].min(fold_ns["multiblock"]);
+    let batched = fold_ns["hw"];
     let speedup = scalar / batched;
     let lane_ratio = (call_ns[&8] / 8.0) / (four_lane_kernel_ns / 4.0);
     let fill_ratio = call_ns[&3] / call_ns[&8];
@@ -240,14 +244,11 @@ fn main() {
     println!("batched vs single hw pad cost: {pad_ratio:.2}x");
     if check {
         let mut failed = false;
-        // Without the vectorized kernel (feature off, or no AVX2 on this
-        // host) batching is an equivalence feature, not a speedup — there
-        // is nothing to guard, so skip rather than fail.
+        // Without the vectorized kernel (no AVX2 on this host) batching
+        // is an equivalence feature, not a speedup — there is nothing to
+        // guard, so skip rather than fail.
         if !CryptoBackend::simd_hash_available() {
-            println!(
-                "check skipped: vectorized hash kernel unavailable \
-                 (build with --features hw-crypto on an AVX2 host)"
-            );
+            println!("check skipped: vectorized hash kernel unavailable (no AVX2 on this host)");
         } else if speedup < 2.0 {
             eprintln!("FAIL: batched fold must be >= 2x faster than scalar (got {speedup:.2}x)");
             failed = true;
@@ -259,8 +260,7 @@ fn main() {
         // ~1, and a three-lane call fills a four-lane one.
         if CryptoBackend::simd_hash_lanes() < 8 {
             println!(
-                "lane checks skipped: eight-lane kernel unavailable \
-                 (build with --features hw-crypto on an AVX-512F host)"
+                "lane checks skipped: eight-lane kernel unavailable (no AVX-512F on this host)"
             );
         } else {
             if lane_ratio > 0.75 {
@@ -285,10 +285,7 @@ fn main() {
         // Without AES-NI the hw backend runs the scalar cipher, where a
         // batch is a loop of single pads and the ratio is ~1.
         if !CryptoBackend::hw_available() {
-            println!(
-                "pad check skipped: AES-NI unavailable \
-                 (build with --features hw-crypto on an AES-NI host)"
-            );
+            println!("pad check skipped: AES-NI unavailable on this host");
         } else if pad_ratio > 0.6 {
             eprintln!(
                 "FAIL: a batched hw pad must cost <= 0.6x a single one (got {pad_ratio:.2}x)"

@@ -174,7 +174,7 @@ impl Aes {
     /// The expanded round keys (`rounds + 1` of them) — consumed by the
     /// hardware cipher backend, which replays the same schedule through
     /// AES-NI.
-    #[cfg_attr(not(feature = "hw-crypto"), allow(dead_code))]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
         &self.round_keys
     }

@@ -1,6 +1,5 @@
-//! Pluggable crypto backends: scalar, software-pipelined multi-block, and
-//! feature-gated hardware (AES-NI) implementations of the hash and cipher
-//! hot paths.
+//! The crypto backends: a scalar reference and one batched path over
+//! the hash and cipher hot paths.
 //!
 //! Every fold of an integrity tree, every recovery-sweep MAC check, every
 //! drain burst's MACs and counter digests, and every OTP pad is built from
@@ -11,29 +10,25 @@
 //! dispatch whole batches through the [`HashBackend`] / [`CipherBackend`]
 //! traits and let the backend decide how to schedule them:
 //!
-//! * [`Scalar`] — one block at a time, the reference implementation.
-//! * [`MultiBlock`] — interleaved SHA-512 lanes per dispatch.  With the
-//!   `hw-crypto` feature a batch runs through the widest vector kernel
-//!   detected at runtime: eight-lane groups through the 512-bit
-//!   `sha512x8` kernel on AVX-512F, else four-lane groups through the
-//!   256-bit `sha512x4` kernel on AVX2 (one vector register per round
-//!   variable, all lanes at once).  A trailing group of two or more lanes
-//!   fills one more padded call, a lone lane runs scalar.  Without the
-//!   feature or the ISA, four-lane groups run [`sha512`]'s portable
-//!   structure-of-arrays compression (four independent dependency chains
-//!   the out-of-order core can pipeline), then a scalar remainder.
-//! * [`HwCrypto`] — `std::arch` AES-NI for the cipher side (compiled in
-//!   only with the `hw-crypto` feature and used only when
-//!   `is_x86_feature_detected!` confirms the ISA at runtime, falling back
-//!   to scalar otherwise).  x86 offers no SHA-512 instruction (SHA-NI
-//!   covers SHA-1/SHA-256 only), so the hash side uses the multi-block
-//!   schedule, which under the same feature gate runs the vector kernels.
+//! * [`CryptoBackend::Scalar`] — one block at a time, the reference
+//!   implementation.
+//! * [`CryptoBackend::HwCrypto`] — the batched path, using the widest
+//!   kernel the CPU offers, detected at run time.  Hashing runs eight-lane
+//!   groups through the 512-bit `sha512x8` kernel on AVX-512F, else
+//!   four-lane groups through the 256-bit `sha512x4` kernel on AVX2 (one
+//!   vector register per round variable, all lanes at once); a trailing
+//!   group of two or more lanes fills one more padded call, a lone lane
+//!   runs scalar.  Without either ISA, four-lane groups run [`sha512`]'s
+//!   portable structure-of-arrays compression (four independent dependency
+//!   chains the out-of-order core can pipeline), then a scalar remainder.
+//!   The cipher runs the `std::arch` AES-NI kernel where the CPU has it
+//!   and the scalar cipher otherwise.  x86 offers no SHA-512 instruction
+//!   (SHA-NI covers SHA-1/SHA-256 only), so the vector schedule *is* the
+//!   hardware-class hash path.
 //!
-//! All three backends are bit-identical by construction; the
+//! The two backends are bit-identical by construction; the
 //! backend-equivalence suite proves it over fuzzed traces, digests, and
 //! whole benchmark grids.
-
-use std::str::FromStr;
 
 use crate::aes::Aes;
 use crate::sha512::{self, LANES};
@@ -67,86 +62,180 @@ pub trait CipherBackend {
     fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]);
 }
 
-/// The reference backend: one scalar compression / AES block at a time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Scalar;
+/// The backend the crypto engines hold and dispatch through — a `Copy`
+/// enum implementing both traits, so engines stay cheap to clone and need
+/// no trait objects on the hot path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum CryptoBackend {
+    /// One block at a time (the reference engine).
+    Scalar,
+    /// The batched path: the widest SHA-512 kernel and the AES-NI cipher
+    /// where the CPU has them, the portable schedule and the scalar
+    /// cipher where it does not.
+    #[default]
+    HwCrypto,
+}
 
-impl HashBackend for Scalar {
+impl CryptoBackend {
+    /// The backend the simulator runs by default: always the batched
+    /// path, which picks its kernels at run time.
+    pub fn auto() -> Self {
+        CryptoBackend::HwCrypto
+    }
+
+    /// Whether the AES-NI cipher kernel is usable here (the ISA detected
+    /// at run time).
+    pub fn hw_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            aesni::available()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// Whether a vectorized multi-block hash kernel is actually usable
+    /// here (AVX2 or AVX-512F detected at run time;
+    /// [`simd_hash_lanes`](Self::simd_hash_lanes) says which).  When
+    /// `false`, batched dispatches still work but run the portable
+    /// schedule, so batching is a correctness/equivalence feature rather
+    /// than a speedup — benchmark regression guards key off this.
+    pub fn simd_hash_available() -> bool {
+        Self::simd_hash_lanes() > 0
+    }
+
+    /// Lanes of the widest vectorized hash kernel usable here: 8 on an
+    /// AVX-512F CPU, 4 on an AVX2 one, 0 when batched dispatches run the
+    /// portable schedule.
+    pub fn simd_hash_lanes() -> usize {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if sha512x8::available() {
+                sha512x8::LANES
+            } else if sha512x4::available() {
+                LANES
+            } else {
+                0
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            0
+        }
+    }
+
+    /// Compresses exactly four lanes through the four-lane kernel: AVX2
+    /// where detected, the portable schedule otherwise.  The batched path
+    /// never calls it on an AVX-512F host, where four lanes fill an
+    /// eight-lane call, so benchmarks that compare the two kernel widths
+    /// time it here.
+    pub fn compress4(states: &mut [[u64; 8]; 4], blocks: [&[u8; 128]; 4]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(compress4) = sha512x4::kernel() {
+            return compress4(states, blocks);
+        }
+        sha512::compress4(states, blocks);
+    }
+
+    /// Stable lowercase name (JSON reports, hostbench's provenance line).
+    pub fn name(self) -> &'static str {
+        match self {
+            CryptoBackend::Scalar => "scalar",
+            CryptoBackend::HwCrypto => "hw",
+        }
+    }
+
+    /// Both backends, for equivalence sweeps.
+    pub const ALL: [CryptoBackend; 2] = [CryptoBackend::Scalar, CryptoBackend::HwCrypto];
+}
+
+impl HashBackend for CryptoBackend {
     fn name(&self) -> &'static str {
-        "scalar"
+        (*self).name()
     }
 
     fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
         assert_eq!(states.len(), blocks.len(), "lane count mismatch");
-        for (state, block) in states.iter_mut().zip(blocks) {
-            sha512::compress_block(state, block);
+        match self {
+            CryptoBackend::Scalar => {
+                for (state, block) in states.iter_mut().zip(blocks) {
+                    sha512::compress_block(state, block);
+                }
+            }
+            CryptoBackend::HwCrypto => {
+                // The widest vector kernel takes every group, a trailing
+                // group of two or more lanes included: one padded call
+                // costs less than narrower calls or scalar compressions.
+                #[cfg(target_arch = "x86_64")]
+                if let Some(compress8) = sha512x8::kernel() {
+                    return lane_filled(states, blocks, compress8);
+                } else if let Some(compress4) = sha512x4::kernel() {
+                    return lane_filled(states, blocks, compress4);
+                }
+                compress_portable(states, blocks);
+            }
         }
     }
 }
 
-impl CipherBackend for Scalar {
+impl CipherBackend for CryptoBackend {
     fn name(&self) -> &'static str {
-        "scalar"
+        (*self).name()
     }
 
     fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if *self == CryptoBackend::HwCrypto && aesni::try_encrypt_batch(aes, blocks) {
+            return;
+        }
         for block in blocks {
             *block = aes.encrypt_block(block);
         }
     }
 
     fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if *self == CryptoBackend::HwCrypto && aesni::try_decrypt_batch(aes, blocks) {
+            return;
+        }
         for block in blocks {
             *block = aes.decrypt_block(block);
         }
     }
 }
 
-/// The software-pipelined backend: interleaved SHA-512 lanes per dispatch
-/// (eight or four per group on vector hardware, four structure-of-arrays
-/// lanes otherwise), scalar AES.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MultiBlock;
-
-impl HashBackend for MultiBlock {
-    fn name(&self) -> &'static str {
-        "multiblock"
+impl std::fmt::Display for CryptoBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str((*self).name())
     }
+}
 
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        assert_eq!(states.len(), blocks.len(), "lane count mismatch");
-        // The widest vector kernel takes every group, a trailing group of
-        // two or more lanes included: one padded call costs less than
-        // narrower calls or scalar compressions.
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if let Some(compress8) = sha512x8::kernel() {
-            return lane_filled(states, blocks, compress8);
-        } else if let Some(compress4) = sha512x4::kernel() {
-            return lane_filled(states, blocks, compress4);
-        }
-        // The portable structure-of-arrays schedule: four-lane groups,
-        // then the scalar remainder.
-        let (groups, rest) = states.as_chunks_mut::<LANES>();
-        for (lane_states, lane_blocks) in groups.iter_mut().zip(blocks.chunks_exact(LANES)) {
-            let lane_blocks = lane_blocks.try_into().expect("4 lanes");
-            sha512::compress4(lane_states, lane_blocks);
-        }
-        let done = groups.len() * LANES;
-        for (state, block) in rest.iter_mut().zip(&blocks[done..]) {
-            sha512::compress_block(state, block);
-        }
+/// The portable structure-of-arrays schedule the batched path falls back
+/// to without a vector kernel: four-lane groups, then the scalar
+/// remainder.
+fn compress_portable(states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
+    let (groups, rest) = states.as_chunks_mut::<LANES>();
+    for (lane_states, lane_blocks) in groups.iter_mut().zip(blocks.chunks_exact(LANES)) {
+        let lane_blocks = lane_blocks.try_into().expect("4 lanes");
+        sha512::compress4(lane_states, lane_blocks);
+    }
+    let done = groups.len() * LANES;
+    for (state, block) in rest.iter_mut().zip(&blocks[done..]) {
+        sha512::compress_block(state, block);
     }
 }
 
 /// A vector kernel's `N`-lane compression.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 type Kernel<const N: usize> = fn(&mut [[u64; 8]; N], [&[u8; 128]; N]);
 
 /// Runs `kernel` over every whole group of `N` lanes, and once more over
 /// a trailing group of two or more lanes with the rest of its lanes idle
 /// (they compress a copy of the group's first block and are dropped).  A
 /// lone trailing lane compresses scalar, which costs less than a call.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn lane_filled<const N: usize>(states: &mut [[u64; 8]], blocks: &[&[u8; 128]], kernel: Kernel<N>) {
     let (groups, rest) = states.as_chunks_mut::<N>();
     for (lane_states, lane_blocks) in groups.iter_mut().zip(blocks.chunks_exact(N)) {
@@ -167,220 +256,8 @@ fn lane_filled<const N: usize>(states: &mut [[u64; 8]], blocks: &[&[u8; 128]], k
     }
 }
 
-impl CipherBackend for MultiBlock {
-    fn name(&self) -> &'static str {
-        "multiblock"
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        Scalar.encrypt_batch(aes, blocks);
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        Scalar.decrypt_batch(aes, blocks);
-    }
-}
-
-/// The hardware backend: AES-NI cipher when compiled with `hw-crypto` and
-/// detected at runtime (scalar fallback otherwise), multi-block hashing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HwCrypto;
-
-impl HashBackend for HwCrypto {
-    fn name(&self) -> &'static str {
-        "hw"
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        // No SHA-512 ISA extension exists on x86; the pipelined software
-        // schedule *is* the hardware-class hash path.
-        MultiBlock.compress_batch(states, blocks);
-    }
-}
-
-impl CipherBackend for HwCrypto {
-    fn name(&self) -> &'static str {
-        "hw"
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if aesni::try_encrypt_batch(aes, blocks) {
-            return;
-        }
-        Scalar.encrypt_batch(aes, blocks);
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if aesni::try_decrypt_batch(aes, blocks) {
-            return;
-        }
-        Scalar.decrypt_batch(aes, blocks);
-    }
-}
-
-/// A copyable backend selector the crypto engines hold and dispatch
-/// through — the enum form of the two traits, so engines stay `Copy`-cheap
-/// to clone and need no trait objects on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CryptoBackend {
-    /// One block at a time (the reference engine).
-    Scalar,
-    /// Interleaved SHA-512 lanes per dispatch (eight- and four-lane
-    /// vector kernels where available), scalar AES.
-    #[default]
-    MultiBlock,
-    /// AES-NI cipher (with runtime detection and scalar fallback),
-    /// multi-block hashing.
-    HwCrypto,
-}
-
-impl CryptoBackend {
-    /// The best backend available on this host: [`CryptoBackend::HwCrypto`]
-    /// when the crate was built with `hw-crypto` *and* the CPU advertises
-    /// AES-NI, [`CryptoBackend::MultiBlock`] otherwise.
-    pub fn auto() -> Self {
-        if Self::hw_available() {
-            CryptoBackend::HwCrypto
-        } else {
-            CryptoBackend::MultiBlock
-        }
-    }
-
-    /// Whether the hardware cipher path is actually usable here (feature
-    /// compiled in and ISA detected at runtime).
-    pub fn hw_available() -> bool {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        {
-            aesni::available()
-        }
-        #[cfg(not(all(feature = "hw-crypto", target_arch = "x86_64")))]
-        {
-            false
-        }
-    }
-
-    /// Whether a vectorized multi-block hash kernel is actually usable
-    /// here (`hw-crypto` compiled in and AVX2 or AVX-512F detected at
-    /// runtime; [`simd_hash_lanes`](Self::simd_hash_lanes) says which).
-    /// When `false`, batched dispatches still work but run the portable
-    /// schedule, so batching is a correctness/equivalence feature rather
-    /// than a speedup — benchmark regression guards key off this.
-    pub fn simd_hash_available() -> bool {
-        Self::simd_hash_lanes() > 0
-    }
-
-    /// Lanes of the widest vectorized hash kernel usable here: 8 with
-    /// `hw-crypto` on an AVX-512F CPU, 4 on an AVX2 one, 0 when batched
-    /// dispatches run the portable schedule.
-    pub fn simd_hash_lanes() -> usize {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        {
-            if sha512x8::available() {
-                sha512x8::LANES
-            } else if sha512x4::available() {
-                LANES
-            } else {
-                0
-            }
-        }
-        #[cfg(not(all(feature = "hw-crypto", target_arch = "x86_64")))]
-        {
-            0
-        }
-    }
-
-    /// Compresses exactly four lanes through the four-lane kernel: AVX2
-    /// where compiled in and detected, the portable schedule otherwise.
-    /// [`MultiBlock`] never calls it on an AVX-512F host, where four
-    /// lanes fill an eight-lane call, so benchmarks that compare the two
-    /// kernel widths time it here.
-    pub fn compress4(states: &mut [[u64; 8]; 4], blocks: [&[u8; 128]; 4]) {
-        #[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
-        if let Some(compress4) = sha512x4::kernel() {
-            return compress4(states, blocks);
-        }
-        sha512::compress4(states, blocks);
-    }
-
-    /// Stable lowercase name (CLI flags, JSON reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CryptoBackend::Scalar => HashBackend::name(&Scalar),
-            CryptoBackend::MultiBlock => HashBackend::name(&MultiBlock),
-            CryptoBackend::HwCrypto => HashBackend::name(&HwCrypto),
-        }
-    }
-
-    /// Every backend variant, for equivalence sweeps.
-    pub const ALL: [CryptoBackend; 3] = [
-        CryptoBackend::Scalar,
-        CryptoBackend::MultiBlock,
-        CryptoBackend::HwCrypto,
-    ];
-}
-
-impl HashBackend for CryptoBackend {
-    fn name(&self) -> &'static str {
-        (*self).name()
-    }
-
-    fn compress_batch(&self, states: &mut [[u64; 8]], blocks: &[&[u8; 128]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.compress_batch(states, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.compress_batch(states, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.compress_batch(states, blocks),
-        }
-    }
-}
-
-impl CipherBackend for CryptoBackend {
-    fn name(&self) -> &'static str {
-        (*self).name()
-    }
-
-    fn encrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.encrypt_batch(aes, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.encrypt_batch(aes, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.encrypt_batch(aes, blocks),
-        }
-    }
-
-    fn decrypt_batch(&self, aes: &Aes, blocks: &mut [[u8; 16]]) {
-        match self {
-            CryptoBackend::Scalar => Scalar.decrypt_batch(aes, blocks),
-            CryptoBackend::MultiBlock => MultiBlock.decrypt_batch(aes, blocks),
-            CryptoBackend::HwCrypto => HwCrypto.decrypt_batch(aes, blocks),
-        }
-    }
-}
-
-impl std::fmt::Display for CryptoBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str((*self).name())
-    }
-}
-
-impl FromStr for CryptoBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(CryptoBackend::Scalar),
-            "multiblock" => Ok(CryptoBackend::MultiBlock),
-            "hw" => Ok(CryptoBackend::HwCrypto),
-            "auto" => Ok(CryptoBackend::auto()),
-            other => Err(format!(
-                "unknown crypto backend '{other}' (scalar|multiblock|hw|auto)"
-            )),
-        }
-    }
-}
-
-/// The `std::arch` AES-NI kernels — the only unsafe code in the crate,
-/// compiled in exclusively under the `hw-crypto` feature and entered only
+/// The `std::arch` AES-NI kernels — with the two SHA-512 kernels below,
+/// the only unsafe code in the crate, compiled on x86-64 and entered only
 /// behind a runtime `is_x86_feature_detected!("aes")` check.
 ///
 /// An `aesenc` has a latency of several cycles but a throughput of one or
@@ -391,7 +268,7 @@ impl FromStr for CryptoBackend {
 /// which keeps as many rounds in flight as the unit can issue.  Batches
 /// of one or two pads (4 or 8 blocks) and a recovery chunk's 1,024 blocks
 /// all take the wide path.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod aesni {
     use std::arch::x86_64::{
@@ -519,13 +396,12 @@ mod aesni {
 }
 
 /// The `std::arch` AVX2 four-lane SHA-512 compression kernel — like
-/// [`aesni`], unsafe code compiled in only under the `hw-crypto` feature
-/// and entered only behind a runtime `is_x86_feature_detected!("avx2")`
-/// check.  x86 has no SHA-512 instruction, but one ymm register holds a
+/// [`aesni`], unsafe code compiled on x86-64 and entered only behind a
+/// runtime `is_x86_feature_detected!("avx2")` check.  x86 has no SHA-512 instruction, but one ymm register holds a
 /// 64-bit round variable for all four lanes at once, so every round
 /// operation of four independent compressions becomes a single vector
 /// instruction instead of four spill-prone scalar ones.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sha512x4 {
     use std::arch::x86_64::{
@@ -645,13 +521,13 @@ mod sha512x4 {
 }
 
 /// The `std::arch` AVX-512 eight-lane SHA-512 compression kernel — the
-/// [`sha512x4`] schedule on 512-bit registers, likewise compiled in only
-/// under the `hw-crypto` feature and entered only behind a runtime
+/// [`sha512x4`] schedule on 512-bit registers, likewise compiled on
+/// x86-64 and entered only behind a runtime
 /// `is_x86_feature_detected!("avx512f")` check.  One zmm register holds a
 /// round variable for eight lanes; AVX-512F's native 64-bit rotate
 /// (`vprorq`) replaces AVX2's shift-shift-or, and the three-input
 /// `vpternlogq` computes each Σ/σ XOR, `Ch` and `Maj` in one instruction.
-#[cfg(all(feature = "hw-crypto", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sha512x8 {
     use std::arch::x86_64::{
@@ -808,7 +684,9 @@ mod tests {
     fn every_lane_count_compresses_like_scalar_on_every_backend() {
         // On an AVX-512F host 2..=7 lanes fill one eight-lane call, 9 adds
         // a scalar lane to one, and 10..=15 add a second, padded call; on
-        // an AVX2 one 2 and 3 lanes fill one four-lane call.
+        // an AVX2 one 2 and 3 lanes fill one four-lane call.  A vector
+        // host never reaches the portable schedule through
+        // `compress_batch`, so it is driven directly too.
         for n in 0..=17 {
             let (base_states, blocks) = states_and_blocks(n);
             let refs: Vec<&[u8; 128]> = blocks.iter().collect();
@@ -821,6 +699,9 @@ mod tests {
                 backend.compress_batch(&mut states, &refs);
                 assert_eq!(states, expect, "{backend}, {n} lanes");
             }
+            let mut states = base_states.clone();
+            compress_portable(&mut states, &refs);
+            assert_eq!(states, expect, "portable schedule, {n} lanes");
         }
     }
 
@@ -843,13 +724,15 @@ mod tests {
         let msg = [0xC3u8; 64];
         let mut tail = [0u8; 128];
         crate::sha512::write_padded_tail(&msg, 0, &mut tail);
-        let mut states = vec![crate::sha512::initial_state()];
-        CryptoBackend::MultiBlock.compress_batch(&mut states, &[&tail]);
-        let mut out = [0u8; 64];
-        for (i, word) in states[0].iter().enumerate() {
-            out[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
+        for backend in CryptoBackend::ALL {
+            let mut states = vec![crate::sha512::initial_state()];
+            backend.compress_batch(&mut states, &[&tail]);
+            let mut out = [0u8; 64];
+            for (i, word) in states[0].iter().enumerate() {
+                out[8 * i..8 * i + 8].copy_from_slice(&word.to_be_bytes());
+            }
+            assert_eq!(Digest(out), Sha512::digest(&msg), "{backend}");
         }
-        assert_eq!(Digest(out), Sha512::digest(&msg));
     }
 
     #[test]
@@ -870,34 +753,26 @@ mod tests {
             backend.encrypt_batch(&aes, &mut blocks);
             results.push(blocks.clone());
             backend.decrypt_batch(&aes, &mut blocks);
-            assert_eq!(blocks, base, "{} round trip", CipherBackend::name(&backend));
+            assert_eq!(blocks, base, "{backend} round trip");
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
         // And the batch path agrees with the scalar single-block API.
         assert_eq!(results[0][0], aes.encrypt_block(&base[0]));
     }
 
     #[test]
-    fn auto_never_picks_scalar() {
-        assert_ne!(CryptoBackend::auto(), CryptoBackend::Scalar);
-        if !CryptoBackend::hw_available() {
-            assert_eq!(CryptoBackend::auto(), CryptoBackend::MultiBlock);
-        }
+    fn auto_is_the_batched_default() {
+        assert_eq!(CryptoBackend::auto(), CryptoBackend::HwCrypto);
+        assert_eq!(CryptoBackend::default(), CryptoBackend::HwCrypto);
     }
 
     #[test]
-    fn names_and_parsing() {
+    fn names() {
         assert_eq!(CryptoBackend::Scalar.name(), "scalar");
-        assert_eq!(CryptoBackend::MultiBlock.name(), "multiblock");
         assert_eq!(CryptoBackend::HwCrypto.name(), "hw");
-        assert_eq!(CryptoBackend::default(), CryptoBackend::MultiBlock);
         for backend in CryptoBackend::ALL {
-            assert_eq!(backend.name().parse::<CryptoBackend>(), Ok(backend));
             assert_eq!(backend.to_string(), backend.name());
         }
-        assert_eq!("auto".parse::<CryptoBackend>(), Ok(CryptoBackend::auto()));
-        assert!("sse9".parse::<CryptoBackend>().is_err());
     }
 
     #[test]

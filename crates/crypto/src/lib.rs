@@ -40,10 +40,8 @@
 //! ```
 
 // The only unsafe code in the crate is the `std::arch` kernels (AES-NI,
-// AVX2 and AVX-512 SHA-512) behind the `hw-crypto` feature; default
-// builds stay forbid-clean.
-#![cfg_attr(not(feature = "hw-crypto"), forbid(unsafe_code))]
-#![cfg_attr(feature = "hw-crypto", deny(unsafe_code))]
+// AVX2 and AVX-512 SHA-512) in `backend`, each module opted in by name.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

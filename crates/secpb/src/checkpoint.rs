@@ -12,8 +12,8 @@
 //! ## Wire format
 //!
 //! ```text
-//! magic "SPBC" | version u32 | config fingerprint u64 | sections...
-//!   ... | "SPOL" | policy state (shadow root, write-amp counters)
+//! magic "SPBC" | version u32 | config fingerprint u64 | checksum u64 | payload
+//! payload = sections... | "SPOL" | policy state (shadow root, write-amp counters)
 //! ```
 //!
 //! The fingerprint is the first eight bytes of a SHA-512 over the wire
@@ -22,6 +22,13 @@
 //! restore targets must be *constructed* with the identical
 //! configuration, and the fingerprint rejects a mismatch up front
 //! instead of letting a shape check fail deep inside a section.
+//!
+//! The checksum is [`FxHasher`] over the payload bytes.  Each of its
+//! 8-byte steps is a bijection of the running hash (the multiplier is
+//! odd), so a change confined to one aligned payload word — every
+//! single-bit flip among them — always changes the checksum.  Restore
+//! checks it before decoding any section, so corrupt bytes are a typed
+//! error and leave the target untouched.
 //!
 //! ## Restore + replay ≡ straight-through
 //!
@@ -63,14 +70,17 @@
 //! of crashes.
 //!
 //! [`ChangeLog`]: secpb_sim::changelog::ChangeLog
+//! [`FxHasher`]: secpb_sim::fxhash::FxHasher
 //!
 //! [`ShardOutcome`]: https://docs.rs/secpb-bench
 
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use secpb_crypto::sha512::{Digest, Sha512};
 use secpb_sim::config::{CacheConfig, SystemConfig};
 use secpb_sim::cycle::Cycle;
+use secpb_sim::fxhash::FxHasher;
 use secpb_sim::stats::Stats;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
 
@@ -92,7 +102,8 @@ pub const MAGIC: [u8; 4] = *b"SPBC";
 ///   tagged [`POLICY_TAG`] section carrying the policy's analytic
 ///   state (shadow root, write-amplification counters) closes the
 ///   payload.
-pub const VERSION: u32 = 2;
+/// - 3: a payload checksum follows the fingerprint.
+pub const VERSION: u32 = 3;
 
 /// The four tag bytes opening the persistence-policy section (v2+).
 pub const POLICY_TAG: [u8; 4] = *b"SPOL";
@@ -113,7 +124,12 @@ pub enum CheckpointError {
     /// The checkpoint was taken on a system with a different
     /// configuration, scheme, tree kind, or key seed.
     ConfigMismatch,
-    /// A section failed to decode (truncation or corruption).
+    /// The payload does not match its checksum (truncation or
+    /// corruption); nothing was decoded.
+    ChecksumMismatch,
+    /// The bytes end inside the header, or a section failed to decode
+    /// although the payload matched its checksum (bytes not written by
+    /// [`SecureSystem::checkpoint_bytes`]).
     Wire(WireError),
 }
 
@@ -131,6 +147,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::ConfigMismatch => write!(
                 f,
                 "checkpoint was taken under a different configuration/scheme/seed"
+            ),
+            CheckpointError::ChecksumMismatch => write!(
+                f,
+                "checkpoint payload does not match its checksum (truncated or corrupt)"
             ),
             CheckpointError::Wire(e) => write!(f, "checkpoint payload: {e}"),
         }
@@ -150,6 +170,16 @@ impl From<WireError> for CheckpointError {
     fn from(e: WireError) -> Self {
         CheckpointError::Wire(e)
     }
+}
+
+/// Bytes before the payload: magic, version, fingerprint and checksum.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8;
+
+/// The payload checksum: [`FxHasher`] over the payload bytes.
+fn payload_checksum(payload: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(payload);
+    h.finish()
 }
 
 fn encode_cache_config(w: &mut WireWriter, c: &CacheConfig) {
@@ -239,6 +269,8 @@ impl SecureSystem {
         w.raw(&MAGIC);
         w.u32(VERSION);
         w.u64(self.fingerprint());
+        // The checksum, patched in once the payload is written.
+        w.u64(0);
         // ---- timing scalars ----
         w.u64(self.now.raw());
         w.u64(self.measure_from.raw());
@@ -276,7 +308,10 @@ impl SecureSystem {
         w.u64(ps.node_writes);
         w.u64(ps.shadow_writes);
         w.u64(ps.leaf_persists);
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let checksum = payload_checksum(&bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
     /// Overlays a checkpoint produced by
@@ -291,9 +326,12 @@ impl SecureSystem {
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] on bad magic, version or
-    /// fingerprint mismatch, or payload truncation/corruption.  On a
-    /// payload error the target may be partially overwritten and must be
-    /// discarded.
+    /// fingerprint mismatch, or a payload that does not match its
+    /// checksum (truncation or corruption); the target is then left
+    /// untouched.  Only a payload whose checksum matches but which fails
+    /// to decode ([`CheckpointError::Wire`]: bytes not written by
+    /// [`checkpoint_bytes`](Self::checkpoint_bytes)) may leave the target
+    /// partially overwritten, and it must then be discarded.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         let mut r = WireReader::new(bytes);
         if r.array::<4>().map_err(CheckpointError::Wire)? != MAGIC {
@@ -305,6 +343,9 @@ impl SecureSystem {
         }
         if r.u64()? != self.fingerprint() {
             return Err(CheckpointError::ConfigMismatch);
+        }
+        if r.u64()? != payload_checksum(&bytes[HEADER_LEN..]) {
+            return Err(CheckpointError::ChecksumMismatch);
         }
         // A wholesale overwrite: no rewind point matches this system now.
         self.sync_token = None;
@@ -571,12 +612,57 @@ mod tests {
     }
 
     #[test]
-    fn truncated_payload_reports_wire_error() {
+    fn truncated_payload_reports_checksum_mismatch() {
         let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
         sys.run_trace(store_trace(0x30_0000, 50));
         let bytes = sys.checkpoint_bytes();
         let mut target = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 9);
         let err = target.restore_bytes(&bytes[..bytes.len() - 3]).unwrap_err();
+        assert_eq!(err, CheckpointError::ChecksumMismatch);
+        // A header cut short of its checksum is a wire error.
+        let err = target.restore_bytes(&bytes[..HEADER_LEN - 3]).unwrap_err();
         assert!(matches!(err, CheckpointError::Wire(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected_and_leaves_the_target_untouched() {
+        let mut sys = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 5);
+        sys.run_trace(store_trace(0x40_0000, 120));
+        let original = sys.checkpoint_bytes();
+        // One target takes every corrupt restore; it holds a different
+        // run, so a partial overwrite would show.
+        let mut target = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 5);
+        target.run_trace(store_trace(0x50_0000, 60));
+        let before = target.checkpoint_bytes();
+        // Every bit of the header and checksum field, then seeded flips
+        // across the payload: 3,000 in all.
+        let header_bits = (HEADER_LEN * 8) as u64;
+        let payload_bits = ((original.len() - HEADER_LEN) * 8) as u64;
+        let mut rng = secpb_sim::rng::Rng::seed_from(0xF1_1B17);
+        let bits = (0..header_bits).chain(
+            std::iter::repeat_with(|| header_bits + rng.below(payload_bits))
+                .take(3_000 - header_bits as usize),
+        );
+        let mut bytes = original.clone();
+        for bit in bits {
+            let (byte, mask) = ((bit / 8) as usize, 1u8 << (bit % 8));
+            bytes[byte] ^= mask;
+            let err = target.restore_bytes(&bytes).unwrap_err();
+            let expected = match byte {
+                0..4 => matches!(err, CheckpointError::BadMagic),
+                4..8 => matches!(err, CheckpointError::VersionMismatch { .. }),
+                8..16 => err == CheckpointError::ConfigMismatch,
+                _ => err == CheckpointError::ChecksumMismatch,
+            };
+            assert!(expected, "flip of bit {bit} gave {err:?}");
+            bytes[byte] ^= mask;
+        }
+        assert_eq!(
+            target.checkpoint_bytes(),
+            before,
+            "a rejected restore wrote state"
+        );
+        target.restore_bytes(&original).unwrap();
+        assert_eq!(target.checkpoint_bytes(), original);
     }
 }

@@ -56,8 +56,6 @@ pub(crate) fn resolve_backend(kind: CryptoBackendKind) -> CryptoBackend {
     match kind {
         CryptoBackendKind::Auto => CryptoBackend::auto(),
         CryptoBackendKind::Scalar => CryptoBackend::Scalar,
-        CryptoBackendKind::MultiBlock => CryptoBackend::MultiBlock,
-        CryptoBackendKind::Hw => CryptoBackend::HwCrypto,
     }
 }
 

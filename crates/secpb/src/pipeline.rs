@@ -403,7 +403,7 @@ impl SecureSystem {
     fn drain_timing(&mut self, entry: &Entry, now: Cycle) -> (u64, u64) {
         let block = entry.block;
         let page = NvmStore::page_of(block);
-        let sec = &self.cfg.security;
+        let sec = self.cfg.security;
         let pb_lat = self.cfg.secpb.access_latency;
         // The MC-side sec-sync pipeline overlaps drains (PLP-style
         // pipelined tree updates): the initiation interval models the
@@ -414,18 +414,7 @@ impl SecureSystem {
 
         if self.scheme.is_secure() {
             if !entry.valid.counter {
-                let md = self.metadata.access(
-                    MetadataKind::Counter,
-                    page,
-                    true,
-                    t,
-                    &mut self.nvm_timing,
-                );
-                if !md.hit {
-                    self.stats.inc(self.h.counter_misses);
-                }
-                self.tracer.span(Phase::CounterFetch, t, md.done + 1);
-                t = md.done + 1;
+                t = self.fetch_counter(page, t);
             }
             let mut data_t = t;
             if !entry.valid.otp {
@@ -443,21 +432,7 @@ impl SecureSystem {
             }
             let mut bmt_t = t;
             if !entry.valid.bmt {
-                let hashes = self.domain.tree.update_cost_hashes(page);
-                let mut walk = bmt_t;
-                for lvl in 1..=hashes {
-                    let idx = (lvl << 32) | (page >> (3 * lvl as u32).min(63));
-                    let md = self.metadata.access(
-                        MetadataKind::BmtNode,
-                        idx,
-                        true,
-                        walk,
-                        &mut self.nvm_timing,
-                    );
-                    walk = md.done + sec.bmt_hash_latency;
-                }
-                self.tracer.span(Phase::BmtUpdate, bmt_t, walk);
-                bmt_t = walk;
+                bmt_t = self.bmt_walk(page, bmt_t);
             }
             t = data_t.max(bmt_t);
             // PM writes: data, counter block, MAC block.
@@ -481,13 +456,13 @@ impl SecureSystem {
     }
 
     // ---------------------------------------------------------------
-    // Early metadata work (timing + function)
+    // Metadata timing steps (shared by the drain, early and SP paths)
     // ---------------------------------------------------------------
 
-    /// Fetches and increments the block's counter (timing through the
-    /// counter cache; function through the logical counter state).
-    fn early_counter_increment(&mut self, block: BlockAddr, t: Cycle) -> (Cycle, SplitCounter) {
-        let page = NvmStore::page_of(block);
+    /// Fetches `page`'s counter block through the counter cache at `t`,
+    /// counting a miss and recording the `CounterFetch` span; returns the
+    /// cycle the counter is ready.
+    fn fetch_counter(&mut self, page: u64, t: Cycle) -> Cycle {
         let md = self
             .metadata
             .access(MetadataKind::Counter, page, true, t, &mut self.nvm_timing);
@@ -495,8 +470,52 @@ impl SecureSystem {
             self.stats.inc(self.h.counter_misses);
         }
         self.tracer.span(Phase::CounterFetch, t, md.done + 1);
-        let ctr = self.increment_logical(block);
-        (md.done + 1, ctr)
+        md.done + 1
+    }
+
+    /// Walks `page`'s BMT path from leaf to root starting at `start`, one
+    /// BMT-node cache access and one hash per level, and records the
+    /// `BmtUpdate` span; returns the cycle the walk ends.
+    fn bmt_walk(&mut self, page: u64, start: Cycle) -> Cycle {
+        let hashes = self.domain.tree.update_cost_hashes(page);
+        let mut walk = start;
+        for lvl in 1..=hashes {
+            let idx = (lvl << 32) | (page >> (3 * lvl as u32).min(63));
+            let md =
+                self.metadata
+                    .access(MetadataKind::BmtNode, idx, true, walk, &mut self.nvm_timing);
+            walk = md.done + self.cfg.security.bmt_hash_latency;
+        }
+        self.tracer.span(Phase::BmtUpdate, start, walk);
+        walk
+    }
+
+    /// A store's BMT walk (early, or SP's per store) issued at `t`:
+    /// serialized behind the previous one when only one may be in
+    /// flight.
+    fn store_bmt_walk(&mut self, page: u64, t: Cycle) -> Cycle {
+        let single = self.cfg.security.single_inflight_bmt;
+        let start = if single {
+            t.max(self.bmt_busy_until)
+        } else {
+            t
+        };
+        let walk = self.bmt_walk(page, start);
+        if single {
+            self.bmt_busy_until = walk;
+        }
+        walk
+    }
+
+    // ---------------------------------------------------------------
+    // Early metadata work (timing + function)
+    // ---------------------------------------------------------------
+
+    /// Fetches and increments the block's counter (timing through the
+    /// counter cache; function through the logical counter state).
+    fn early_counter_increment(&mut self, block: BlockAddr, t: Cycle) -> (Cycle, SplitCounter) {
+        let t = self.fetch_counter(NvmStore::page_of(block), t);
+        (t, self.increment_logical(block))
     }
 
     fn early_otp(&mut self, block: BlockAddr, t: Cycle) -> Cycle {
@@ -550,27 +569,8 @@ impl SecureSystem {
     /// update happens at drain).  Serialized to one in flight when
     /// configured.
     fn early_bmt_walk(&mut self, block: BlockAddr, t: Cycle) -> Cycle {
-        let page = NvmStore::page_of(block);
-        let sec = &self.cfg.security;
-        let start = if sec.single_inflight_bmt {
-            t.max(self.bmt_busy_until)
-        } else {
-            t
-        };
-        let hashes = self.domain.tree.update_cost_hashes(page);
-        let mut walk = start;
-        for lvl in 1..=hashes {
-            let idx = (lvl << 32) | (page >> (3 * lvl as u32).min(63));
-            let md =
-                self.metadata
-                    .access(MetadataKind::BmtNode, idx, true, walk, &mut self.nvm_timing);
-            walk = md.done + sec.bmt_hash_latency;
-        }
-        if sec.single_inflight_bmt {
-            self.bmt_busy_until = walk;
-        }
+        let walk = self.store_bmt_walk(NvmStore::page_of(block), t);
         self.stats.inc(self.h.early_bmt_walks);
-        self.tracer.span(Phase::BmtUpdate, start, walk);
         if let Some(e) = self.pb.entry_mut(block) {
             e.valid.bmt = true;
         }
@@ -635,23 +635,11 @@ impl SecureSystem {
         self.hierarchy.store(block, LineState::Clean);
         let release = self.now.max(self.pb_busy_until);
         let sec = self.cfg.security;
+        let page = NvmStore::page_of(block);
 
         // Counter fetch + increment (per store: no coalescing).
-        let (t, ctr) = {
-            let page = NvmStore::page_of(block);
-            let md = self.metadata.access(
-                MetadataKind::Counter,
-                page,
-                true,
-                release,
-                &mut self.nvm_timing,
-            );
-            if !md.hit {
-                self.stats.inc(self.h.counter_misses);
-            }
-            self.tracer.span(Phase::CounterFetch, release, md.done + 1);
-            (md.done + 1, self.increment_logical(block))
-        };
+        let t = self.fetch_counter(page, release);
+        let ctr = self.increment_logical(block);
 
         // Data-dependent chain and BMT walk in parallel.
         let data_done = t + sec.otp_latency + 1 + sec.mac_latency;
@@ -661,11 +649,10 @@ impl SecureSystem {
         self.tracer.span(Phase::OtpGen, t, t + sec.otp_latency);
         self.tracer
             .span(Phase::Mac, t + sec.otp_latency + 1, data_done);
-        let bmt_done = self.sp_bmt_walk(block, t);
+        let bmt_done = self.store_bmt_walk(page, t);
 
         let mut done = data_done.max(bmt_done);
         // Persist through the WPQ.
-        let page = NvmStore::page_of(block);
         let a1 = self.wpq.enqueue(block, done, &mut self.nvm_timing);
         let a2 = self.wpq.enqueue(
             MetadataCaches::region_block(MetadataKind::Counter, page),
@@ -688,29 +675,5 @@ impl SecureSystem {
         let hashes = self.domain.persist_with_counter(block, ctr);
         self.stats.inc(self.h.bmt_root_updates);
         self.stats.add(self.h.bmt_node_hashes, hashes);
-    }
-
-    fn sp_bmt_walk(&mut self, block: BlockAddr, t: Cycle) -> Cycle {
-        let page = NvmStore::page_of(block);
-        let sec = &self.cfg.security;
-        let start = if sec.single_inflight_bmt {
-            t.max(self.bmt_busy_until)
-        } else {
-            t
-        };
-        let hashes = self.domain.tree.update_cost_hashes(page);
-        let mut walk = start;
-        for lvl in 1..=hashes {
-            let idx = (lvl << 32) | (page >> (3 * lvl as u32).min(63));
-            let md =
-                self.metadata
-                    .access(MetadataKind::BmtNode, idx, true, walk, &mut self.nvm_timing);
-            walk = md.done + sec.bmt_hash_latency;
-        }
-        if sec.single_inflight_bmt {
-            self.bmt_busy_until = walk;
-        }
-        self.tracer.span(Phase::BmtUpdate, start, walk);
-        walk
     }
 }

@@ -142,24 +142,19 @@ impl SecPbConfig {
 }
 
 /// Which crypto backend the functional engines dispatch hashing and
-/// encryption through.  Purely a host-performance knob: every backend is
+/// encryption through.  Purely a host-performance knob: both backends are
 /// byte-identical (the equivalence suites assert it), so reports, roots,
 /// and recovery verdicts never depend on the choice.  The actual backend
 /// implementations live in `secpb-crypto`; this enum only *names* them so
 /// configuration stays dependency-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CryptoBackendKind {
-    /// Hardware (AES-NI) when compiled in and detected at runtime,
-    /// multi-block software pipelining otherwise.
+    /// The batched path, using the widest kernels the CPU offers
+    /// (detected at run time).
     #[default]
     Auto,
     /// One-block-at-a-time reference implementation.
     Scalar,
-    /// Software-pipelined multi-block (interleaved-lane SHA-512) dispatch.
-    MultiBlock,
-    /// `std::arch` AES-NI cipher kernels (requires the `hw-crypto`
-    /// feature and runtime CPU support; falls back to scalar otherwise).
-    Hw,
 }
 
 impl CryptoBackendKind {
@@ -168,8 +163,6 @@ impl CryptoBackendKind {
         match self {
             CryptoBackendKind::Auto => "auto",
             CryptoBackendKind::Scalar => "scalar",
-            CryptoBackendKind::MultiBlock => "multiblock",
-            CryptoBackendKind::Hw => "hw",
         }
     }
 }
@@ -349,8 +342,8 @@ impl SystemConfig {
     }
 
     /// Returns a copy with the functional crypto backend switched
-    /// (scalar reference, multi-block software pipelining, or hardware
-    /// AES-NI).  Observable outputs are identical in all of them.
+    /// (the batched path or the scalar reference).  Observable outputs
+    /// are identical in both.
     pub fn with_crypto_backend(mut self, backend: CryptoBackendKind) -> Self {
         self.security.crypto_backend = backend;
         self

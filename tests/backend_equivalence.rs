@@ -1,17 +1,14 @@
-//! Crypto-backend equivalence suite: the pluggable SIMD/multi-block
-//! backends are a pure performance feature, so every observable output
-//! must be byte-identical no matter which backend computed it.
+//! Crypto-backend equivalence suite: the batched backend is a pure
+//! performance feature, so every observable output must be
+//! byte-identical no matter which backend computed it.
 //!
-//! Scalar is the reference engine.  MultiBlock (interleaved SHA-512
-//! lanes: the eight-lane AVX-512 and four-lane AVX2 kernels when the
-//! `hw-crypto` feature is compiled in and the ISA is detected, the
-//! portable four-lane schedule otherwise) and HwCrypto (AES-NI plus the
-//! same hash kernels; graceful scalar fallback) must agree with it on digests, batched
+//! Scalar is the reference engine.  The batched path (the eight-lane
+//! AVX-512 or four-lane AVX2 SHA-512 kernel and the AES-NI cipher where
+//! the CPU has them, the portable four-lane schedule and the scalar
+//! cipher where it does not) must agree with it on digests, batched
 //! pads, grid JSON reports, crash/recovery verdicts, and telemetry-on/off
-//! parity.  The
-//! sweep always runs all three — on hosts without the feature or the
-//! ISA the hw backend exercises its fallback path, which is exactly the
-//! behaviour the fallback must get right.
+//! parity.  On a host without the ISA the sweep exercises the fallback
+//! path, which is exactly the behaviour the fallback must get right.
 //!
 //! Also here: the arena stress test (churned ASIDs, overflow → slot
 //! reuse, stale-handle aliasing) because the arena rides the same PR's
@@ -53,15 +50,9 @@ impl Fuzz {
     }
 }
 
-/// Every backend kind the config can name, swept against the scalar
-/// reference.  `Auto` is included so whatever it resolves to on this
-/// host is also pinned to the reference output.
-const KINDS: [CryptoBackendKind; 4] = [
-    CryptoBackendKind::Scalar,
-    CryptoBackendKind::MultiBlock,
-    CryptoBackendKind::Hw,
-    CryptoBackendKind::Auto,
-];
+/// Both backend kinds the config can name, swept against the scalar
+/// reference.
+const KINDS: [CryptoBackendKind; 2] = [CryptoBackendKind::Scalar, CryptoBackendKind::Auto];
 
 fn cfg_with(kind: CryptoBackendKind) -> SystemConfig {
     SystemConfig::default().with_crypto_backend(kind)
@@ -224,14 +215,16 @@ fn telemetry_on_off_parity_holds_for_every_backend() {
 
 #[test]
 fn hw_backend_reports_detection_consistently() {
-    // auto() must resolve to HwCrypto exactly when hw_available() says
-    // so; on every other host it must be MultiBlock.  Either way the
-    // equivalence sweeps above pin its output to the scalar reference.
-    if CryptoBackend::hw_available() {
-        assert_eq!(CryptoBackend::auto(), CryptoBackend::HwCrypto);
-    } else {
-        assert_eq!(CryptoBackend::auto(), CryptoBackend::MultiBlock);
-    }
+    // auto() is always the batched path, which picks its kernels at run
+    // time; hw_available() reports whether the AES-NI one is among them.
+    // Either way the equivalence sweeps above pin its output to the
+    // scalar reference.
+    assert_eq!(CryptoBackend::auto(), CryptoBackend::HwCrypto);
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        CryptoBackend::hw_available(),
+        std::arch::is_x86_feature_detected!("aes")
+    );
 }
 
 #[test]

@@ -20,7 +20,7 @@ use secpb::sim::rng::Rng;
 use secpb::sim::trace::{Access, TraceItem};
 
 /// Stores in the trace; a crash follows each of them.
-const STORES: usize = 64;
+const STORES: usize = 200;
 
 /// Distinct blocks the stores land on: eight in each of three
 /// encryption pages, so drains coalesce and share counter blocks.
