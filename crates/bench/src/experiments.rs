@@ -18,7 +18,7 @@ use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
 use secpb_energy::battery::BatteryTech;
-use secpb_energy::drain::{eadr_energy, secpb_drain_energy, secure_eadr_energy, SchemeKind};
+use secpb_energy::drain::{eadr_energy, secpb_drain_energy, secure_eadr_energy};
 use secpb_sim::config::SystemConfig;
 use secpb_sim::fxhash::derive_seed;
 use secpb_sim::json::Json;
@@ -541,22 +541,12 @@ pub fn battery_rows_to_json(rows: &[BatteryRow]) -> Json {
 /// Table V: battery estimates for every scheme at 32 entries plus the
 /// eADR/BBB reference points.
 pub fn table5(entries: usize) -> Vec<BatteryRow> {
-    let mut rows: Vec<BatteryRow> = [
-        SchemeKind::Cobcm,
-        SchemeKind::Obcm,
-        SchemeKind::Bcm,
-        SchemeKind::Cm,
-        SchemeKind::M,
-        SchemeKind::NoGap,
-    ]
-    .iter()
-    .map(|&s| battery_row(s.name(), secpb_drain_energy(s, entries)))
-    .collect();
+    let mut rows: Vec<BatteryRow> = Scheme::SECPB_SCHEMES
+        .iter()
+        .map(|&s| battery_row(s.name(), secpb_drain_energy(s, entries)))
+        .collect();
     rows.push(battery_row("s_eadr", secure_eadr_energy()));
-    rows.push(battery_row(
-        "bbb",
-        secpb_drain_energy(SchemeKind::Bbb, entries),
-    ));
+    rows.push(battery_row("bbb", secpb_drain_energy(Scheme::Bbb, entries)));
     rows.push(battery_row("eadr", eadr_energy()));
     rows
 }
@@ -606,8 +596,8 @@ pub fn table6() -> Vec<BatterySweepRow> {
     [8usize, 16, 32, 64, 128, 256, 512]
         .iter()
         .map(|&entries| {
-            let cobcm = secpb_drain_energy(SchemeKind::Cobcm, entries);
-            let nogap = secpb_drain_energy(SchemeKind::NoGap, entries);
+            let cobcm = secpb_drain_energy(Scheme::Cobcm, entries);
+            let nogap = secpb_drain_energy(Scheme::NoGap, entries);
             BatterySweepRow {
                 entries,
                 cobcm_mm3: (

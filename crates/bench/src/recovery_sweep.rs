@@ -20,14 +20,13 @@
 //! trade-off cannot silently invert.
 
 use secpb_core::crash::{CrashKind, DrainPolicy};
-use secpb_core::facade::PersistSystem;
 use secpb_core::policy::RecoveryCost;
 use secpb_core::scheme::Scheme;
-use secpb_core::system::SecureSystem;
-use secpb_core::tree::TreeKind;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::json::Json;
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
+
+use crate::storm::{build_front, StormFront};
 
 /// Sweep parameters: one workload, one instruction budget, one seed.
 #[derive(Debug, Clone)]
@@ -61,44 +60,21 @@ impl SweepConfig {
     }
 }
 
-/// One policy instantiation on the curve.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepFront {
-    /// Stable point label (`fastrec`, `triad4`, `nogap`, …).
-    pub name: &'static str,
-    /// The scheme (early-work assignment) the point runs.
-    pub scheme: Scheme,
-    /// Triad persistence depth (0 = root-only).
-    pub triad_levels: u8,
-    /// Whether the fast-recovery shadow layout is on.
-    pub shadow: bool,
-}
-
-impl SweepFront {
-    const fn new(name: &'static str, scheme: Scheme, triad_levels: u8, shadow: bool) -> Self {
-        SweepFront {
-            name,
-            scheme,
-            triad_levels,
-            shadow,
-        }
-    }
-}
-
-/// The swept policy points, ordered from most write-amplified /
-/// fastest-recovering to baseline-lazy.  The first four are the pinned
-/// monotone chain; the middle Triad depths chart the knee of the curve.
-pub fn sweep_fronts(bmt_levels: u32) -> Vec<SweepFront> {
+/// The swept policy points as (label, front, scheme), ordered from most
+/// write-amplified / fastest-recovering to baseline-lazy.  The first
+/// four are the pinned monotone chain; the middle Triad depths chart the
+/// knee of the curve.
+pub fn sweep_fronts(bmt_levels: u32) -> Vec<(&'static str, StormFront, Scheme)> {
     let full = bmt_levels.min(u8::MAX as u32) as u8;
     vec![
-        SweepFront::new("fastrec", Scheme::NoGap, 0, true),
-        SweepFront::new("triad-full", Scheme::NoGap, full, false),
-        SweepFront::new("nogap", Scheme::NoGap, 0, false),
-        SweepFront::new("cobcm", Scheme::Cobcm, 0, false),
-        SweepFront::new("triad4", Scheme::NoGap, 4, false),
-        SweepFront::new("triad2", Scheme::NoGap, 2, false),
-        SweepFront::new("m", Scheme::M, 0, false),
-        SweepFront::new("cm", Scheme::Cm, 0, false),
+        ("fastrec", StormFront::FastRec, Scheme::NoGap),
+        ("triad-full", StormFront::Triad(full), Scheme::NoGap),
+        ("nogap", StormFront::SecPb, Scheme::NoGap),
+        ("cobcm", StormFront::SecPb, Scheme::Cobcm),
+        ("triad4", StormFront::Triad(4), Scheme::NoGap),
+        ("triad2", StormFront::Triad(2), Scheme::NoGap),
+        ("m", StormFront::SecPb, Scheme::M),
+        ("cm", StormFront::SecPb, Scheme::Cm),
     ]
 }
 
@@ -234,48 +210,31 @@ impl SweepReport {
     }
 }
 
-fn run_point(cfg: &SweepConfig, front: SweepFront) -> SweepPoint {
-    let profile = match WorkloadProfile::named(&cfg.workload) {
-        Some(p) => p,
-        None => {
-            return SweepPoint::failed(
-                front.name,
-                front.scheme,
-                format!("unknown workload `{}`", cfg.workload),
-            )
-        }
+fn run_point(cfg: &SweepConfig, name: &str, front: StormFront, scheme: Scheme) -> SweepPoint {
+    let Some(profile) = WorkloadProfile::named(&cfg.workload) else {
+        return SweepPoint::failed(name, scheme, format!("unknown workload `{}`", cfg.workload));
     };
-    let sys_cfg = SystemConfig::default()
-        .with_triad_levels(front.triad_levels)
-        .with_shadow_counters(front.shadow);
-    let mut sys = match SecureSystem::build(sys_cfg, front.scheme, TreeKind::Monolithic, cfg.seed) {
+    let mut sys = match build_front(front, SystemConfig::default(), scheme, cfg.seed) {
         Ok(s) => s,
-        Err(e) => {
-            return SweepPoint::failed(
-                front.name,
-                front.scheme,
-                format!("invalid configuration: {e}"),
-            )
-        }
+        Err(why) => return SweepPoint::failed(name, scheme, why),
     };
     // Every point replays the identical store stream: same profile, same
     // generator seed — the policy is the only axis that moves.
     let mut generator = TraceGenerator::new(profile, cfg.seed);
-    sys.run_trace(generator.stream(cfg.instructions));
-    let dyn_sys: &mut dyn PersistSystem = &mut sys;
-    let crash = match dyn_sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll) {
+    for item in generator.stream(cfg.instructions) {
+        sys.step(item);
+    }
+    let crash = match sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll) {
         Ok(c) => c,
-        Err(e) => {
-            return SweepPoint::failed(front.name, front.scheme, format!("crash drain failed: {e}"))
-        }
+        Err(e) => return SweepPoint::failed(name, scheme, format!("crash drain failed: {e}")),
     };
-    let rec = dyn_sys.recover();
-    let cost = dyn_sys.recovery_cost();
+    let rec = sys.recover();
+    let cost = sys.recovery_cost();
     let flush = crash.secsync_complete_at.raw() - crash.at.raw();
     SweepPoint {
-        name: front.name.to_string(),
-        scheme: front.scheme,
-        write_amplification: sys.policy_state().write_amplification(),
+        name: name.to_string(),
+        scheme,
+        write_amplification: sys.domain().policy_state().write_amplification(),
         crash_flush_cycles: flush,
         cost,
         total_recovery_cycles: flush + cost.cycles,
@@ -300,7 +259,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let bmt_levels = SystemConfig::default().security.bmt_levels;
     let points: Vec<SweepPoint> = sweep_fronts(bmt_levels)
         .into_iter()
-        .map(|f| run_point(cfg, f))
+        .map(|(name, front, scheme)| run_point(cfg, name, front, scheme))
         .collect();
     let mut violations = Vec::new();
     let chain = ["fastrec", "triad-full", "nogap", "cobcm"];

@@ -86,8 +86,6 @@ use secpb_sim::telemetry::{
 use secpb_sim::trace::TraceItem;
 use secpb_workloads::{trace_io, TraceGenerator, WorkloadProfile};
 
-use crate::storm::energy_scheme;
-
 /// Deterministic seed base for the service plane (tenant placement and
 /// shard key derivation both salt from here).
 pub const SERVE_SEED: u64 = 0x5E2B_5EED;
@@ -719,7 +717,7 @@ fn shed_rank_floor(plan: &ServeFaultPlan, scheme: Scheme, secpb_entries: usize) 
     if plan.brown_out_every == 0 {
         return 3;
     }
-    let full = secpb_drain_energy(energy_scheme(scheme), secpb_entries);
+    let full = secpb_drain_energy(scheme, secpb_entries);
     let budget = plan.brown_out.budget_joules;
     if budget >= full {
         3
@@ -909,10 +907,7 @@ impl<'a> Shard<'a> {
                 .sys
                 .stats()
                 .ratio(counters::PERSISTS, counters::ALLOCATIONS),
-            battery_joules: secpb_drain_energy(
-                energy_scheme(self.sys.scheme()),
-                occupancy as usize,
-            ),
+            battery_joules: secpb_drain_energy(self.sys.scheme(), occupancy as usize),
             recovery_cycles: self.sys.recovery_cost().cycles,
             shed_parts: self.progress.shed,
             replayed_chunks: self.replayed,
@@ -1417,7 +1412,7 @@ mod tests {
         cfg.set_qos("gamma", QosClass::Bronze, &token).unwrap();
         // A budget funding just over half a full drain: bronze defers,
         // gold and silver keep their slots.
-        let full = secpb_drain_energy(energy_scheme(cfg.scheme), cfg.sys_cfg.secpb.entries);
+        let full = secpb_drain_energy(cfg.scheme, cfg.sys_cfg.secpb.entries);
         cfg.faults = ServeFaultPlan {
             seed: 3,
             trigger: CrashTrigger::Never,

@@ -40,7 +40,6 @@ use secpb_workloads::{TraceGenerator, WorkloadProfile};
 use crate::serve::{
     run_serve, PrivilegeToken, QosClass, ServeConfig, ServeError, ServeFaultPlan, TenantSpec,
 };
-use crate::storm::energy_scheme;
 
 /// Soak configuration: a serve shape plus the fault and restart
 /// schedules layered on top.
@@ -89,7 +88,7 @@ impl SoakConfig {
         }
         // A budget funding just over half a full drain: bronze sheds,
         // gold and silver keep their slots.
-        let budget = 0.6 * secpb_drain_energy(energy_scheme(cfg.scheme), cfg.sys_cfg.secpb.entries);
+        let budget = 0.6 * secpb_drain_energy(cfg.scheme, cfg.sys_cfg.secpb.entries);
         cfg.faults = ServeFaultPlan::storm(seed, crash_every, 3, budget);
         cfg
     }

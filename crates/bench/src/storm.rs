@@ -21,7 +21,7 @@
 //! crashes, victims, and bit positions, so a storm failure is a
 //! deterministic reproducer.
 
-use secpb_core::crash::{CrashKind, DrainPolicy, FaultOutcome};
+use secpb_core::crash::{ConfigError, CrashKind, DrainPolicy, FaultOutcome};
 use secpb_core::eadr::EadrSystem;
 use secpb_core::facade::PersistSystem;
 use secpb_core::multicore::MultiCoreSystem;
@@ -30,7 +30,7 @@ use secpb_core::system::SecureSystem;
 use secpb_core::tree::TreeKind;
 use secpb_energy::drain::{
     entries_within_budget, per_entry_drain_energy, secpb_drain_energy, secure_eadr_energy,
-    secure_eadr_line_energy, SchemeKind,
+    secure_eadr_line_energy,
 };
 use secpb_mem::store::NvmStore;
 use secpb_sim::addr::{Asid, BlockAddr};
@@ -39,21 +39,6 @@ use secpb_sim::fault::{pick_victim, BitFlip, CrashTrigger, FaultClock, FlipTarge
 use secpb_sim::json::Json;
 use secpb_sim::trace::{TraceItem, TraceSummary};
 use secpb_workloads::{TraceGenerator, WorkloadProfile};
-
-/// The energy-model view of a scheme, for brown-out budget conversion.
-/// `Sp` persists the full tuple per store like `NoGap`, so it shares
-/// NoGap's per-entry footprint (it never buffers entries anyway).
-pub fn energy_scheme(scheme: Scheme) -> SchemeKind {
-    match scheme {
-        Scheme::Bbb => SchemeKind::Bbb,
-        Scheme::Cobcm => SchemeKind::Cobcm,
-        Scheme::Obcm => SchemeKind::Obcm,
-        Scheme::Bcm => SchemeKind::Bcm,
-        Scheme::Cm => SchemeKind::Cm,
-        Scheme::M => SchemeKind::M,
-        Scheme::NoGap | Scheme::Sp => SchemeKind::NoGap,
-    }
-}
 
 /// Which system front a storm cell drives through the
 /// [`PersistSystem`] facade.
@@ -105,7 +90,7 @@ impl StormFront {
     pub fn joules_per_entry(self, scheme: Scheme) -> f64 {
         match self {
             StormFront::Eadr => secure_eadr_line_energy(),
-            _ => per_entry_drain_energy(energy_scheme(scheme)),
+            _ => per_entry_drain_energy(scheme),
         }
     }
 
@@ -118,10 +103,8 @@ impl StormFront {
     pub fn brown_out_entries(self, scheme: Scheme, entries: usize, fraction: f64) -> u64 {
         let worst_case = match self {
             StormFront::Eadr => secure_eadr_energy(),
-            StormFront::MultiCore(cores) => {
-                secpb_drain_energy(energy_scheme(scheme), cores * entries)
-            }
-            _ => secpb_drain_energy(energy_scheme(scheme), entries),
+            StormFront::MultiCore(cores) => secpb_drain_energy(scheme, cores * entries),
+            _ => secpb_drain_energy(scheme, entries),
         };
         entries_within_budget(self.joules_per_entry(scheme), worst_case * fraction)
     }
@@ -623,40 +606,29 @@ fn crash_point(
 
 /// Builds the system front a storm cell (or the CLI) drives through the
 /// facade.  Configuration rejections surface as the typed
-/// [`ConfigError`](secpb_core::crash::ConfigError)'s friendly message.
+/// [`ConfigError`]'s friendly message.
 pub fn build_front(
     front: StormFront,
     sys_cfg: SystemConfig,
     scheme: Scheme,
     key_seed: u64,
 ) -> Result<Box<dyn PersistSystem + Send>, String> {
-    match front {
-        StormFront::SecPb => SecureSystem::build(sys_cfg, scheme, TreeKind::Monolithic, key_seed)
-            .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-            .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::Eadr => EadrSystem::new(sys_cfg, key_seed)
-            .map(|e| Box::new(e) as Box<dyn PersistSystem + Send>)
-            .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::MultiCore(cores) => MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed)
-            .map(|m| Box::new(m) as Box<dyn PersistSystem + Send>)
-            .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::Triad(levels) => SecureSystem::build(
-            sys_cfg.with_triad_levels(levels),
-            scheme,
-            TreeKind::Monolithic,
-            key_seed,
-        )
-        .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-        .map_err(|e| format!("invalid configuration: {e}")),
-        StormFront::FastRec => SecureSystem::build(
-            sys_cfg.with_shadow_counters(true),
-            scheme,
-            TreeKind::Monolithic,
-            key_seed,
-        )
-        .map(|s| Box::new(s) as Box<dyn PersistSystem + Send>)
-        .map_err(|e| format!("invalid configuration: {e}")),
-    }
+    let sys: Result<Box<dyn PersistSystem + Send>, ConfigError> = match front {
+        StormFront::Eadr => EadrSystem::new(sys_cfg, key_seed).map(|e| Box::new(e) as _),
+        StormFront::MultiCore(cores) => {
+            MultiCoreSystem::new(sys_cfg, scheme, cores, key_seed).map(|m| Box::new(m) as _)
+        }
+        StormFront::SecPb | StormFront::Triad(_) | StormFront::FastRec => {
+            let sys_cfg = match front {
+                StormFront::Triad(levels) => sys_cfg.with_triad_levels(levels),
+                StormFront::FastRec => sys_cfg.with_shadow_counters(true),
+                _ => sys_cfg,
+            };
+            SecureSystem::build(sys_cfg, scheme, TreeKind::Monolithic, key_seed)
+                .map(|s| Box::new(s) as _)
+        }
+    };
+    sys.map_err(|e| format!("invalid configuration: {e}"))
 }
 
 /// Runs one storm cell: replays the trace, crashing at every trigger
@@ -813,8 +785,8 @@ mod tests {
 
     #[test]
     fn brown_out_budgets_cover_a_fraction_of_each_fronts_worst_case() {
-        use secpb_energy::constants::cache_bytes;
-        let lines = (cache_bytes::L1 + cache_bytes::L2 + cache_bytes::L3) / 64;
+        let cfg = SystemConfig::default();
+        let lines = ((cfg.l1.size_bytes + cfg.l2.size_bytes + cfg.l3.size_bytes) / 64) as u64;
         for scheme in [Scheme::Bbb, Scheme::Cobcm, Scheme::NoGap] {
             let budget = |front: StormFront| front.brown_out_entries(scheme, 32, 0.25);
             assert_eq!(budget(StormFront::SecPb), 8, "{scheme}");

@@ -244,7 +244,7 @@ fn emit_snapshot<W: Write, T: Write>(
 
 #[cfg(test)]
 mod tests {
-    use secpb_energy::drain::{per_entry_drain_energy, secure_eadr_line_energy, SchemeKind};
+    use secpb_energy::drain::{per_entry_drain_energy, secure_eadr_line_energy};
 
     use super::*;
 
@@ -308,7 +308,7 @@ mod tests {
                 // Table V's secure-eADR worst case, far above a bbb
                 // entry's plain write.
                 let line = secure_eadr_line_energy();
-                assert!(line > 70.0 * per_entry_drain_energy(SchemeKind::Bbb));
+                assert!(line > 70.0 * per_entry_drain_energy(Scheme::Bbb));
                 let dirty: Vec<_> = outcome
                     .snapshots
                     .iter()

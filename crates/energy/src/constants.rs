@@ -18,38 +18,6 @@ pub const SHA512_PER_BYTE: f64 = 79.29e-9;
 /// Joules per byte: AES-192 encryption (OTP generation, 30 nJ/B).
 pub const AES192_PER_BYTE: f64 = 30e-9;
 
-/// Cache block / metadata node size in bytes.
-pub const BLOCK_BYTES: u64 = 64;
-
-/// BMT height in levels (Table I).
-pub const BMT_LEVELS: u64 = 8;
-
-/// SecPB entry sizes in bytes by how many tuple fields the scheme must
-/// retain (Figure 5): data plaintext `Dp` 64 B, OTP `O` 64 B, ciphertext
-/// `Dc` 64 B, counter `C` 1 B, BMT ack `B` 1 bit, MAC `M` 64 B.
-pub mod entry_bytes {
-    /// COBCM/OBCM: `Dp` (+ tag/valid overhead).
-    pub const DATA_ONLY: u64 = 65;
-    /// BCM: `Dp`, `O`, `C`.
-    pub const WITH_OTP: u64 = 130;
-    /// CM: `Dp`, `O`, `C`, `B`.
-    pub const WITH_BMT_ACK: u64 = 131;
-    /// M: `Dp`, `O`, `Dc`, `C`, `B`.
-    pub const WITH_CIPHERTEXT: u64 = 196;
-    /// NoGap: all fields (the paper's 260 B entry).
-    pub const FULL: u64 = 260;
-}
-
-/// Cache capacities drained by (s_)eADR (Table I).
-pub mod cache_bytes {
-    /// L1 data cache.
-    pub const L1: u64 = 64 << 10;
-    /// L2 cache.
-    pub const L2: u64 = 512 << 10;
-    /// L3 cache.
-    pub const L3: u64 = 4 << 20;
-}
-
 /// Energy density of a supercapacitor: 10⁻⁴ Wh per cm³.
 pub const SUPERCAP_WH_PER_CM3: f64 = 1e-4;
 
@@ -72,17 +40,6 @@ mod tests {
         assert!(MOVE_PB_TO_PM_PER_BYTE > MOVE_MC_TO_PM_PER_BYTE);
         assert!(SHA512_PER_BYTE > AES192_PER_BYTE);
         assert!(SRAM_ACCESS_PER_BYTE < AES192_PER_BYTE);
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn entry_sizes_are_monotone_in_eagerness() {
-        use entry_bytes::*;
-        assert!(DATA_ONLY < WITH_OTP);
-        assert!(WITH_OTP < WITH_BMT_ACK);
-        assert!(WITH_BMT_ACK < WITH_CIPHERTEXT);
-        assert!(WITH_CIPHERTEXT < FULL);
-        assert_eq!(FULL, 260, "Table I entry size");
     }
 
     #[test]

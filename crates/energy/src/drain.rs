@@ -13,119 +13,62 @@
 //! 5. OTPs must be generated,
 //! 6. XORs and counter increments are free.
 //!
-//! For SecPB the per-entry *late* work is the complement of the scheme's
-//! early work; eagerly generated metadata enlarges the entry that must be
-//! moved instead.
+//! A scheme is the system model's own [`Scheme`]: its per-entry *late*
+//! work is the complement of [`Scheme::early_work`], and eagerly
+//! generated metadata enlarges the entry that must be moved instead
+//! ([`Scheme::entry_footprint_bytes`]).  Block size, tree height and
+//! cache capacities are Table I's, read from [`SystemConfig::default`].
+
+use secpb_core::scheme::Scheme;
+use secpb_sim::addr::BLOCK_SIZE;
+use secpb_sim::config::SystemConfig;
 
 use crate::constants::{
-    cache_bytes, entry_bytes, AES192_PER_BYTE, BLOCK_BYTES, BMT_LEVELS, MOVE_MC_TO_PM_PER_BYTE,
-    MOVE_PB_TO_PM_PER_BYTE, SHA512_PER_BYTE,
+    AES192_PER_BYTE, MOVE_MC_TO_PM_PER_BYTE, MOVE_PB_TO_PM_PER_BYTE, SHA512_PER_BYTE,
 };
-
-/// The scheme whose battery is being sized (energy-model view; decoupled
-/// from `secpb-core` so this crate stays dependency-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SchemeKind {
-    /// Insecure battery-backed buffer.
-    Bbb,
-    /// Everything post-crash.
-    Cobcm,
-    /// Counter early.
-    Obcm,
-    /// Counter + OTP early.
-    Bcm,
-    /// Counter + OTP + BMT early.
-    Cm,
-    /// Everything but the MAC early.
-    M,
-    /// Everything early.
-    NoGap,
-}
-
-impl SchemeKind {
-    /// All SecPB schemes in Table V row order.
-    pub const ALL: [SchemeKind; 7] = [
-        SchemeKind::Cobcm,
-        SchemeKind::Obcm,
-        SchemeKind::Bcm,
-        SchemeKind::Cm,
-        SchemeKind::M,
-        SchemeKind::NoGap,
-        SchemeKind::Bbb,
-    ];
-
-    /// Bytes of SecPB entry state that must move to the MC on a drain.
-    pub fn entry_footprint_bytes(self) -> u64 {
-        match self {
-            SchemeKind::Bbb => BLOCK_BYTES,
-            SchemeKind::Cobcm | SchemeKind::Obcm => entry_bytes::DATA_ONLY,
-            SchemeKind::Bcm => entry_bytes::WITH_OTP,
-            SchemeKind::Cm => entry_bytes::WITH_BMT_ACK,
-            SchemeKind::M => entry_bytes::WITH_CIPHERTEXT,
-            SchemeKind::NoGap => entry_bytes::FULL,
-        }
-    }
-
-    /// The display name used in the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Bbb => "bbb",
-            SchemeKind::Cobcm => "cobcm",
-            SchemeKind::Obcm => "obcm",
-            SchemeKind::Bcm => "bcm",
-            SchemeKind::Cm => "cm",
-            SchemeKind::M => "m",
-            SchemeKind::NoGap => "nogap",
-        }
-    }
-}
 
 /// Energy (J) of one worst-case BMT leaf-to-root update: per level, fetch
 /// a 64-byte node from PM and hash it.
 pub fn bmt_update_energy() -> f64 {
-    BMT_LEVELS as f64
-        * (BLOCK_BYTES as f64 * MOVE_MC_TO_PM_PER_BYTE + BLOCK_BYTES as f64 * SHA512_PER_BYTE)
+    let block = BLOCK_SIZE as f64;
+    SystemConfig::default().security.bmt_levels as f64
+        * (block * MOVE_MC_TO_PM_PER_BYTE + block * SHA512_PER_BYTE)
 }
 
 /// Energy (J) of one MAC computation over a 64-byte block.
 pub fn mac_energy() -> f64 {
-    BLOCK_BYTES as f64 * SHA512_PER_BYTE
+    BLOCK_SIZE as f64 * SHA512_PER_BYTE
 }
 
 /// Energy (J) of one OTP generation (AES-192 over the block).
 pub fn otp_energy() -> f64 {
-    BLOCK_BYTES as f64 * AES192_PER_BYTE
+    BLOCK_SIZE as f64 * AES192_PER_BYTE
 }
 
 /// Energy (J) of fetching one counter block from PM.
 pub fn counter_fetch_energy() -> f64 {
-    BLOCK_BYTES as f64 * MOVE_MC_TO_PM_PER_BYTE
+    BLOCK_SIZE as f64 * MOVE_MC_TO_PM_PER_BYTE
 }
 
 /// Worst-case drain energy (J) of a single SecPB entry under `scheme`.
-pub fn per_entry_drain_energy(scheme: SchemeKind) -> f64 {
+pub fn per_entry_drain_energy(scheme: Scheme) -> f64 {
     let mut e = scheme.entry_footprint_bytes() as f64 * MOVE_PB_TO_PM_PER_BYTE;
-    // Late work = complement of the scheme's early work.  BBB is the
-    // insecure baseline: no metadata exists, so nothing is ever late.
-    let (counter_late, otp_late, bmt_late, mac_late) = match scheme {
-        SchemeKind::Bbb => (false, false, false, false),
-        SchemeKind::Cobcm => (true, true, true, true),
-        SchemeKind::Obcm => (false, true, true, true),
-        SchemeKind::Bcm => (false, false, true, true),
-        SchemeKind::Cm => (false, false, false, true),
-        SchemeKind::M => (false, false, false, true),
-        SchemeKind::NoGap => (false, false, false, false),
-    };
-    if counter_late {
+    // BBB is the insecure baseline: no metadata exists, so nothing is
+    // ever late.  The ciphertext XOR is free (assumption 6).
+    if !scheme.is_secure() {
+        return e;
+    }
+    let early = scheme.early_work();
+    if !early.counter {
         e += counter_fetch_energy();
     }
-    if otp_late {
+    if !early.otp {
         e += otp_energy();
     }
-    if bmt_late {
+    if !early.bmt {
         e += bmt_update_energy();
     }
-    if mac_late {
+    if !early.mac {
         e += mac_energy();
     }
     e
@@ -134,7 +77,7 @@ pub fn per_entry_drain_energy(scheme: SchemeKind) -> f64 {
 /// Worst-case battery energy (J) for a SecPB of `entries` entries: every
 /// entry is assumed dirty with all of its late memory-tuple work still
 /// pending (Section V-B assumptions 1–6).
-pub fn secpb_drain_energy(scheme: SchemeKind, entries: usize) -> f64 {
+pub fn secpb_drain_energy(scheme: Scheme, entries: usize) -> f64 {
     per_entry_drain_energy(scheme) * entries as f64
 }
 
@@ -160,13 +103,15 @@ pub fn entries_within_budget(per: f64, budget_joules: f64) -> u64 {
 /// Drain energy (J) of insecure eADR: every cache line in the hierarchy
 /// is dirty and must be flushed.
 pub fn eadr_energy() -> f64 {
-    cache_bytes::L1 as f64 * MOVE_PB_TO_PM_PER_BYTE
-        + (cache_bytes::L2 + cache_bytes::L3) as f64 * MOVE_MC_TO_PM_PER_BYTE
+    let cfg = SystemConfig::default();
+    cfg.l1.size_bytes as f64 * MOVE_PB_TO_PM_PER_BYTE
+        + (cfg.l2.size_bytes + cfg.l3.size_bytes) as f64 * MOVE_MC_TO_PM_PER_BYTE
 }
 
 /// Cache lines (s_)eADR drains: every line of the L1, L2 and L3.
 fn eadr_lines() -> u64 {
-    (cache_bytes::L1 + cache_bytes::L2 + cache_bytes::L3) / BLOCK_BYTES
+    let cfg = SystemConfig::default();
+    (cfg.l1.blocks() + cfg.l2.blocks() + cfg.l3.blocks()) as u64
 }
 
 /// Drain energy (J) of *secure* eADR: every dirty line additionally needs
@@ -210,12 +155,12 @@ mod tests {
     fn per_entry_ordering_follows_laziness() {
         // Lazier schemes leave more work to the battery.
         let e: Vec<f64> = [
-            SchemeKind::NoGap,
-            SchemeKind::Cm,
-            SchemeKind::M,
-            SchemeKind::Bcm,
-            SchemeKind::Obcm,
-            SchemeKind::Cobcm,
+            Scheme::NoGap,
+            Scheme::Cm,
+            Scheme::M,
+            Scheme::Bcm,
+            Scheme::Obcm,
+            Scheme::Cobcm,
         ]
         .iter()
         .map(|&s| per_entry_drain_energy(s))
@@ -229,8 +174,7 @@ mod tests {
     #[test]
     fn bcm_to_cm_is_the_big_cliff() {
         // Table V: moving the BMT update off the battery shrinks it ~6.5x.
-        let ratio =
-            per_entry_drain_energy(SchemeKind::Bcm) / per_entry_drain_energy(SchemeKind::Cm);
+        let ratio = per_entry_drain_energy(Scheme::Bcm) / per_entry_drain_energy(Scheme::Cm);
         assert!(ratio > 5.0 && ratio < 10.0, "got {ratio}");
     }
 
@@ -245,11 +189,11 @@ mod tests {
                 "{s:?}: got {v:.3} mm³, paper {expect}"
             );
         };
-        check(SchemeKind::Cobcm, 4.89, 0.05);
-        check(SchemeKind::Obcm, 4.82, 0.05);
-        check(SchemeKind::Bcm, 4.72, 0.05);
-        check(SchemeKind::NoGap, 0.28, 0.35);
-        check(SchemeKind::Bbb, 0.07, 0.15);
+        check(Scheme::Cobcm, 4.89, 0.05);
+        check(Scheme::Obcm, 4.82, 0.05);
+        check(Scheme::Bcm, 4.72, 0.05);
+        check(Scheme::NoGap, 0.28, 0.35);
+        check(Scheme::Bbb, 0.07, 0.15);
     }
 
     #[test]
@@ -264,7 +208,7 @@ mod tests {
     #[test]
     fn secure_eadr_dwarfs_every_secpb_scheme() {
         let seadr = secure_eadr_energy();
-        for s in SchemeKind::ALL {
+        for s in Scheme::ALL {
             let ratio = seadr / secpb_drain_energy(s, 32);
             assert!(ratio > 100.0, "{s:?}: only {ratio}x");
         }
@@ -273,7 +217,7 @@ mod tests {
     #[test]
     fn battery_scales_linearly_with_entries() {
         // Table VI: doubling the SecPB roughly doubles the battery.
-        for s in [SchemeKind::Cobcm, SchemeKind::NoGap] {
+        for s in [Scheme::Cobcm, Scheme::NoGap] {
             let e32 = secpb_drain_energy(s, 32);
             let e64 = secpb_drain_energy(s, 64);
             let ratio = e64 / e32;
@@ -283,7 +227,7 @@ mod tests {
 
     #[test]
     fn budget_truncation_is_exact_and_saturating() {
-        for s in SchemeKind::ALL {
+        for s in Scheme::ALL {
             let per = per_entry_drain_energy(s);
             // A budget of exactly 7 entries (with float headroom) drains 7;
             // a hair under 7 drains 6.
@@ -293,26 +237,26 @@ mod tests {
             assert_eq!(entries_within_budget(per, -1.0), 0);
             assert_eq!(entries_within_budget(per, f64::NAN), 0);
         }
-        let bbb = per_entry_drain_energy(SchemeKind::Bbb);
+        let bbb = per_entry_drain_energy(Scheme::Bbb);
         assert_eq!(
             entries_within_budget(bbb, f64::INFINITY),
             0,
             "non-finite budgets are rejected, not treated as unlimited"
         );
         // Lazier schemes drain fewer entries from the same battery.
-        let budget = secpb_drain_energy(SchemeKind::Cobcm, 32);
+        let budget = secpb_drain_energy(Scheme::Cobcm, 32);
         assert!(
-            entries_within_budget(per_entry_drain_energy(SchemeKind::NoGap), budget)
-                > entries_within_budget(per_entry_drain_energy(SchemeKind::Cobcm), budget)
+            entries_within_budget(per_entry_drain_energy(Scheme::NoGap), budget)
+                > entries_within_budget(per_entry_drain_energy(Scheme::Cobcm), budget)
         );
     }
 
     #[test]
     fn table_vi_extremes() {
         // 512-entry COBCM ≈ 76.1 mm³ SuperCap; 512-entry NoGap ≈ 4.35 mm³.
-        let cobcm = BatteryTech::SuperCap.volume_mm3(secpb_drain_energy(SchemeKind::Cobcm, 512));
+        let cobcm = BatteryTech::SuperCap.volume_mm3(secpb_drain_energy(Scheme::Cobcm, 512));
         assert!((cobcm - 76.1).abs() / 76.1 < 0.05, "got {cobcm}");
-        let nogap = BatteryTech::SuperCap.volume_mm3(secpb_drain_energy(SchemeKind::NoGap, 512));
+        let nogap = BatteryTech::SuperCap.volume_mm3(secpb_drain_energy(Scheme::NoGap, 512));
         assert!((nogap - 4.35).abs() / 4.35 < 0.1, "got {nogap}");
     }
 }

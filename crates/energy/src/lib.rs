@@ -5,6 +5,11 @@
 //! drain a SecPB — or, for (secure) eADR, the entire cache hierarchy — and
 //! finish every in-flight memory-tuple update on a crash.
 //!
+//! It prices the system model's own types: a [`Scheme`] from
+//! `secpb-core` (its early work and entry footprint) for the worst case,
+//! and a crash's [`DrainWork`] for what a drain actually cost, with
+//! Table I's geometry read from `secpb-sim`'s default configuration.
+//!
 //! * [`constants`] — Table III energy costs and the battery energy
 //!   densities,
 //! * [`battery`] — battery technologies, volume, and core-area-ratio
@@ -16,14 +21,17 @@
 //!   the system model into joules, for comparison against the
 //!   worst-case provisioning.
 //!
+//! [`Scheme`]: secpb_core::scheme::Scheme
+//! [`DrainWork`]: secpb_core::crash::DrainWork
+//!
 //! # Example
 //!
 //! ```
+//! use secpb_core::scheme::Scheme;
 //! use secpb_energy::battery::BatteryTech;
 //! use secpb_energy::drain::secpb_drain_energy;
-//! use secpb_energy::SchemeKind;
 //!
-//! let joules = secpb_drain_energy(SchemeKind::Cobcm, 32);
+//! let joules = secpb_drain_energy(Scheme::Cobcm, 32);
 //! let volume = BatteryTech::SuperCap.volume_mm3(joules);
 //! assert!(volume > 4.0 && volume < 6.0); // Table V: 4.89 mm³
 //! ```
@@ -37,4 +45,3 @@ pub mod drain;
 pub mod runtime;
 
 pub use battery::BatteryTech;
-pub use drain::SchemeKind;

@@ -5,38 +5,17 @@
 //! shows the provisioning headroom — the measured energy must never
 //! exceed the provisioned energy, which the integration tests assert.
 
+use secpb_core::crash::DrainWork;
+use secpb_sim::addr::BLOCK_SIZE;
+
 use crate::constants::{
-    AES192_PER_BYTE, BLOCK_BYTES, MOVE_MC_TO_PM_PER_BYTE, MOVE_PB_TO_PM_PER_BYTE, SHA512_PER_BYTE,
+    AES192_PER_BYTE, MOVE_MC_TO_PM_PER_BYTE, MOVE_PB_TO_PM_PER_BYTE, SHA512_PER_BYTE,
 };
 
-/// The measured work of one crash drain, mirroring
-/// `secpb_core::crash::DrainWork` field-for-field (kept separate so the
-/// energy crate has no dependency on the system model).
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct MeasuredWork {
-    /// SecPB entries drained.
-    pub entries: u64,
-    /// Bytes moved from the SecPB to the MC.
-    pub bytes_pb_to_mc: u64,
-    /// Bytes written from the MC to the PM.
-    pub bytes_mc_to_pm: u64,
-    /// Counter blocks fetched from PM.
-    pub counter_fetches: u64,
-    /// BMT nodes hashed.
-    pub bmt_node_hashes: u64,
-    /// BMT nodes fetched from PM.
-    pub bmt_node_fetches: u64,
-    /// OTPs generated.
-    pub otps: u64,
-    /// MACs computed.
-    pub macs: u64,
-    /// Ciphertext XORs (free, per assumption 6).
-    pub ciphertexts: u64,
-}
-
-/// Joules consumed by the measured work, priced with Table III.
-pub fn measured_energy(w: &MeasuredWork) -> f64 {
-    let block = BLOCK_BYTES as f64;
+/// Joules consumed by the work a crash drain reported, priced with
+/// Table III.
+pub fn measured_energy(w: &DrainWork) -> f64 {
+    let block = BLOCK_SIZE as f64;
     w.bytes_pb_to_mc as f64 * MOVE_PB_TO_PM_PER_BYTE
         + w.bytes_mc_to_pm as f64 * MOVE_MC_TO_PM_PER_BYTE
         + w.counter_fetches as f64 * block * MOVE_MC_TO_PM_PER_BYTE
@@ -50,18 +29,19 @@ pub fn measured_energy(w: &MeasuredWork) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drain::{per_entry_drain_energy, SchemeKind};
+    use crate::drain::per_entry_drain_energy;
+    use secpb_core::scheme::Scheme;
 
     #[test]
     fn empty_work_costs_nothing() {
-        assert_eq!(measured_energy(&MeasuredWork::default()), 0.0);
+        assert_eq!(measured_energy(&DrainWork::default()), 0.0);
     }
 
     #[test]
     fn one_full_cobcm_entry_close_to_worst_case() {
         // Worst-case assumptions: counter fetch misses, 8 BMT node
         // fetches + hashes, one OTP, one MAC.
-        let w = MeasuredWork {
+        let w = DrainWork {
             entries: 1,
             bytes_pb_to_mc: 65,
             bytes_mc_to_pm: 0,
@@ -73,7 +53,7 @@ mod tests {
             ciphertexts: 1,
         };
         let measured = measured_energy(&w);
-        let provisioned = per_entry_drain_energy(SchemeKind::Cobcm);
+        let provisioned = per_entry_drain_energy(Scheme::Cobcm);
         assert!(
             measured <= provisioned * 1.001,
             "{measured} > {provisioned}"
@@ -86,20 +66,20 @@ mod tests {
 
     #[test]
     fn xors_are_free() {
-        let a = MeasuredWork {
+        let a = DrainWork {
             ciphertexts: 0,
-            ..MeasuredWork::default()
+            ..DrainWork::default()
         };
-        let b = MeasuredWork {
+        let b = DrainWork {
             ciphertexts: 1_000_000,
-            ..MeasuredWork::default()
+            ..DrainWork::default()
         };
         assert_eq!(measured_energy(&a), measured_energy(&b));
     }
 
     #[test]
     fn energy_is_monotone_in_every_component() {
-        let base = MeasuredWork {
+        let base = DrainWork {
             entries: 1,
             bytes_pb_to_mc: 64,
             bytes_mc_to_pm: 64,
@@ -112,28 +92,28 @@ mod tests {
         };
         let e0 = measured_energy(&base);
         for bump in [
-            MeasuredWork {
+            DrainWork {
                 bytes_pb_to_mc: 128,
                 ..base
             },
-            MeasuredWork {
+            DrainWork {
                 bytes_mc_to_pm: 128,
                 ..base
             },
-            MeasuredWork {
+            DrainWork {
                 counter_fetches: 2,
                 ..base
             },
-            MeasuredWork {
+            DrainWork {
                 bmt_node_hashes: 2,
                 ..base
             },
-            MeasuredWork {
+            DrainWork {
                 bmt_node_fetches: 2,
                 ..base
             },
-            MeasuredWork { otps: 2, ..base },
-            MeasuredWork { macs: 2, ..base },
+            DrainWork { otps: 2, ..base },
+            DrainWork { macs: 2, ..base },
         ] {
             assert!(measured_energy(&bump) > e0);
         }

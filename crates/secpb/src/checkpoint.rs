@@ -103,7 +103,9 @@ pub const MAGIC: [u8; 4] = *b"SPBC";
 ///   state (shadow root, write-amplification counters) closes the
 ///   payload.
 /// - 3: a payload checksum follows the fingerprint.
-pub const VERSION: u32 = 3;
+/// - 4: the drain engine stores its in-flight completion cycles alone,
+///   sorted ascending, without per-drain sequence numbers.
+pub const VERSION: u32 = 4;
 
 /// The four tag bytes opening the persistence-policy section (v2+).
 pub const POLICY_TAG: [u8; 4] = *b"SPOL";

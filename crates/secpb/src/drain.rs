@@ -10,8 +10,10 @@
 //! memory-tuple update completes — which is what produces the COBCM
 //! "backflow" stalls the paper reports for write-intensive workloads.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use secpb_sim::cycle::Cycle;
-use secpb_sim::event::EventWheel;
 use secpb_sim::wire::{WireError, WireReader, WireWriter};
 
 /// Drain engine statistics.
@@ -58,8 +60,9 @@ impl DrainStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DrainEngine {
-    /// Completion times of in-flight drains (slot frees at completion).
-    inflight: EventWheel<()>,
+    /// Completion times of in-flight drains, earliest on top (a slot
+    /// frees at its drain's completion).
+    inflight: BinaryHeap<Reverse<Cycle>>,
     /// Earliest cycle the next drain may issue.
     next_issue: Cycle,
     stats: DrainStats,
@@ -75,7 +78,7 @@ impl DrainEngine {
     /// Creates an idle engine.
     pub fn new() -> Self {
         DrainEngine {
-            inflight: EventWheel::new(),
+            inflight: BinaryHeap::new(),
             next_issue: Cycle::ZERO,
             stats: DrainStats::default(),
         }
@@ -94,7 +97,7 @@ impl DrainEngine {
         self.stats.issue_delay_cycles += start.since(now);
         self.next_issue = start + initiation_interval;
         let completion = start + latency;
-        self.inflight.schedule(completion, ());
+        self.inflight.push(Reverse(completion));
         self.stats.issued += 1;
         let end_to_end = completion.since(now);
         self.stats.latency_cycles += end_to_end;
@@ -105,7 +108,12 @@ impl DrainEngine {
     /// Retires completed drains; returns how many slots freed by `now`.
     pub fn retire(&mut self, now: Cycle) -> usize {
         let mut freed = 0;
-        while self.inflight.pop_due(now).is_some() {
+        while self
+            .inflight
+            .peek()
+            .is_some_and(|&Reverse(done)| done <= now)
+        {
+            self.inflight.pop();
             freed += 1;
         }
         freed
@@ -119,30 +127,27 @@ impl DrainEngine {
 
     /// The completion time of the earliest in-flight drain, if any.
     pub fn next_completion(&self) -> Option<Cycle> {
-        self.inflight.next_due()
+        self.inflight.peek().map(|&Reverse(done)| done)
     }
 
     /// The completion time of the *last* in-flight drain — i.e. when the
     /// whole pipeline runs dry (crash-drain completion).
     pub fn all_complete_at(&mut self) -> Cycle {
-        let mut last = self.next_issue;
-        while let Some((c, ())) = self.inflight.pop() {
-            last = last.max(c);
-        }
-        last
+        self.inflight
+            .drain()
+            .fold(self.next_issue, |last, Reverse(done)| last.max(done))
     }
 
-    /// Appends the in-flight wheel (including its FIFO tie-break
-    /// sequencing), the issue horizon, and the statistics to a
-    /// checkpoint.
+    /// Appends the in-flight completion cycles (sorted ascending, so
+    /// the bytes do not depend on the heap's layout), the issue horizon,
+    /// and the statistics to a checkpoint.
     pub fn encode_into(&self, w: &mut WireWriter) {
-        let (entries, next_seq) = self.inflight.dump();
-        w.usize(entries.len());
-        for (due, seq, ()) in entries {
-            w.u64(due.raw());
-            w.u64(seq);
+        let mut due: Vec<Cycle> = self.inflight.iter().map(|&Reverse(done)| done).collect();
+        due.sort_unstable();
+        w.usize(due.len());
+        for done in due {
+            w.u64(done.raw());
         }
-        w.u64(next_seq);
         w.u64(self.next_issue.raw());
         w.u64(self.stats.issued);
         w.u64(self.stats.issue_delay_cycles);
@@ -156,16 +161,13 @@ impl DrainEngine {
     ///
     /// Propagates truncation/malformation with the byte offset.
     pub fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.seq_len(8 + 8)?;
-        let mut entries = Vec::with_capacity(n);
+        let n = r.seq_len(8)?;
+        let mut inflight = BinaryHeap::with_capacity(n);
         for _ in 0..n {
-            let due = Cycle(r.u64()?);
-            let seq = r.u64()?;
-            entries.push((due, seq, ()));
+            inflight.push(Reverse(Cycle(r.u64()?)));
         }
-        let next_seq = r.u64()?;
         Ok(DrainEngine {
-            inflight: EventWheel::load(entries, next_seq),
+            inflight,
             next_issue: Cycle(r.u64()?),
             stats: DrainStats {
                 issued: r.u64()?,
@@ -236,6 +238,28 @@ mod tests {
         e.issue(Cycle(0), 1, 100);
         e.issue(Cycle(0), 1, 50); // issues at 1, completes at 51
         assert_eq!(e.next_completion(), Some(Cycle(51)));
+    }
+
+    #[test]
+    fn checkpoint_lists_in_flight_drains_in_completion_order() {
+        let mut e = DrainEngine::new();
+        e.issue(Cycle(0), 10, 300);
+        e.issue(Cycle(0), 10, 100); // completes at 110, before the first
+        e.issue(Cycle(5), 10, 200);
+        let mut w = WireWriter::new();
+        e.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let due: Vec<u64> = (0..r.usize().unwrap()).map(|_| r.u64().unwrap()).collect();
+        assert_eq!(due, [110, 220, 300]);
+
+        let mut back = DrainEngine::decode_from(&mut WireReader::new(&bytes)).unwrap();
+        let mut again = WireWriter::new();
+        back.encode_into(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert_eq!(back.stats(), e.stats());
+        assert_eq!(back.retire(Cycle(220)), 2);
+        assert_eq!(back.all_complete_at(), Cycle(300));
     }
 
     #[test]

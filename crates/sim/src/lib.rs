@@ -16,7 +16,6 @@
 //! * [`tracer`] — exact per-phase cycle attribution; individual spans
 //!   leave only through an attached telemetry ring,
 //! * [`json`] — the dependency-free JSON value used by every exporter,
-//! * [`event`] — a small deterministic event wheel used by the drain engine,
 //! * [`fault`] — deterministic fault-injection plans (crash triggers,
 //!   battery brown-outs, NVM bit flips) interpreted by the model crates,
 //! * [`fxhash`] — a deterministic multiply-rotate hasher (`FxHashMap`) for
@@ -54,7 +53,6 @@ pub mod addr;
 pub mod changelog;
 pub mod config;
 pub mod cycle;
-pub mod event;
 pub mod fault;
 pub mod fxhash;
 pub mod json;

@@ -9,19 +9,20 @@
 //!
 //! e.g. `cargo run --release --example battery_planner 20 32 supercap`
 
+use secpb::core::scheme::Scheme;
 use secpb::energy::battery::BatteryTech;
-use secpb::energy::drain::{secpb_drain_energy, SchemeKind};
+use secpb::energy::drain::secpb_drain_energy;
 
 /// Paper Table IV average overheads, used as the performance side of the
 /// trade-off (a planning tool wants the published numbers, not a
 /// simulation run).
-const PERF_OVERHEAD_PCT: [(SchemeKind, f64); 6] = [
-    (SchemeKind::Cobcm, 1.3),
-    (SchemeKind::Obcm, 1.5),
-    (SchemeKind::Bcm, 14.8),
-    (SchemeKind::Cm, 71.3),
-    (SchemeKind::M, 73.8),
-    (SchemeKind::NoGap, 118.4),
+const PERF_OVERHEAD_PCT: [(Scheme, f64); 6] = [
+    (Scheme::Cobcm, 1.3),
+    (Scheme::Obcm, 1.5),
+    (Scheme::Bcm, 14.8),
+    (Scheme::Cm, 71.3),
+    (Scheme::M, 73.8),
+    (Scheme::NoGap, 118.4),
 ];
 
 fn main() {
@@ -41,7 +42,7 @@ fn main() {
         "scheme", "energy (uJ)", "vol (mm3)", "area %"
     );
     println!("{}", "-".repeat(60));
-    let mut best: Option<(SchemeKind, f64)> = None;
+    let mut best: Option<(Scheme, f64)> = None;
     for (scheme, perf) in PERF_OVERHEAD_PCT {
         let joules = secpb_drain_energy(scheme, entries);
         let volume = tech.volume_mm3(joules);

@@ -40,7 +40,7 @@ use secpb_core::crash::{CrashKind, DrainPolicy};
 use secpb_core::scheme::Scheme;
 use secpb_core::system::SecureSystem;
 use secpb_energy::battery::BatteryTech;
-use secpb_energy::drain::{secpb_drain_energy, SchemeKind};
+use secpb_energy::drain::secpb_drain_energy;
 use secpb_sim::config::SystemConfig;
 use secpb_sim::pool;
 use secpb_sim::telemetry::ChromeTraceStream;
@@ -417,12 +417,12 @@ fn cmd_battery(args: &[String]) -> Result<String, String> {
         .unwrap_or(32);
     let mut out = String::new();
     let _ = writeln!(out, "battery sizing for a {entries}-entry SecPB:");
-    for kind in SchemeKind::ALL {
-        let joules = secpb_drain_energy(kind, entries);
+    for scheme in Scheme::SECPB_SCHEMES.into_iter().chain([Scheme::Bbb]) {
+        let joules = secpb_drain_energy(scheme, entries);
         let _ = writeln!(
             out,
             " {:<6} {:>10.2} uJ  SuperCap {:>8.3} mm3 ({:>5.1}% core)  Li-Thin {:>7.4} mm3",
-            kind.name(),
+            scheme.name(),
             joules * 1e6,
             BatteryTech::SuperCap.volume_mm3(joules),
             BatteryTech::SuperCap.core_area_ratio_pct(joules),

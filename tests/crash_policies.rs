@@ -2,28 +2,23 @@
 //! provisioning bound: the energy a crash *actually* consumes must never
 //! exceed what the worst-case model provisions.
 
-use secpb::core::crash::{CrashKind, DrainPolicy, ObserverPolicy, ObserverView};
+use secpb::core::crash::{CrashKind, CrashReport, DrainPolicy, ObserverPolicy, ObserverView};
+use secpb::core::eadr::EadrSystem;
 use secpb::core::facade::PersistSystem;
 use secpb::core::scheme::Scheme;
 use secpb::core::system::SecureSystem;
-use secpb::energy::drain::{secpb_drain_energy, SchemeKind};
-use secpb::energy::runtime::{measured_energy, MeasuredWork};
+use secpb::energy::drain::{
+    eadr_energy, per_entry_drain_energy, secpb_drain_energy, secure_eadr_energy,
+};
+use secpb::energy::runtime::measured_energy;
 use secpb::sim::addr::{Address, Asid};
 use secpb::sim::config::SystemConfig;
 use secpb::sim::trace::{Access, TraceItem};
 use secpb::workloads::{TraceGenerator, WorkloadProfile};
 
-fn energy_scheme(s: Scheme) -> Option<SchemeKind> {
-    match s {
-        Scheme::Bbb => Some(SchemeKind::Bbb),
-        Scheme::Cobcm => Some(SchemeKind::Cobcm),
-        Scheme::Obcm => Some(SchemeKind::Obcm),
-        Scheme::Bcm => Some(SchemeKind::Bcm),
-        Scheme::Cm => Some(SchemeKind::Cm),
-        Scheme::M => Some(SchemeKind::M),
-        Scheme::NoGap => Some(SchemeKind::NoGap),
-        Scheme::Sp => None,
-    }
+fn power_loss(sys: &mut dyn PersistSystem) -> CrashReport {
+    sys.crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
+        .unwrap()
 }
 
 #[test]
@@ -33,24 +28,10 @@ fn measured_crash_energy_within_provisioned_budget() {
         let trace = TraceGenerator::new(profile, 5).generate(40_000);
         let mut sys = SecureSystem::new(SystemConfig::default(), scheme, 5);
         sys.run_trace(trace);
-        let report = sys
-            .crash(CrashKind::PowerLoss, DrainPolicy::DrainAll)
-            .unwrap();
+        let w = power_loss(&mut sys).work;
 
-        let w = report.work;
-        let measured = measured_energy(&MeasuredWork {
-            entries: w.entries,
-            bytes_pb_to_mc: w.bytes_pb_to_mc,
-            bytes_mc_to_pm: w.bytes_mc_to_pm,
-            counter_fetches: w.counter_fetches,
-            bmt_node_hashes: w.bmt_node_hashes,
-            bmt_node_fetches: w.bmt_node_fetches,
-            otps: w.otps,
-            macs: w.macs,
-            ciphertexts: w.ciphertexts,
-        });
-        let kind = energy_scheme(scheme).unwrap();
-        let provisioned = secpb_drain_energy(kind, sys.config().secpb.entries);
+        let measured = measured_energy(&w);
+        let provisioned = secpb_drain_energy(scheme, sys.config().secpb.entries);
         assert!(
             measured <= provisioned,
             "{scheme}: measured {measured} J exceeds provisioned {provisioned} J \
@@ -58,6 +39,51 @@ fn measured_crash_energy_within_provisioned_budget() {
             w.entries
         );
     }
+}
+
+#[test]
+fn crash_work_dwarfs_secpb_crash_work() {
+    // The paper's Table V point, measured: for the same store stream,
+    // s_eADR's battery-powered work is orders of magnitude larger than a
+    // 32-entry SecPB's.
+    let trace: Vec<TraceItem> = (0..3_000u64)
+        .map(|i| TraceItem::then(9, Access::store(Address(0x10_0000 + i * 64), i)))
+        .collect();
+    let mut s_eadr = EadrSystem::new(SystemConfig::default(), 3).unwrap();
+    s_eadr.run_trace(&trace);
+    let e_eadr = measured_energy(&power_loss(&mut s_eadr).work);
+
+    let mut secpb = SecureSystem::new(SystemConfig::default(), Scheme::Cobcm, 3);
+    secpb.run_trace(trace);
+    let e_secpb = measured_energy(&power_loss(&mut secpb).work);
+    assert!(
+        e_eadr > 20.0 * e_secpb,
+        "eADR {e_eadr} J should dwarf SecPB {e_secpb} J"
+    );
+}
+
+#[test]
+fn battery_prices_are_pinned_to_the_bit() {
+    // Table V/VI, every brown-out budget and every battery gauge derive
+    // from these; a one-ulp drift in any of them is a change of the
+    // energy model, not a refactor.
+    let pins = [
+        (Scheme::Bbb, 0x3ea9_6c8f_1fe8_52dd_u64),
+        (Scheme::Sp, 0x3ec9_d241_5c67_f428),
+        (Scheme::Cobcm, 0x3f0c_bee0_6700_2721),
+        (Scheme::Obcm, 0x3f0c_5e6d_c4ec_6fe8),
+        (Scheme::Bcm, 0x3f0b_c404_17c3_c926),
+        (Scheme::Cm, 0x3edb_ca0b_0d1e_3816),
+        (Scheme::M, 0x3edf_0453_38ab_369c),
+        (Scheme::NoGap, 0x3ec9_d241_5c67_f428),
+    ];
+    assert_eq!(pins.len(), Scheme::ALL.len());
+    for (scheme, bits) in pins {
+        let e = per_entry_drain_energy(scheme);
+        assert_eq!(e.to_bits(), bits, "{scheme}: {e:e} J per entry");
+    }
+    assert_eq!(eadr_energy().to_bits(), 0x3fab_85ef_d20b_2941);
+    assert_eq!(secure_eadr_energy().to_bits(), 0x4010_6100_3547_5f7f);
 }
 
 #[test]
